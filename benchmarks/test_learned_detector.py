@@ -24,7 +24,6 @@ fail when either lane's throughput falls more than 2x below it.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
 
@@ -38,7 +37,8 @@ from repro.util import SeededRng, derive_seed
 from repro.util.perf import throughput
 from repro.workloads.datasets import DATASET_PROFILES, build_dataset
 
-from test_perf_baseline import BENCH_PATH, REGRESSION_FACTOR, _load_bench
+from test_perf_baseline import (
+    BENCH_PATH, REGRESSION_FACTOR, _load_bench, _save_bench)
 
 SEED = 606
 TRAIN_RANKS = 4_000
@@ -212,7 +212,7 @@ def test_learned_full_sweep_1m():
             throughput(rows, columnar_seconds), 1),
         "sweep_digest": sweep.digest(),
     }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+    _save_bench(bench)
 
     assert columnar_seconds < MAX_FULL_COLUMNAR_SECONDS, (
         f"full-universe columnar featurize+score took "

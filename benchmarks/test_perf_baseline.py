@@ -28,6 +28,7 @@ from pathlib import Path
 from repro.ecosystem import EcosystemScanner, InternetConfig, build_internet
 from repro.experiment import ExperimentConfig, StudyRunner, run_sharded_scan
 from repro.util import SeededRng
+from repro.util.artifact import write_atomic
 from repro.util.perf import throughput
 
 #: The canonical timing workload (matches the perf acceptance run).
@@ -47,6 +48,10 @@ def _load_bench() -> dict:
     if BENCH_PATH.exists():
         return json.loads(BENCH_PATH.read_text())
     return {"baseline": None, "history": []}
+
+
+def _save_bench(bench: dict) -> None:
+    write_atomic(BENCH_PATH, json.dumps(bench, indent=2) + "\n")
 
 
 def _timed_study():
@@ -118,7 +123,7 @@ def test_perf_baseline(benchmark):
         # so later runs have a trajectory to gate against
         bench["baseline"]["streaming_scan"] = entry["streaming_scan"]
     bench["history"] = (bench["history"] + [entry])[-HISTORY_LIMIT:]
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+    _save_bench(bench)
 
     baseline_wall = bench["baseline"]["study"]["wall_seconds"]
     baseline_scan_rate = bench["baseline"]["scan"]["ctypos_scanned_per_sec"]

@@ -25,7 +25,6 @@ cost may not depend on ``max_rank``.
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import datetime, timezone
 
@@ -35,7 +34,7 @@ from repro.ecosystem import WorldModel
 from repro.experiment import run_sharded_scan
 from repro.util.perf import throughput
 
-from test_perf_baseline import BENCH_PATH, _load_bench
+from test_perf_baseline import BENCH_PATH, _load_bench, _save_bench
 
 SCALE_SEED = 606
 RANK_POINTS = (1_000, 10_000, 100_000)
@@ -77,7 +76,7 @@ def test_scan_scale_throughput():
         "seed": SCALE_SEED,
         "points": points,
     }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+    _save_bench(bench)
 
     # more ranks must never mean fewer registrations
     registered = [p["ctypos_registered"] for p in points]
@@ -132,7 +131,7 @@ def test_scan_scale_1m():
     scale["points"].sort(key=lambda p: p["ranks"])
     scale["recorded_utc"] = datetime.now(timezone.utc).isoformat(
         timespec="seconds")
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+    _save_bench(bench)
 
     assert aggregates.registered_count > 0
     # a rank's work must not depend on the universe size around it —

@@ -24,7 +24,6 @@ the traced runs dominate, a few minutes single-core in total.
 from __future__ import annotations
 
 import gc
-import json
 import time
 import tracemalloc
 from datetime import datetime, timezone
@@ -41,7 +40,7 @@ from repro.experiment import (
 from repro.experiment.classify import ClassifyContext, classify_corpus_records
 from repro.util.perf import PerfRegistry, throughput
 
-from test_perf_baseline import BENCH_PATH, _load_bench
+from test_perf_baseline import BENCH_PATH, _load_bench, _save_bench
 
 SCALE_SEED = 606
 BASE_SPAM_SCALE = 2e-4          # the perf-baseline study config
@@ -156,7 +155,7 @@ def test_study_scale_throughput_and_memory():
                     "bounded_1x": round(bounded_1x_peak, 1)},
         "deliveries_1x": delivered_1x,
     }
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+    _save_bench(bench)
 
     # -- gates -------------------------------------------------------------
     assert rate >= SPEEDUP_FACTOR * baseline_rate, (

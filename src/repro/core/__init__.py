@@ -10,6 +10,7 @@ from repro.core.distances import (
     is_ff1,
     set_distance_caches_enabled,
     visual_distance,
+    within_one_edit,
 )
 from repro.core.keyboard import are_adjacent, key_position, qwerty_adjacency
 from repro.core.targets import (
@@ -58,6 +59,7 @@ def kernel_cache_stats() -> dict:
 __all__ = [
     "damerau_levenshtein",
     "is_dl1",
+    "within_one_edit",
     "fat_finger_distance",
     "is_ff1",
     "visual_distance",

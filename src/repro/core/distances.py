@@ -23,6 +23,7 @@ from repro.core.keyboard import qwerty_adjacency
 __all__ = [
     "damerau_levenshtein",
     "is_dl1",
+    "within_one_edit",
     "fat_finger_distance",
     "fat_finger_for_edit",
     "is_ff1",
@@ -167,6 +168,32 @@ def _damerau_levenshtein_uncached(a: str, b: str) -> int:
 def is_dl1(a: str, b: str) -> bool:
     """True when the two strings are at Damerau-Levenshtein distance one."""
     return damerau_levenshtein(a, b) == 1
+
+
+def within_one_edit(a: str, b: str) -> bool:
+    """``damerau_levenshtein(a, b) <= 1`` in O(len), without the DP.
+
+    Two strings are within one edit iff they are equal or, past their
+    common prefix, the rest differs by exactly one substitution,
+    insertion/deletion, or adjacent transposition.  The full and the
+    restricted Damerau-Levenshtein variants agree at this threshold.
+    """
+    if a == b:
+        return True
+    len_a, len_b = len(a), len(b)
+    if len_a < len_b:
+        a, b, len_a, len_b = b, a, len_b, len_a
+    if len_a - len_b > 1:
+        return False
+    i = 0
+    while i < len_b and a[i] == b[i]:
+        i += 1
+    if len_a != len_b:
+        return a[i + 1:] == b[i:]                # one deletion from ``a``
+    return (a[i + 1:] == b[i + 1:]               # substitution
+            or (a[i + 1:i + 2] == b[i:i + 1]     # adjacent transposition
+                and a[i:i + 1] == b[i + 1:i + 2]
+                and a[i + 2:] == b[i + 2:]))
 
 
 EditOperation = str  # "addition" | "deletion" | "substitution" | "transposition"

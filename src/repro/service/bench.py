@@ -32,6 +32,7 @@ from repro.service.health import (
 )
 from repro.service.index import TypoRiskIndex
 from repro.service.workload import LookupWorkload, WorkloadMix
+from repro.util.artifact import write_atomic
 from repro.util.perf import PerfRegistry, paused_gc, throughput
 
 __all__ = ["ServeBenchResult", "ParityError", "run_serve_bench",
@@ -429,7 +430,7 @@ def _record_bench_section(entry: Dict, path: Union[str, Path],
     history = section.setdefault("history", [])
     history.append(entry)
     del history[:-QUERY_SERVICE_HISTORY_LIMIT]
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(data, indent=2) + "\n")
     return section
 
 

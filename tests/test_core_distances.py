@@ -1,6 +1,8 @@
 """Tests for repro.core.distances — DL, fat-finger, and visual distances."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     classify_edit,
@@ -9,6 +11,7 @@ from repro.core import (
     is_dl1,
     is_ff1,
     visual_distance,
+    within_one_edit,
 )
 
 
@@ -54,6 +57,68 @@ class TestDamerauLevenshtein:
         assert is_dl1("gmail", "gmial")
         assert not is_dl1("gmail", "gmail")
         assert not is_dl1("gmail", "gmual")
+
+
+#: a small alphabet (with non-ASCII) so random pairs often share text
+SHORT_TEXT = st.text(alphabet="ab0-éм", max_size=8)
+
+
+@st.composite
+def edited_pairs(draw):
+    """``(a, b)`` with ``b`` up to two random edits away from ``a``."""
+    a = draw(st.text(max_size=10))
+    b = a
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["ins", "del", "sub", "swap"]))
+        k = draw(st.integers(0, len(b)))
+        char = draw(st.characters())
+        if op == "ins":
+            b = b[:k] + char + b[k:]
+        elif op == "del" and k < len(b):
+            b = b[:k] + b[k + 1:]
+        elif op == "sub" and k < len(b):
+            b = b[:k] + char + b[k + 1:]
+        elif op == "swap" and k + 1 < len(b):
+            b = b[:k] + b[k + 1] + b[k] + b[k + 2:]
+    return a, b
+
+
+class TestWithinOneEdit:
+    """The O(len) predicate must agree with the DL kernel at threshold 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_pairs())
+    def test_matches_kernel_on_edited_unicode(self, pair):
+        a, b = pair
+        assert within_one_edit(a, b) == (damerau_levenshtein(a, b) <= 1)
+        assert within_one_edit(b, a) == within_one_edit(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHORT_TEXT, SHORT_TEXT)
+    def test_matches_kernel_on_random_pairs(self, a, b):
+        assert within_one_edit(a, b) == (damerau_levenshtein(a, b) <= 1)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ("", "", True),
+        ("é", "é", True),
+        ("gmail", "gmail", True),
+        ("", "x", True),
+        ("", "xy", False),
+        ("gmail", "gma", False),
+        ("ab", "abcd", False),
+        ("gmail", "gmial", True),
+        ("gmail", "gmaill", True),
+        ("gmail", "gmali", True),
+        ("ab", "ba", True),
+        ("abc", "cba", False),
+        ("gmail", "gmuil", True),
+        ("gmail", "gmuul", False),
+        ("abcd123", "abcd1x23", True),
+    ])
+    def test_edge_cases(self, a, b, expected):
+        assert within_one_edit(a, b) is expected
+        assert within_one_edit(b, a) is expected
+        assert (damerau_levenshtein(a, b) <= 1) is expected
 
 
 class TestClassifyEdit:

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from repro.core import EMAIL_TARGETS
 from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
 from repro.service import TypoRiskIndex, normalize_query
-from repro.service.workload import _EDGE_QUERIES
+from repro.service.workload import _EDGE_QUERIES, LookupWorkload, WorkloadMix
 from repro.util.errors import ConfigError
 from repro.util.rand import SeededRng
 
 SEED = 606
 MAX_RANK = 1200
+FIRST_FILLER = len(EMAIL_TARGETS) + 1
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,46 @@ def index():
 QUERY_ALPHABET = string.ascii_lowercase + string.digits + ".-@" + "AZ" \
     + "áñм"
 QUERIES = st.text(alphabet=QUERY_ALPHABET, min_size=0, max_size=24)
+
+#: characters a single random edit of a filler-shaped query may use
+EDIT_ALPHABET = string.ascii_lowercase + string.digits + "-é"
+
+
+def _filler_parts(index, filler_index):
+    """(stem, digits) of the filler at ``filler_index`` — also past the
+    end of the universe, where the name law still defines one."""
+    label = index.world.target_domain(FIRST_FILLER + filler_index)[:-4]
+    stem = label.rstrip(string.digits)
+    return stem, label[len(stem):]
+
+
+@st.composite
+def filler_shaped(draw, index):
+    """Traffic-shaped text: 3-10 letters, then 0-7 digits, then at most
+    one random edit.  The letters and digits are either random or a real
+    filler's stem and index, so the query often sits within an edit or
+    two of a filler — the regime the digit-run retrieval serves."""
+    stem, digits = _filler_parts(
+        index, draw(st.integers(0, MAX_RANK - FIRST_FILLER + 1)))
+    letters = draw(st.one_of(
+        st.just(stem),
+        st.text(alphabet=string.ascii_lowercase, min_size=3, max_size=10)))
+    digits = draw(st.one_of(
+        st.just(digits),
+        st.text(alphabet=string.digits, min_size=0, max_size=7)))
+    label = letters + digits
+    op = draw(st.sampled_from(["none", "ins", "del", "sub", "swap"]))
+    k = draw(st.integers(0, len(label)))
+    char = draw(st.sampled_from(EDIT_ALPHABET))
+    if op == "ins":
+        label = label[:k] + char + label[k:]
+    elif op == "del" and k < len(label):
+        label = label[:k] + label[k + 1:]
+    elif op == "sub" and k < len(label):
+        label = label[:k] + char + label[k + 1:]
+    elif op == "swap" and k + 1 < len(label):
+        label = label[:k] + label[k + 1] + label[k] + label[k + 2:]
+    return label + ".com"
 
 
 class TestRetrievalParity:
@@ -94,10 +135,105 @@ class TestRetrievalParity:
                     assert index.candidate_ranks(typo) == \
                         index.brute_force_candidate_ranks(typo), typo
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_filler_shaped_text(self, index, data):
+        query = data.draw(filler_shaped(index))
+        assert index.candidate_ranks(query) == \
+            index.brute_force_candidate_ranks(query), query
+
+    def test_lookup_workload_pool(self):
+        """Every query a typo-heavy stream can emit, on a 2k universe."""
+        mix = WorkloadMix(clean=0.10, gtypo=0.50, ctypo=0.30, junk=0.10)
+        workload = LookupWorkload(SEED, 2000, pool_size=256, mix=mix)
+        index = TypoRiskIndex(SEED, 2000)
+        mismatches = [
+            query for query in workload.pool_entries()
+            if index.candidate_ranks(query)
+            != index.brute_force_candidate_ranks(query)]
+        assert mismatches == []
+
     def test_overlong_and_empty_labels_are_empty(self, index):
         for query in ("", ".", "com", "a" * 70 + ".com",
                       "b" * 200, "@@@", "x.y.z." + "q" * 64):
             assert index.candidate_ranks(query) == ()
+
+
+class TestFillerEdgeCases:
+    """Digit-run shapes the filler retrieval must get exactly right."""
+
+    @staticmethod
+    def _assert_parity(index, labels, expected_rank=None):
+        for label in labels:
+            query = label + ".com"
+            ranks = index.candidate_ranks(query)
+            assert ranks == index.brute_force_candidate_ranks(query), query
+            if expected_rank is not None:
+                assert expected_rank in ranks, query
+
+    def test_one_digit_index_by_bare_stem(self, index):
+        # deleting the only digit leaves a query with no digits at all
+        for filler_index in range(10):
+            stem, digits = _filler_parts(index, filler_index)
+            assert len(digits) == 1
+            self._assert_parity(index, [stem, stem[:-1] + digits],
+                                FIRST_FILLER + filler_index)
+
+    def test_leading_zero_queries(self, index):
+        for filler_index in (0, 5, 123, 1000):
+            stem, digits = _filler_parts(index, filler_index)
+            self._assert_parity(index, [f"{stem}0{digits}"],
+                                FIRST_FILLER + filler_index)
+            self._assert_parity(index, [f"{stem}00{digits}",
+                                        f"{stem[:-1]}0{digits}"])
+
+    def test_letter_digit_swap_at_boundary(self, index):
+        for filler_index in (3, 42, 777):
+            stem, digits = _filler_parts(index, filler_index)
+            swapped = stem[:-1] + digits[0] + stem[-1] + digits[1:]
+            self._assert_parity(index, [swapped],
+                                FIRST_FILLER + filler_index)
+
+    def test_first_digit_replaced_by_letter(self, index):
+        for filler_index in (7, 64, 1100):
+            stem, digits = _filler_parts(index, filler_index)
+            labels = [stem + letter + digits[1:] for letter in "aqz"]
+            self._assert_parity(index, labels, FIRST_FILLER + filler_index)
+
+    def test_digit_run_split_by_letter(self, index):
+        stem, digits = _filler_parts(index, 123)
+        assert digits == "123"
+        self._assert_parity(index, [f"{stem}1x23", f"{stem}12x3"],
+                            FIRST_FILLER + 123)
+        self._assert_parity(index, ["abcd1x23", f"{stem}1x2x3"])
+
+    def test_last_filler_and_one_past_it(self, index):
+        last = MAX_RANK - FIRST_FILLER
+        stem, digits = _filler_parts(index, last)
+        self._assert_parity(index, [stem + digits, stem + digits + "0"],
+                            MAX_RANK)
+        # one past the universe: the name law defines it, the index must
+        # not retrieve it (only neighbours inside the universe)
+        past_stem, past_digits = _filler_parts(index, last + 1)
+        past = past_stem + past_digits
+        self._assert_parity(index, [past, past_stem + past_digits[:-1],
+                                    past[:-1]])
+        assert MAX_RANK + 1 not in index.candidate_ranks(past + ".com")
+
+    def test_exactly_one_foreign_character(self, index):
+        stem, digits = _filler_parts(index, 321)
+        rank = FIRST_FILLER + 321
+        self._assert_parity(index, [
+            f"{stem}-{digits}",
+            f"é{stem}{digits}",
+            f"{stem[:-1]}é{digits}",
+            f"{stem}{digits[:-1]}é",
+            f"{stem}{digits}-",
+        ], rank)
+        # two foreign characters are always beyond one edit of a filler
+        self._assert_parity(index, [f"{stem}-{digits}-",
+                                    f"é{stem}é{digits}"])
 
 
 class TestNormalization:
@@ -130,12 +266,20 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             TypoRiskIndex(SEED, 0)
 
-    def test_head_only_world_has_no_filler_probes(self):
+    def test_head_only_world_has_no_filler_probes(self, index):
         tiny = TypoRiskIndex(SEED, 5)
         assert tiny.candidate_ranks("gmial.com") == \
             tiny.brute_force_candidate_ranks("gmial.com")
         # a filler-shaped query cannot match anything in a 5-rank world
         assert tiny.candidate_ranks("abcd123.com") == ()
+        # nor in any universe of heads only, even the first filler's name
+        stem, digits = _filler_parts(index, 0)
+        for max_rank in (1, 5, len(EMAIL_TARGETS)):
+            tiny = TypoRiskIndex(SEED, max_rank)
+            TestFillerEdgeCases._assert_parity(tiny, [
+                stem + digits, stem, stem + "0" + digits, "gmial",
+                "hotmial", "abcd1x23"])
+            assert tiny.candidate_ranks(stem + digits + ".com") == ()
 
     def test_build_is_fast_and_counted(self, index):
         assert index.build_seconds < 1.0
