@@ -1,34 +1,35 @@
 """Artifact integrity doctor: validate on-disk run artifacts.
 
 A long campaign leaves a trail of durable files — study checkpoints,
-scan checkpoints, delta-scan baselines, the performance baseline,
-fault-plan schedules, persisted typo-risk indexes — and
+scan checkpoints, delta-scan baselines, persisted typo-risk indexes,
+typo models, scenarios, fault plans and the performance baseline — and
 each of them can rot: torn writes from a crash mid-save, manual edits,
-copies from a different run.  ``repro doctor`` examines each file,
-detects what kind of artifact it is, and validates it against its own
-schema and self-check digest, reporting problems through the
-:mod:`repro.util.errors` taxonomy instead of raw tracebacks.
+copies from a different run.  ``repro doctor`` examines each file and
+reports problems through the :mod:`repro.util.errors` taxonomy instead
+of raw tracebacks.
 
-The validators are the *same* code paths the runtime uses to load each
-artifact (:class:`~repro.experiment.checkpoint.StudyCheckpoint`,
-:class:`~repro.experiment.parallel.ScanCheckpoint`,
-:class:`~repro.ecosystem.delta.ScanBaseline`,
-:class:`~repro.faultsim.plan.FaultPlan`,
-:class:`~repro.service.index.TypoRiskIndex`), so a file the doctor passes is
-a file the engine will accept — there is no second, drifting schema.
+The six enveloped formats (:mod:`repro.util.artifact`) are identified by
+their ``format`` tag alone, and validated by the *same* loader the
+runtime uses, so a file the doctor passes is a file the engine will
+accept — there is no second, drifting schema.  A tag of a known format
+but another version goes to that format's loader too, which refuses it
+as a foreign format (exit 3) with the format's remedy.  Only the two
+untagged inputs, user-authored fault plans and ``BENCH_perf.json``, are
+recognized by shape, and a file with no readable tag (torn, or from
+before the envelope) falls back to its name.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, Tuple, Union
 
+from repro.util.artifact import read_json
 from repro.util.errors import (
     EXIT_BAD_INPUT,
     EXIT_CORRUPT_CHECKPOINT,
-    CheckpointError,
+    CheckpointCorruptError,
     ReproError,
 )
 
@@ -70,47 +71,109 @@ class Diagnosis:
         return f"{status:4s} {self.kind:17s} {self.path}{extra}"
 
 
+#: kind, ``load(path, data) -> artifact``, ``details(artifact) -> dict``
+_Entry = Tuple[str, Callable[[Path, Dict], object],
+               Callable[[object], Dict[str, object]]]
+
+
+def _enveloped_formats() -> Dict[str, _Entry]:
+    """Every enveloped format, keyed by its tag without the ``@version``."""
+    from repro.ecosystem.delta import SCAN_BASELINE_FORMAT, ScanBaseline
+    from repro.experiment.checkpoint import (
+        STUDY_CHECKPOINT_FORMAT,
+        StudyCheckpoint,
+    )
+    from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT, ScanCheckpoint
+    from repro.learned.model import LEARNED_MODEL_FORMAT, load_model
+    from repro.scenario.timeline import SCENARIO_FORMAT, Scenario
+    from repro.service.index import RISK_INDEX_FORMAT, TypoRiskIndex
+
+    table: Dict[str, _Entry] = {
+        STUDY_CHECKPOINT_FORMAT: (
+            KIND_STUDY_CHECKPOINT,
+            lambda path, data: StudyCheckpoint(path).load(),
+            lambda payload: {"next_day": payload["next_day"],
+                             "mode": payload["state"].get("mode"),
+                             "sent": payload["state"].get("sent")}),
+        SCAN_CHECKPOINT_FORMAT: (
+            KIND_SCAN_CHECKPOINT,
+            # seed/max_rank come from the file itself, so only a
+            # corrupt file can fail here
+            lambda path, data: ScanCheckpoint(path, data.get("seed"),
+                                              data.get("max_rank")),
+            lambda checkpoint: {"seed": checkpoint.seed,
+                                "max_rank": checkpoint.max_rank,
+                                "shards_done": checkpoint.completed_count}),
+        SCAN_BASELINE_FORMAT: (
+            KIND_SCAN_BASELINE,
+            lambda path, data: ScanBaseline.load(path),
+            lambda baseline: {"seed": baseline.seed,
+                              "max_rank": baseline.max_rank,
+                              "day": baseline.day,
+                              "ranges": len(baseline.ranges)}),
+        RISK_INDEX_FORMAT: (
+            KIND_RISK_INDEX,
+            lambda path, data: TypoRiskIndex.load(path),
+            lambda index: {"seed": index.seed, "max_rank": index.max_rank,
+                           "day": index.day,
+                           "head_buckets": index.head_bucket_count}),
+        LEARNED_MODEL_FORMAT: (
+            KIND_TYPO_MODEL,
+            lambda path, data: load_model(path),
+            lambda model: {"seed": model.seed,
+                           "schema": model.schema_version,
+                           "stumps": len(model.domain.stumps)
+                           + len(model.message.stumps)}),
+        SCENARIO_FORMAT: (
+            KIND_SCENARIO,
+            lambda path, data: Scenario.load(path),
+            lambda scenario: {"seed": scenario.seed, "name": scenario.name,
+                              "events": len(scenario.events),
+                              "last_day": scenario.last_event_day()}),
+    }
+    return {_family(tag): entry for tag, entry in table.items()}
+
+
+def _family(tag: object) -> str:
+    return str(tag).partition("@")[0]
+
+
 def diagnose_file(path: Union[str, Path]) -> Diagnosis:
     """Identify and validate one artifact file."""
     path = Path(path)
-    if not path.exists():
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["file does not exist"],
-                         exit_code=EXIT_BAD_INPUT)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        # can't even parse it, so kind detection falls back to the
-        # filename; a torn study/scan checkpoint should still exit 3
-        kind, code = _kind_from_name(path)
-        return Diagnosis(path=path, kind=kind, ok=False,
-                         problems=[f"not valid JSON ({error}); the file "
-                                   f"is torn or truncated"],
-                         exit_code=code)
-    if not isinstance(data, dict):
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["JSON root is not an object"],
-                         exit_code=EXIT_BAD_INPUT)
-    kind = _detect_kind(data)
-    validator = {
-        KIND_STUDY_CHECKPOINT: _check_study_checkpoint,
-        KIND_SCAN_CHECKPOINT: _check_scan_checkpoint,
-        KIND_SCAN_BASELINE: _check_scan_baseline,
-        KIND_FAULT_PLAN: _check_fault_plan,
-        KIND_PERF_BASELINE: _check_perf_baseline,
-        KIND_RISK_INDEX: _check_risk_index,
-        KIND_TYPO_MODEL: _check_typo_model,
-        KIND_SCENARIO: _check_scenario,
-    }.get(kind)
-    if validator is None:
-        return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
-                         problems=["not a recognized repro artifact "
-                                   "(study/scan checkpoint, scan "
-                                   "baseline, fault plan, perf "
-                                   "baseline, risk index, typo "
-                                   "model, or scenario)"],
-                         exit_code=EXIT_BAD_INPUT)
-    return validator(path, data)
+        data = read_json(path, "file")
+    except CheckpointCorruptError as error:
+        if isinstance(error.__cause__, OSError):
+            # a missing path or a directory is a bad argument, not rot
+            return Diagnosis(path=path, kind=KIND_UNKNOWN, ok=False,
+                             problems=[str(error)],
+                             exit_code=EXIT_BAD_INPUT)
+        problem = str(error)
+    else:
+        entry = _enveloped_formats().get(_family(data.get("format")))
+        if entry is not None:
+            kind, load, details = entry
+            try:
+                artifact = load(path, data)
+            except ReproError as error:
+                return Diagnosis(path=path, kind=kind, ok=False,
+                                 problems=[str(error)],
+                                 exit_code=error.exit_code)
+            facts = details(artifact)
+            if "digest" in data:
+                facts["digest"] = str(data["digest"])[:12]
+            return Diagnosis(path=path, kind=kind, ok=True, details=facts)
+        if "baseline" in data and isinstance(data["baseline"], dict):
+            return _check_perf_baseline(path, data)
+        if "seed" in data and _PLAN_KEYS & set(data):
+            return _check_fault_plan(path, data)
+        problem = ("not a recognized repro artifact (no known format tag, "
+                   "and not a fault plan or perf baseline)")
+    # no readable tag: the name is the only evidence left
+    kind, code = _kind_from_name(path)
+    return Diagnosis(path=path, kind=kind, ok=False, problems=[problem],
+                     exit_code=code)
 
 
 def diagnose_paths(paths) -> List[Diagnosis]:
@@ -132,43 +195,8 @@ def exit_code_for(diagnoses: List[Diagnosis]) -> int:
     return max(codes)
 
 
-# -- kind detection -----------------------------------------------------------
-
-
-def _detect_kind(data: Dict) -> str:
-    from repro.ecosystem.delta import SCAN_BASELINE_FORMAT
-    from repro.experiment.checkpoint import STUDY_CHECKPOINT_FORMAT
-    from repro.learned.model import LEARNED_MODEL_FORMAT
-    from repro.scenario.timeline import SCENARIO_FORMAT
-    from repro.service.index import RISK_INDEX_FORMAT
-
-    if data.get("format") == SCENARIO_FORMAT:
-        return KIND_SCENARIO
-    if data.get("format") == STUDY_CHECKPOINT_FORMAT:
-        return KIND_STUDY_CHECKPOINT
-    # the scan baseline, risk index, and typo model carry explicit
-    # format tags, so test them before the schema-shape heuristics
-    # (they also share generic keys like seed)
-    if data.get("format") == SCAN_BASELINE_FORMAT:
-        return KIND_SCAN_BASELINE
-    if data.get("format") == RISK_INDEX_FORMAT:
-        return KIND_RISK_INDEX
-    if data.get("format") == LEARNED_MODEL_FORMAT:
-        return KIND_TYPO_MODEL
-    if {"seed", "max_rank", "shards"} <= set(data):
-        return KIND_SCAN_CHECKPOINT
-    if "baseline" in data and isinstance(data["baseline"], dict):
-        return KIND_PERF_BASELINE
-    plan_keys = {"collector_outages", "dns_spells", "smtp_spells",
-                 "shard_crashes", "study_crashes", "service_spells",
-                 "retry"}
-    if "seed" in data and plan_keys & set(data):
-        return KIND_FAULT_PLAN
-    return KIND_UNKNOWN
-
-
 def _kind_from_name(path: Path) -> tuple:
-    """Best-effort kind (and exit code) for an unparseable file."""
+    """Best-effort kind (and exit code) for a file with no readable tag."""
     name = path.name.lower()
     if "plan" in name:
         return KIND_FAULT_PLAN, EXIT_BAD_INPUT
@@ -193,89 +221,11 @@ def _kind_from_name(path: Path) -> tuple:
     return KIND_UNKNOWN, EXIT_BAD_INPUT
 
 
-# -- per-kind validators ------------------------------------------------------
+# -- the two untagged inputs ----------------------------------------------------
 
-
-def _check_study_checkpoint(path: Path, data: Dict) -> Diagnosis:
-    from repro.experiment.checkpoint import StudyCheckpoint
-
-    try:
-        payload = StudyCheckpoint(path).load()
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_STUDY_CHECKPOINT, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "next_day": payload["next_day"],
-        "mode": payload["state"].get("mode"),
-        "sent": payload["state"].get("sent"),
-        "digest": str(payload["payload_sha256"])[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_STUDY_CHECKPOINT, ok=True,
-                     details=details)
-
-
-def _check_scan_checkpoint(path: Path, data: Dict) -> Diagnosis:
-    from repro.experiment.parallel import ScanCheckpoint
-
-    try:
-        # loading through the engine's own class revalidates every
-        # shard payload; seed/max_rank come from the file itself, so
-        # only structural corruption can fail here
-        checkpoint = ScanCheckpoint(path, seed=data["seed"],
-                                    max_rank=data["max_rank"])
-    except CheckpointError as error:
-        return Diagnosis(path=path, kind=KIND_SCAN_CHECKPOINT, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    bad_keys = [key for key in data["shards"]
-                if not _valid_shard_key(key, data["max_rank"])]
-    if bad_keys:
-        return Diagnosis(
-            path=path, kind=KIND_SCAN_CHECKPOINT, ok=False,
-            problems=[f"shard keys outside ranks 1..{data['max_rank']}: "
-                      f"{', '.join(sorted(bad_keys)[:3])}"],
-            exit_code=EXIT_CORRUPT_CHECKPOINT)
-    details = {
-        "seed": data["seed"],
-        "max_rank": data["max_rank"],
-        "shards_done": checkpoint.completed_count,
-    }
-    return Diagnosis(path=path, kind=KIND_SCAN_CHECKPOINT, ok=True,
-                     details=details)
-
-
-def _valid_shard_key(key: str, max_rank: int) -> bool:
-    start_text, sep, stop_text = key.partition("-")
-    if not sep:
-        return False
-    try:
-        start, stop = int(start_text), int(stop_text)
-    except ValueError:
-        return False
-    return 1 <= start < stop <= max_rank + 1
-
-
-def _check_scan_baseline(path: Path, data: Dict) -> Diagnosis:
-    from repro.ecosystem.delta import ScanBaseline
-
-    try:
-        # the engine's own loader revalidates the format tag, every
-        # per-range aggregates digest, and the merged total digest
-        baseline = ScanBaseline.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_SCAN_BASELINE, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": baseline.seed,
-        "max_rank": baseline.max_rank,
-        "day": baseline.day,
-        "ranges": len(baseline.ranges),
-        "digest": baseline.total_digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_SCAN_BASELINE, ok=True,
-                     details=details)
+_PLAN_KEYS = frozenset({"collector_outages", "dns_spells", "smtp_spells",
+                        "shard_crashes", "study_crashes", "service_spells",
+                        "retry"})
 
 
 def _check_fault_plan(path: Path, data: Dict) -> Diagnosis:
@@ -293,75 +243,6 @@ def _check_fault_plan(path: Path, data: Dict) -> Diagnosis:
         "service_spells": len(plan.service_spells),
     }
     return Diagnosis(path=path, kind=KIND_FAULT_PLAN, ok=True,
-                     details=details)
-
-
-def _check_risk_index(path: Path, data: Dict) -> Diagnosis:
-    from repro.service.index import TypoRiskIndex
-
-    try:
-        # the service's own loader revalidates the format tag, the
-        # payload self-digest, the config digest, and re-derives the
-        # candidate buckets from (seed, max_rank) to catch tampering
-        index = TypoRiskIndex.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_RISK_INDEX, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": index.seed,
-        "max_rank": index.max_rank,
-        "day": index.day,
-        "head_buckets": index.head_bucket_count,
-    }
-    return Diagnosis(path=path, kind=KIND_RISK_INDEX, ok=True,
-                     details=details)
-
-
-def _check_typo_model(path: Path, data: Dict) -> Diagnosis:
-    from repro.learned.model import load_model
-
-    try:
-        # the learned package's own loader re-verifies the self-digest,
-        # parameter shapes, and the feature-schema version; corruption
-        # exits 3, an unknown schema version exits 2 (intact artifact,
-        # wrong vintage — the remedy is a retrain, not a restore)
-        model = load_model(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_TYPO_MODEL, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": model.seed,
-        "schema": model.schema_version,
-        "stumps": len(model.domain.stumps) + len(model.message.stumps),
-        "digest": model.digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_TYPO_MODEL, ok=True,
-                     details=details)
-
-
-def _check_scenario(path: Path, data: Dict) -> Diagnosis:
-    from repro.scenario.timeline import Scenario
-
-    try:
-        # the scenario package's own loader re-verifies the format tag
-        # and self-digest (corruption exits 3) and re-validates every
-        # event through the schema (an unknown event kind is an intact
-        # file this build can't drive — a one-line exit 2)
-        scenario = Scenario.load(path)
-    except ReproError as error:
-        return Diagnosis(path=path, kind=KIND_SCENARIO, ok=False,
-                         problems=[str(error)],
-                         exit_code=error.exit_code)
-    details = {
-        "seed": scenario.seed,
-        "name": scenario.name,
-        "events": len(scenario.events),
-        "last_day": scenario.last_event_day(),
-        "digest": scenario.digest()[:12],
-    }
-    return Diagnosis(path=path, kind=KIND_SCENARIO, ok=True,
                      details=details)
 
 

@@ -12,13 +12,12 @@ digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.ecosystem.internet import OwnerType, SmtpSupport
+from repro.util.artifact import json_digest
 
 __all__ = ["ScanAggregates"]
 
@@ -163,9 +162,7 @@ class ScanAggregates:
 
     def digest(self) -> str:
         """SHA-256 over the canonical counts — the serial==sharded bar."""
-        payload = json.dumps(self.canonical_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return json_digest(self.canonical_dict())
 
     @classmethod
     def from_canonical_dict(cls, data: Dict) -> "ScanAggregates":

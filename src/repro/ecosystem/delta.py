@@ -16,8 +16,8 @@ cost proportional to what *changed*:
   rank stays byte-identical to day 0.
 * :class:`ScanBaseline` persists a completed scan as per-rank-range
   sub-aggregates, each stamped with the *world digest* of its range (a
-  hash of the churn generations inside it) — the same canonical-JSON +
-  SHA-256 + atomic-write discipline as the scan checkpoint.
+  hash of the churn generations inside it) — saved and loaded through
+  the same artifact envelope as the scan checkpoint.
 * :func:`delta_scan` evolves the world by N days, recomputes only the
   ranges whose world digest changed, merges with the retained ranges,
   and returns both the merged aggregates and an updated baseline.  The
@@ -27,9 +27,6 @@ cost proportional to what *changed*:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -38,7 +35,13 @@ import numpy as np
 
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.internet import InternetConfig
-from repro.util.errors import CheckpointCorruptError, CheckpointMismatchError
+from repro.util.artifact import (
+    ArtifactFormat,
+    json_digest,
+    load_artifact,
+    save_artifact,
+)
+from repro.util.errors import CheckpointMismatchError
 from repro.util.perf import PerfRegistry
 
 __all__ = [
@@ -54,8 +57,12 @@ __all__ = [
     "world_range_digest",
 ]
 
-#: artifact format tag; bump when the on-disk schema changes
-SCAN_BASELINE_FORMAT = "repro-scan-baseline@1"
+#: artifact format tag; bump when the on-disk schema changes (``@2``
+#: added the envelope digest over the whole file)
+SCAN_BASELINE_FORMAT = "repro-scan-baseline@2"
+
+_ARTIFACT = ArtifactFormat(SCAN_BASELINE_FORMAT, "scan baseline",
+                           "rebuild it with a full scan")
 
 _DEFAULT_RANGE_WIDTH = 1024
 
@@ -225,11 +232,8 @@ def world_range_digest(seed: int, start_rank: int, stop_rank: int,
     events = sorted((rank, generation)
                     for rank, generation in churn_map.items()
                     if start_rank <= rank < stop_rank)
-    payload = json.dumps(
-        {"seed": seed, "start": start_rank, "stop": stop_rank,
-         "events": events},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return json_digest({"seed": seed, "start": start_rank,
+                        "stop": stop_rank, "events": events})
 
 
 def _jsonable(value):
@@ -247,9 +251,7 @@ def _jsonable(value):
 
 def _config_digest(config: Optional[InternetConfig]) -> str:
     """Fingerprint of the world config baked into a baseline."""
-    payload = json.dumps(_jsonable(asdict(config or InternetConfig())),
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return json_digest(_jsonable(asdict(config or InternetConfig())))
 
 
 def _width_ranges(max_rank: int, width: int) -> List[Tuple[int, int]]:
@@ -286,11 +288,12 @@ class ScanBaseline:
 
     ``day`` is the churn day the baseline captures (0 = the pristine
     world); ``churn_rate`` rides along so a delta re-scan evolves the
-    same world law the baseline was built against.  ``save``/``load``
-    follow the checkpoint discipline: atomic tmp+fsync+rename writes,
-    and loading validates the format tag, every per-range digest, and
-    the merged total digest — corruption is a loud
-    :class:`CheckpointCorruptError`, never a silently wrong count.
+    same world law the baseline was built against.  ``save``/``load`` go
+    through the artifact envelope: atomic writes, and loading validates
+    the format tag, the envelope digest over the whole file, every
+    per-range digest, and the merged total digest — corruption is a loud
+    :class:`~repro.util.errors.CheckpointCorruptError`, never a silently
+    wrong count.
     """
 
     seed: int
@@ -325,37 +328,19 @@ class ScanBaseline:
         }
 
     def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the baseline (tmp + flush + fsync + rename)."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.canonical_dict(), sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Atomically persist the baseline."""
+        save_artifact(path, self.canonical_dict())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ScanBaseline":
         """Load and validate a baseline written by :meth:`save`.
 
-        Unreadable JSON, a wrong/missing format tag, malformed ranges,
-        or any digest mismatch (per-range or total) raises
-        :class:`CheckpointCorruptError`.
+        Unreadable JSON, a missing or wrong envelope digest, malformed
+        ranges, or a per-range or total digest mismatch raises
+        :class:`~repro.util.errors.CheckpointCorruptError`; a wrong or
+        older format tag raises :class:`CheckpointMismatchError`.
         """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("baseline root is not an object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"scan baseline {path} is unreadable ({error}); "
-                f"rebuild it with a full scan") from error
-        if data.get("format") != SCAN_BASELINE_FORMAT:
-            raise CheckpointMismatchError(
-                f"{path} has format {data.get('format')!r}, "
-                f"expected {SCAN_BASELINE_FORMAT!r}")
-        try:
+        def decode(data: Dict) -> "ScanBaseline":
             ranges = []
             for payload in data["ranges"]:
                 aggregates = ScanAggregates.from_canonical_dict(
@@ -379,11 +364,9 @@ class ScanBaseline:
                 ranges=tuple(ranges))
             if baseline.total_digest() != data["total_digest"]:
                 raise ValueError("merged ranges do not match total_digest")
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise CheckpointCorruptError(
-                f"scan baseline {path} is corrupt ({error}); "
-                f"rebuild it with a full scan") from error
-        return baseline
+            return baseline
+
+        return load_artifact(path, _ARTIFACT, decode)
 
 
 @dataclass(frozen=True)

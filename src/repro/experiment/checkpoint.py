@@ -6,12 +6,11 @@ original pipeline had — kill it on any day, restart it, and lose nothing.
 :class:`StudyCheckpoint` persists the full simulation state at a day
 boundary as one canonical-JSON file:
 
-* **atomic**: written to a temp file, fsync'd, then ``os.replace``d, so a
-  crash mid-write leaves the previous checkpoint intact, never a torn one;
-* **self-verifying**: the payload carries a SHA-256 digest of its own
-  canonical encoding, so bit rot and truncation are detected on load (and
-  by the ``doctor`` CLI command) instead of surfacing as weird downstream
-  divergence;
+* **atomic** and **self-verifying**: it is saved and loaded through the
+  shared artifact envelope (:mod:`repro.util.artifact`), so a crash
+  mid-write leaves the previous checkpoint intact, and bit rot or
+  truncation is detected on load (and by the ``doctor`` CLI command)
+  instead of surfacing as weird downstream divergence;
 * **identity-checked**: the ``config`` block is the canonical identity of
   every knob that shapes the record stream; resuming under a different
   config is a :class:`~repro.util.errors.CheckpointMismatchError`, not a
@@ -19,8 +18,8 @@ boundary as one canonical-JSON file:
 
 What goes in the ``state`` block is the runner's business (RNG stream
 positions, retry queue, collector accounting, classifier fold, … — see
-``StudyRunner._capture_state``); this module owns only the envelope:
-format versioning, digests, atomic persistence, and validation.
+``StudyRunner._capture_state``); this module owns only the payload
+schema and its validation.
 
 ``crash_attempts`` rides outside ``state``: it counts how many times each
 :class:`~repro.faultsim.plan.StudyCrashSpec` day has been reached *across
@@ -30,39 +29,26 @@ exactly N times and then let the resumed run through.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.util.errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-)
+from repro.util.artifact import ArtifactFormat, load_artifact, save_artifact
+from repro.util.errors import CheckpointMismatchError
 
 __all__ = [
     "STUDY_CHECKPOINT_FORMAT",
-    "canonical_json",
-    "payload_digest",
     "config_identity",
     "StudyCheckpoint",
 ]
 
 #: Bump the suffix when the payload layout changes incompatibly; loaders
-#: reject other versions loudly instead of misreading them.
-STUDY_CHECKPOINT_FORMAT = "repro-study-checkpoint@1"
+#: reject other versions loudly instead of misreading them.  ``@2`` moved
+#: the self-digest from ``payload_sha256`` to the shared envelope.
+STUDY_CHECKPOINT_FORMAT = "repro-study-checkpoint@2"
 
-
-def canonical_json(payload) -> str:
-    """The one JSON encoding used for digests and on-disk bytes."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def payload_digest(payload) -> str:
-    """SHA-256 of the canonical encoding — the self-check stored on disk."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+_ARTIFACT = ArtifactFormat(STUDY_CHECKPOINT_FORMAT, "study checkpoint",
+                           "delete it to start fresh")
 
 
 def config_identity(config) -> Dict:
@@ -99,11 +85,10 @@ def config_identity(config) -> Dict:
 class StudyCheckpoint:
     """One study run's durable state file (the write-ahead day snapshot).
 
-    The file is a single JSON object::
+    The file is a single artifact envelope::
 
         {"format": ..., "config": ..., "next_day": N,
-         "crash_attempts": {day: count}, "state": {...},
-         "payload_sha256": ...}
+         "crash_attempts": {day: count}, "state": {...}, "digest": ...}
 
     ``next_day`` is the first day that still needs simulating: the state
     reflects every day strictly before it, so a resume re-enters the day
@@ -121,70 +106,38 @@ class StudyCheckpoint:
     def save(self, identity: Dict, next_day: int,
              crash_attempts: Dict[int, int], state: Dict) -> None:
         """Atomically replace the checkpoint with a new day snapshot."""
-        payload = {
+        save_artifact(self.path, {
             "format": STUDY_CHECKPOINT_FORMAT,
             "config": identity,
             "next_day": next_day,
             "crash_attempts": {str(day): count for day, count
                                in sorted(crash_attempts.items())},
             "state": state,
-        }
-        payload["payload_sha256"] = payload_digest(payload)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        # fsync before the rename: os.replace is atomic against other
-        # writers, but without the flush a crash can still publish a
-        # torn file (the rename survives, the data blocks may not)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        })
 
     def load(self, expected_identity: Optional[Dict] = None) -> Dict:
         """Read and fully validate the checkpoint; return its payload.
 
-        Raises :class:`CheckpointCorruptError` for anything unreadable
-        (torn write, truncation, missing fields, digest mismatch) and
+        Raises :class:`~repro.util.errors.CheckpointCorruptError` for
+        anything unreadable (missing file, torn write, truncation,
+        missing fields, digest mismatch) and
         :class:`CheckpointMismatchError` when the file is a valid
         checkpoint for a *different* run (format version or config
         identity).
         """
-        if not self.path.exists():
-            raise CheckpointCorruptError(
-                f"study checkpoint {self.path} does not exist")
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("checkpoint root is not an object")
-        except (ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"study checkpoint {self.path} is unreadable ({error}); "
-                f"delete it to start fresh") from error
-        fmt = data.get("format")
-        if fmt != STUDY_CHECKPOINT_FORMAT:
-            raise CheckpointMismatchError(
-                f"{self.path} has format {fmt!r}, this build reads "
-                f"{STUDY_CHECKPOINT_FORMAT!r}")
-        stored = data.get("payload_sha256")
-        body = {key: value for key, value in data.items()
-                if key != "payload_sha256"}
-        actual = payload_digest(body)
-        if stored != actual:
-            raise CheckpointCorruptError(
-                f"study checkpoint {self.path} failed its digest check "
-                f"(stored {str(stored)[:12]}…, computed {actual[:12]}…); "
-                f"the file is corrupt — delete it to start fresh")
-        for key in ("config", "next_day", "crash_attempts", "state"):
-            if key not in data:
-                raise CheckpointCorruptError(
-                    f"study checkpoint {self.path} is missing {key!r}")
-        if (expected_identity is not None
-                and data["config"] != expected_identity):
-            raise CheckpointMismatchError(
-                f"study checkpoint {self.path} was written for a "
-                f"different configuration (seed/scales/plan/mode differ); "
-                f"refusing to resume a different experiment")
-        return data
+        def decode(payload: Dict) -> Dict:
+            for key in ("config", "next_day", "crash_attempts", "state"):
+                if key not in payload:
+                    raise KeyError(key)
+            if (expected_identity is not None
+                    and payload["config"] != expected_identity):
+                raise CheckpointMismatchError(
+                    f"study checkpoint {self.path} was written for a "
+                    f"different configuration (seed/scales/plan/mode "
+                    f"differ); refusing to resume a different experiment")
+            return payload
+
+        return load_artifact(self.path, _ARTIFACT, decode)
 
     # -- convenience views ---------------------------------------------------
 

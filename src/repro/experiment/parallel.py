@@ -22,8 +22,6 @@ everything degrades to the serial path with the same outputs.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,7 +58,8 @@ from repro.util.pool import (                                    # noqa: F401
     parallel_map,
     pool_fallback_count,
 )
-from repro.util.errors import CheckpointCorruptError, CheckpointMismatchError
+from repro.util.artifact import ArtifactFormat, load_artifact, save_artifact
+from repro.util.errors import CheckpointMismatchError
 from repro.util.rand import derive_seed
 from repro.util.simtime import CollectionWindow
 
@@ -85,6 +84,7 @@ __all__ = [
     "ShardRetryPolicy",
     "ShardOutcome",
     "ResilientScanResult",
+    "SCAN_CHECKPOINT_FORMAT",
     "ScanCheckpoint",
     "run_resilient_scan",
 ]
@@ -433,15 +433,24 @@ class ResilientScanResult:
         return lines
 
 
+#: scan-checkpoint artifact tag; files from before the envelope carried
+#: no tag at all and are refused as a foreign format
+SCAN_CHECKPOINT_FORMAT = "repro-scan-checkpoint@1"
+
+_ARTIFACT = ArtifactFormat(SCAN_CHECKPOINT_FORMAT, "scan checkpoint",
+                           "delete it and rescan")
+
+
 class ScanCheckpoint:
     """Durable shard-level progress for one (seed, max_rank) scan.
 
-    One JSON file maps ``"start-stop"`` range keys to canonical
-    :class:`ScanAggregates` dicts.  Writes are atomic (tmp + rename), and
-    the canonical round-trip preserves digests exactly, so a resumed scan
-    is byte-identical to an uninterrupted one.  Loading a checkpoint
+    One artifact envelope maps ``"start-stop"`` range keys to canonical
+    :class:`ScanAggregates` dicts.  Writes are atomic, and the canonical
+    round-trip preserves digests exactly, so a resumed scan is
+    byte-identical to an uninterrupted one.  Loading a checkpoint
     written for a different seed or universe size is an error, not a
-    silent wrong answer.
+    silent wrong answer, and so is a shard key outside
+    ``1..max_rank + 1``.
     """
 
     def __init__(self, path: Union[str, Path], seed: int,
@@ -449,36 +458,27 @@ class ScanCheckpoint:
         self.path = Path(path)
         self.seed = seed
         self.max_rank = max_rank
-        self._shards: Dict[Tuple[int, int], ScanAggregates] = {}
-        self._load()
+        self._shards: Dict[Tuple[int, int], ScanAggregates] = (
+            load_artifact(self.path, _ARTIFACT, self._decode)
+            if self.path.exists() else {})
 
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("checkpoint root is not an object")
-        except (ValueError, UnicodeDecodeError) as error:
-            # torn write, truncation, or plain corruption: a clear
-            # diagnosis (and exit code 3), not a bare JSONDecodeError
-            raise CheckpointCorruptError(
-                f"scan checkpoint {self.path} is unreadable "
-                f"({error}); delete it to start fresh") from error
-        if data.get("seed") != self.seed or data.get("max_rank") != self.max_rank:
+    def _decode(self, payload: Dict) -> Dict[Tuple[int, int], ScanAggregates]:
+        if (payload["seed"] != self.seed
+                or payload["max_rank"] != self.max_rank):
             raise CheckpointMismatchError(
                 f"checkpoint {self.path} was written for "
-                f"seed={data.get('seed')} max_rank={data.get('max_rank')}, "
+                f"seed={payload['seed']} max_rank={payload['max_rank']}, "
                 f"not seed={self.seed} max_rank={self.max_rank}")
-        try:
-            for key, payload in data.get("shards", {}).items():
-                start_text, _, stop_text = key.partition("-")
-                self._shards[(int(start_text), int(stop_text))] = (
-                    ScanAggregates.from_canonical_dict(payload))
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise CheckpointCorruptError(
-                f"scan checkpoint {self.path} has a malformed shard "
-                f"payload ({error}); delete it to start fresh") from error
+        shards = {}
+        for key, aggregates in payload["shards"].items():
+            start_text, _, stop_text = key.partition("-")
+            start, stop = int(start_text), int(stop_text)
+            if not 1 <= start < stop <= self.max_rank + 1:
+                raise ValueError(f"shard key {key!r} lies outside ranks "
+                                 f"1..{self.max_rank}")
+            shards[(start, stop)] = ScanAggregates.from_canonical_dict(
+                aggregates)
+        return shards
 
     def get(self, start_rank: int, stop_rank: int
             ) -> Optional[ScanAggregates]:
@@ -488,29 +488,18 @@ class ScanCheckpoint:
                aggregates: ScanAggregates) -> None:
         """Persist one completed shard (atomic rewrite of the file)."""
         self._shards[(start_rank, stop_rank)] = aggregates
-        self._write()
+        save_artifact(self.path, {
+            "format": SCAN_CHECKPOINT_FORMAT,
+            "seed": self.seed,
+            "max_rank": self.max_rank,
+            "shards": {f"{start}-{stop}": shard.canonical_dict()
+                       for (start, stop), shard
+                       in sorted(self._shards.items())},
+        })
 
     @property
     def completed_count(self) -> int:
         return len(self._shards)
-
-    def _write(self) -> None:
-        payload = {
-            "seed": self.seed,
-            "max_rank": self.max_rank,
-            "shards": {f"{start}-{stop}": aggregates.canonical_dict()
-                       for (start, stop), aggregates
-                       in sorted(self._shards.items())},
-        }
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        # fsync before the rename: os.replace is atomic against *other
-        # writers*, but without the flush a crash can still publish a
-        # torn file (the rename survives, the data blocks may not)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
 
 
 def _map_shards_guarded(tasks: Sequence[ScanShardTask],

@@ -34,12 +34,12 @@ degraded run is reproduced after the fact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.smtpsim.retryqueue import RetryPolicy
+from repro.util.artifact import canonical_json, json_digest
 
 __all__ = [
     "OutageSpan",
@@ -416,8 +416,7 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Canonical JSON — the digest input and the ``--fault-plan`` format."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -425,7 +424,7 @@ class FaultPlan:
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON: the plan's reproducible identity."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return json_digest(self.to_dict())
 
     # -- the demo plan behind ``--chaos`` ------------------------------------
 

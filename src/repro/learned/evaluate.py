@@ -20,8 +20,6 @@ be compared byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,6 +29,7 @@ import numpy as np
 from repro.features.domains import featurize_domains
 from repro.features.messages import message_feature_matrix
 from repro.learned.model import TypoModel
+from repro.util.artifact import json_digest
 from repro.util.rand import SeededRng, derive_seed
 from repro.util.stats import BinaryClassificationScores, score_binary
 
@@ -107,9 +106,7 @@ class EvaluationReport:
                 return "nan"
             return obj
 
-        canonical = json.dumps(_clean(self.to_payload()), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return json_digest(_clean(self.to_payload()))
 
     def format_table(self) -> str:
         """Render the Table-3-style comparison as aligned text."""

@@ -39,8 +39,6 @@ silently.  This module closes the loop:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -57,6 +55,7 @@ from repro.learned.train import (
     build_message_training_set,
     train_lane,
 )
+from repro.util.artifact import json_digest
 from repro.util.errors import ConfigError
 from repro.util.rand import derive_seed
 
@@ -217,9 +216,7 @@ class DriftMonitor:
 
     def digest(self) -> str:
         """SHA-256 over every report so far — the drift trajectory pin."""
-        payload = json.dumps([report.to_dict() for report in self.reports],
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return json_digest([report.to_dict() for report in self.reports])
 
 
 def _split_window(X: np.ndarray, y: np.ndarray
@@ -491,9 +488,7 @@ class ModelLifecycle:
     def decisions_digest(self) -> str:
         """SHA-256 over every lifecycle decision — the promote/rollback
         trajectory pin."""
-        payload = json.dumps([d.to_dict() for d in self.decisions],
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return json_digest([d.to_dict() for d in self.decisions])
 
 
 def run_drift_drill(directory: Union[str, Path], seed: int, *,

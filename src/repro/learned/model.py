@@ -5,9 +5,9 @@ A :class:`TypoModel` bundles one :class:`LaneModel` per lane (``domain``,
 a gradient-boosted-stump correction; scoring a batch is one matmul and
 one fused ``np.where`` pass per stump — no per-row Python anywhere.
 
-Persistence follows the repo's checkpoint discipline: canonical JSON,
-atomic ``tmp → fsync → os.replace`` save, and an SHA-256 self-digest over
-the canonical payload.  Loading re-verifies the digest (corruption →
+Persistence goes through the shared artifact envelope
+(:mod:`repro.util.artifact`): an atomic save and an SHA-256 self-digest
+over the canonical payload.  Loading re-verifies the digest (corruption →
 :class:`CheckpointCorruptError`, exit 3) and the feature-schema version
 (mismatch → :class:`ConfigError`, exit 2 — a model trained against a
 different column layout must never silently score garbage).
@@ -15,10 +15,6 @@ different column layout must never silently score garbage).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -29,16 +25,21 @@ from repro.features.schema import (
     FEATURE_SCHEMA_VERSION,
     MESSAGE_FEATURES,
 )
-from repro.util.errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-    ConfigError,
+from repro.util.artifact import (
+    ArtifactFormat,
+    json_digest,
+    load_artifact,
+    save_artifact,
 )
+from repro.util.errors import CheckpointCorruptError, ConfigError
 
 __all__ = ["LEARNED_MODEL_FORMAT", "Stump", "LaneModel", "TypoModel",
            "save_model", "load_model", "model_digest"]
 
 LEARNED_MODEL_FORMAT = "repro-typo-model@1"
+
+_ARTIFACT = ArtifactFormat(LEARNED_MODEL_FORMAT, "typo model",
+                           "retrain the model")
 
 _LANE_FEATURES = {"domain": DOMAIN_FEATURES, "message": MESSAGE_FEATURES}
 
@@ -148,38 +149,12 @@ class TypoModel:
 
 def model_digest(payload: Dict) -> str:
     """SHA-256 over the canonical JSON payload (digest field excluded)."""
-    stripped = {k: v for k, v in payload.items() if k != "digest"}
-    canonical = json.dumps(stripped, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json_digest({k: v for k, v in payload.items() if k != "digest"})
 
 
 def save_model(model: TypoModel, path: str) -> str:
-    """Atomically persist the model; returns its self-digest.
-
-    Same durability discipline as every other artifact lane: write to a
-    temp file in the destination directory, flush + fsync, then
-    ``os.replace`` — a crash mid-save never leaves a torn artifact.
-    """
-    payload = model.to_payload()
-    payload["digest"] = model_digest(payload)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory,
-                                    prefix=".typo-model-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return payload["digest"]
+    """Atomically persist the model; returns its self-digest."""
+    return save_artifact(path, model.to_payload())
 
 
 def load_model(path: str) -> TypoModel:
@@ -187,53 +162,33 @@ def load_model(path: str) -> TypoModel:
 
     * unreadable / torn JSON, wrong self-digest, broken parameter shapes
       → :class:`CheckpointCorruptError` (exit 3);
-    * a different artifact format → :class:`CheckpointMismatchError`
-      (exit 3);
+    * a different artifact format →
+      :class:`~repro.util.errors.CheckpointMismatchError` (exit 3);
     * an unknown feature-schema version or drifted feature lists →
       :class:`ConfigError` (exit 2): the artifact is intact but this
       build cannot interpret its columns.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise CheckpointCorruptError(
-            f"cannot read typo model {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointCorruptError(
-            f"typo model {path} is not a JSON object")
-    fmt = payload.get("format")
-    if fmt != LEARNED_MODEL_FORMAT:
-        raise CheckpointMismatchError(
-            f"{path} is not a {LEARNED_MODEL_FORMAT} artifact "
-            f"(format={fmt!r})")
-    recorded = payload.get("digest")
-    if recorded != model_digest(payload):
-        raise CheckpointCorruptError(
-            f"typo model {path} failed its self-digest check "
-            "(artifact corrupted)")
-    version = payload.get("schema_version")
-    if version != FEATURE_SCHEMA_VERSION:
-        raise ConfigError(
-            f"typo model {path} uses feature schema v{version}; this "
-            f"build speaks v{FEATURE_SCHEMA_VERSION} — retrain the model")
-    try:
-        domain = LaneModel.from_payload(payload["domain"])
-        message = LaneModel.from_payload(payload["message"])
+    def decode(payload: Dict) -> TypoModel:
+        version = payload.get("schema_version")
+        if version != FEATURE_SCHEMA_VERSION:
+            raise ConfigError(
+                f"typo model {path} uses feature schema v{version}; this "
+                f"build speaks v{FEATURE_SCHEMA_VERSION} — retrain the "
+                f"model")
         model = TypoModel(
             seed=int(payload["seed"]), schema_version=int(version),
-            domain=domain, message=message,
+            domain=LaneModel.from_payload(payload["domain"]),
+            message=LaneModel.from_payload(payload["message"]),
             provenance=dict(payload.get("provenance") or {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointCorruptError(
-            f"typo model {path} payload is malformed: {exc}") from exc
-    for lane in (model.domain, model.message):
-        expected = _LANE_FEATURES.get(lane.lane)
-        if expected is None:
-            raise CheckpointCorruptError(
-                f"typo model {path} names unknown lane {lane.lane!r}")
-        if lane.features != expected:
-            raise ConfigError(
-                f"typo model {path} lane {lane.lane!r} was trained on a "
-                "different feature list than this build — retrain")
-    return model
+        for lane in (model.domain, model.message):
+            expected = _LANE_FEATURES.get(lane.lane)
+            if expected is None:
+                raise CheckpointCorruptError(
+                    f"typo model {path} names unknown lane {lane.lane!r}")
+            if lane.features != expected:
+                raise ConfigError(
+                    f"typo model {path} lane {lane.lane!r} was trained on "
+                    "a different feature list than this build — retrain")
+        return model
+
+    return load_artifact(path, _ARTIFACT, decode)

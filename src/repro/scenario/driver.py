@@ -24,11 +24,10 @@ scenario's ``metrics`` tuple:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Callable, Dict, List, Optional
 
 from repro.scenario.timeline import Scenario
+from repro.util.artifact import json_digest
 from repro.util.errors import ConfigError
 
 __all__ = ["BUILTIN_METRICS", "ScenarioDriver"]
@@ -131,12 +130,10 @@ class ScenarioDriver:
         drivers agree iff they walked the same (seed, scenario) to the
         same day and observed the same metrics.
         """
-        payload = json.dumps(
+        return json_digest(
             {"scenario": self.scenario.digest(), "day": self.day,
              "defended": self.defended, "campaigns": self.campaigns,
-             "samples": self.samples},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+             "samples": self.samples})
 
     # -- checkpoint plumbing ------------------------------------------
 

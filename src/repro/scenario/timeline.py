@@ -4,15 +4,14 @@ A :class:`Scenario` bundles a seed, a rank universe, background churn,
 an ordered tuple of :class:`~repro.scenario.events.EcosystemEvent`s, and
 the names of observation metrics to sample at event boundaries.  It is
 the unit the CLI passes around (``study --scenario scenario.json``), so
-it follows the repo's artifact discipline:
-
-* canonical JSON (sorted keys, tight separators) + SHA-256 self-digest,
-* atomic save (tmp + flush + fsync + rename),
-* a format tag (``repro-scenario@1``) validated on load, and a load
-  error taxonomy the doctor maps to exit codes — torn/corrupt bytes →
-  :class:`CheckpointCorruptError` (exit 3), wrong format →
-  :class:`CheckpointMismatchError` (exit 3), an unknown event kind →
-  :class:`ConfigError` (exit 2, one line).
+it is saved and loaded through the shared artifact envelope
+(:mod:`repro.util.artifact`): a ``repro-scenario@1`` tag, an SHA-256
+self-digest and an atomic save, with the envelope's load taxonomy —
+torn/corrupt bytes → :class:`~repro.util.errors.CheckpointCorruptError`
+(exit 3), wrong format → :class:`~repro.util.errors.CheckpointMismatchError`
+(exit 3), an unknown event kind → :class:`ConfigError` (exit 2, one
+line).  Scenario files are also written by hand, so the digest is the
+one envelope field that may be absent.
 
 ``world_evolution()`` compiles the world-touching events into a
 :class:`~repro.ecosystem.delta.WorldEvolution`, the duck-typed churn
@@ -23,29 +22,27 @@ map is always ``{}`` — byte-identical to today's static world.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
 from repro.ecosystem.delta import WorldEvent, WorldEvolution
 from repro.scenario.events import EcosystemEvent
-from repro.util.errors import (
-    CheckpointCorruptError,
-    CheckpointMismatchError,
-    ConfigError,
+from repro.util.artifact import (
+    ArtifactFormat,
+    json_digest,
+    load_artifact,
+    save_artifact,
 )
+from repro.util.errors import ConfigError
 
 __all__ = ["SCENARIO_FORMAT", "Scenario", "drift_drill_scenario"]
 
 #: artifact format tag; bump when the on-disk schema changes
 SCENARIO_FORMAT = "repro-scenario@1"
 
-
-def _canonical(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_ARTIFACT = ArtifactFormat(SCENARIO_FORMAT, "scenario", "re-export it",
+                           digest_optional=True)
 
 
 @dataclass(frozen=True)
@@ -124,23 +121,11 @@ class Scenario:
 
     def digest(self) -> str:
         """SHA-256 over the canonical payload — the replay identity."""
-        return hashlib.sha256(
-            _canonical(self.to_dict()).encode("utf-8")).hexdigest()
-
-    def to_json(self) -> str:
-        payload = self.to_dict()
-        payload["digest"] = self.digest()
-        return _canonical(payload)
+        return json_digest(self.to_dict())
 
     def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the scenario (tmp + flush + fsync + rename)."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Atomically persist the scenario."""
+        save_artifact(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "Scenario":
@@ -171,26 +156,7 @@ class Scenario:
         with an unknown event kind raises :class:`ConfigError` (the
         doctor's one-line exit-2 path).
         """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("scenario root is not an object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"scenario {path} is unreadable ({error}); "
-                f"re-export it") from error
-        if data.get("format") != SCENARIO_FORMAT:
-            raise CheckpointMismatchError(
-                f"{path} has format {data.get('format')!r}, "
-                f"expected {SCENARIO_FORMAT!r}")
-        recorded = data.pop("digest", None)
-        scenario = cls.from_dict(data)
-        if recorded is not None and recorded != scenario.digest():
-            raise CheckpointCorruptError(
-                f"scenario {path} does not match its recorded digest; "
-                f"the file is torn or hand-edited")
-        return scenario
+        return load_artifact(path, _ARTIFACT, cls.from_dict)
 
 
 def drift_drill_scenario(seed: int, *, max_rank: int = 2000,

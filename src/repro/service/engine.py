@@ -32,7 +32,6 @@ serves from one dict probe per lookup.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from repro.defenses.risktiers import TIER_ACTIONS, RiskPolicy
 from repro.ecosystem.delta import ChurnSchedule, _config_digest
 from repro.ecosystem.internet import InternetConfig
 from repro.service.index import TypoRiskIndex, normalize_query
+from repro.util.artifact import canonical_json
 from repro.util.perf import PerfRegistry
 from repro.util.pool import parallel_map
 
@@ -121,8 +121,7 @@ class RiskVerdict:
 
     def canonical_json(self) -> str:
         """The byte form the parity suite compares."""
-        return json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.canonical_dict())
 
 
 def _flat_verdict(query: str, domain: str, verdict: str, tier: str,

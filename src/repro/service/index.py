@@ -43,14 +43,12 @@ world actually *registered* (the ctypos), which the risk scorer uses to
 escalate live squats over merely-possible typos; churn deltas
 (:meth:`apply_delta`) invalidate only the ranks whose generation
 changed.  A built index persists as a ``repro-risk-index@1`` artifact
-with the same atomic-write + self-digest discipline as the scan
-baseline, and ``repro doctor`` validates it through the same loader.
+through the same envelope as the scan baseline, and ``repro doctor``
+validates it through the same loader.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -62,7 +60,12 @@ from repro.core.typogen import apply_edit, split_domain
 from repro.ecosystem.delta import ChurnSchedule, _config_digest
 from repro.ecosystem.internet import InternetConfig
 from repro.ecosystem.world import _FILLER_CHUNK, WorldModel
-from repro.util.artifact import write_atomic
+from repro.util.artifact import (
+    ArtifactFormat,
+    json_digest,
+    load_artifact,
+    save_artifact,
+)
 from repro.util.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -74,6 +77,13 @@ __all__ = ["RISK_INDEX_FORMAT", "TypoRiskIndex", "normalize_query"]
 
 #: artifact format tag; bump when the on-disk schema changes
 RISK_INDEX_FORMAT = "repro-risk-index@1"
+
+_ARTIFACT = ArtifactFormat(RISK_INDEX_FORMAT, "risk index",
+                           "rebuild it with serve-bench --save-index")
+
+#: the self-digest over the canonical payload (kept under this name for
+#: callers that re-digest an edited index file)
+_payload_digest = json_digest
 
 _DIGITS = "0123456789"
 #: every character a filler label can hold
@@ -386,7 +396,7 @@ class TypoRiskIndex:
 
     def canonical_dict(self) -> Dict:
         payload = self._payload_dict()
-        payload["digest"] = _payload_digest(payload)
+        payload["digest"] = json_digest(payload)
         return payload
 
     def _payload_dict(self) -> Dict:
@@ -406,8 +416,8 @@ class TypoRiskIndex:
         }
 
     def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the index (tmp + flush + fsync + rename)."""
-        write_atomic(path, json.dumps(self.canonical_dict(), sort_keys=True))
+        """Atomically persist the index."""
+        save_artifact(path, self._payload_dict())
 
     @classmethod
     def load(cls, path: Union[str, Path], *,
@@ -422,47 +432,20 @@ class TypoRiskIndex:
         :class:`CheckpointCorruptError`; a file built against a
         different world config raises :class:`CheckpointMismatchError`.
         """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("index root is not an object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            raise CheckpointCorruptError(
-                f"risk index {path} is unreadable ({error}); "
-                f"rebuild it with serve-bench --save-index") from error
-        if data.get("format") != RISK_INDEX_FORMAT:
-            raise CheckpointMismatchError(
-                f"{path} has format {data.get('format')!r}, "
-                f"expected {RISK_INDEX_FORMAT!r}")
-        try:
-            payload = {key: value for key, value in data.items()
-                       if key != "digest"}
-            if _payload_digest(payload) != data["digest"]:
-                raise ValueError("payload does not match its digest")
+        def decode(data: Dict) -> "TypoRiskIndex":
             churn = {int(rank): int(generation)
                      for rank, generation in data["churn"]}
             index = cls(int(data["seed"]), int(data["max_rank"]),
                         config=config, churn=churn, day=int(data["day"]))
-        except CheckpointMismatchError:
-            raise
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointCorruptError(
-                f"risk index {path} is corrupt ({error}); "
-                f"rebuild it with serve-bench --save-index") from error
-        if _config_digest(index.config) != data["config_digest"]:
-            raise CheckpointMismatchError(
-                f"risk index {path} was built for a different world config")
-        derived = index._payload_dict()["head_buckets"]
-        if derived != data["head_buckets"]:
-            raise CheckpointCorruptError(
-                f"risk index {path} candidate buckets do not match the "
-                f"world law for seed {index.seed}; the file was tampered "
-                f"with or belongs to another build")
-        return index
+            if _config_digest(index.config) != data["config_digest"]:
+                raise CheckpointMismatchError(
+                    f"risk index {path} was built for a different world "
+                    f"config")
+            if index._payload_dict()["head_buckets"] != data["head_buckets"]:
+                raise CheckpointCorruptError(
+                    f"risk index {path} candidate buckets do not match the "
+                    f"world law for seed {index.seed}; the file was "
+                    f"tampered with or belongs to another build")
+            return index
 
-
-def _payload_digest(payload: Dict) -> str:
-    """SHA-256 self-check digest over the canonical payload JSON."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return load_artifact(path, _ARTIFACT, decode)

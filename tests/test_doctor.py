@@ -299,3 +299,37 @@ class TestServicePlanSchema:
         diagnosis = diagnose_file(path)
         assert not diagnosis.ok
         assert diagnosis.exit_code == EXIT_BAD_INPUT
+
+
+class TestEnvelopeEdges:
+    def test_directory_is_one_line_exit_two(self, tmp_path, capsys):
+        # named like a checkpoint: an unreadable path is still a bad
+        # argument (exit 2), not corrupt durable state (exit 3)
+        directory = tmp_path / "run.ckpt"
+        directory.mkdir()
+        diagnosis = diagnose_file(directory)
+        assert diagnosis.kind == KIND_UNKNOWN
+        assert not diagnosis.ok and diagnosis.exit_code == EXIT_BAD_INPUT
+        assert main(["doctor", str(directory)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "FAIL" in captured.out
+
+    def test_out_of_range_shard_key_is_refused_by_engine_and_doctor(
+            self, tmp_path, scan_aggregates):
+        """A well-formed envelope whose shard key lies past max_rank + 1:
+        the engine's loader and the doctor must agree it is corrupt."""
+        from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT
+        from repro.util.artifact import save_artifact
+
+        path = tmp_path / "scan.ckpt"
+        save_artifact(path, {
+            "format": SCAN_CHECKPOINT_FORMAT, "seed": 9, "max_rank": 12,
+            "shards": {"1-13": scan_aggregates.canonical_dict(),
+                       "13-40": scan_aggregates.canonical_dict()}})
+        with pytest.raises(CheckpointCorruptError, match="13-40"):
+            ScanCheckpoint(path, seed=9, max_rank=12)
+        diagnosis = diagnose_file(path)
+        assert diagnosis.kind == KIND_SCAN_CHECKPOINT
+        assert not diagnosis.ok
+        assert diagnosis.exit_code == EXIT_CORRUPT_CHECKPOINT

@@ -79,6 +79,19 @@ class TestApiHygiene:
     def test_version_exposed(self):
         assert repro.__version__
 
+    def test_only_the_artifact_module_writes_durably(self):
+        """Temp files, fsync and canonical JSON live in util/artifact.py;
+        a format that needs them goes through that module."""
+        src = Path(repro.__file__).parent
+        patterns = ("os.fsync", "tempfile.mkstemp", 'separators=(",", ":")')
+        offenders = [
+            f"{path.relative_to(src)}: {pattern}"
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "util" / "artifact.py"
+            for pattern in patterns
+            if pattern in path.read_text(encoding="utf-8")]
+        assert not offenders, offenders
+
 
 class TestExamplesCompile:
     def test_all_examples_compile(self):

@@ -1,15 +1,40 @@
-"""Atomic file writes: a failed write never tears or litters the target."""
+"""Atomic file writes and the artifact envelope every persisted format shares.
+
+A failed write never tears or litters the target, and each of the six
+enveloped formats keeps the same save/load contract.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+import numpy as np
 import pytest
 
+from repro.doctor import diagnose_file
+from repro.ecosystem.aggregates import ScanAggregates
+from repro.ecosystem.delta import ScanBaseline, build_scan_baseline
+from repro.experiment import ScanCheckpoint, StudyCheckpoint, run_sharded_scan
+from repro.features.schema import (
+    DOMAIN_FEATURES,
+    FEATURE_SCHEMA_VERSION,
+    MESSAGE_FEATURES,
+)
+from repro.learned.model import LaneModel, TypoModel, load_model, save_model
+from repro.scenario.timeline import Scenario
 from repro.service.bench import record_query_service
+from repro.service.index import TypoRiskIndex
 from repro.util import artifact
-from repro.util.artifact import write_atomic
+from repro.util.artifact import json_digest, write_atomic
+from repro.util.errors import (
+    EXIT_CORRUPT_CHECKPOINT,
+    CheckpointCorruptError,
+    CheckpointMismatchError,
+)
 
 
 def _fail_replace(src, dst):
@@ -54,3 +79,242 @@ def test_bench_section_recorder_is_atomic(tmp_path, monkeypatch):
         record_query_service({"lookups_per_sec": 2.0}, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["BENCH_perf.json"]
+
+
+# -- the envelope contract, once per persisted format -------------------------
+
+
+@dataclass(frozen=True)
+class FormatCase:
+    """How the contract drives one format: build variant ``i``, save it,
+    load it back, and view it as a comparable value."""
+
+    name: str
+    kind: str
+    build: Callable[[int], object]
+    save: Callable[[object, object], None]
+    load: Callable[[object], object]
+    view: Callable[[object], object]
+    #: edit one stored value in place, leaving the digest stale
+    tamper: Callable[[dict], None]
+    #: rewrite a current file into the layout written before the envelope
+    legacy: Optional[Callable[[dict], dict]] = None
+
+
+def _study_save(payload, path):
+    StudyCheckpoint(path).save(payload["config"], payload["next_day"],
+                               payload["crash_attempts"], payload["state"])
+
+
+def _study_view(payload):
+    return {key: payload[key]
+            for key in ("config", "next_day", "crash_attempts", "state")}
+
+
+def _study_tamper(data):
+    data["state"]["sent"] += 1
+
+
+def _study_legacy(data):
+    data = dict(data, format="repro-study-checkpoint@1")
+    data["payload_sha256"] = data.pop("digest")
+    return data
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_shard():
+    return run_sharded_scan(9, 12, jobs=1)
+
+
+def _scan_build(i):
+    payload = _scan_shard().canonical_dict()
+    payload["registered_count"] += i
+    return ScanAggregates.from_canonical_dict(payload)
+
+
+def _scan_save(aggregates, path):
+    ScanCheckpoint(path, seed=9, max_rank=12).record(1, 13, aggregates)
+
+
+def _scan_tamper(data):
+    # the hole the envelope closes: a shard count edited by hand used to
+    # load silently and shift the merged totals
+    data["shards"]["1-13"]["registered_count"] += 5
+
+
+def _scan_legacy(data):
+    return {key: data[key] for key in ("seed", "max_rank", "shards")}
+
+
+def _baseline_tamper(data):
+    # the other hole: a zeroed world digest plus an edited day made a
+    # delta re-scan reuse a stale range
+    data["ranges"][0]["world_digest"] = "0" * 64
+    data["day"] += 3
+
+
+def _baseline_legacy(data):
+    data = dict(data, format="repro-scan-baseline@1")
+    del data["digest"]
+    return data
+
+
+def _lane(name, features, bias):
+    width = len(features)
+    return LaneModel(lane=name, features=features, mean=np.zeros(width),
+                     scale=np.ones(width), weights=np.linspace(-1, 1, width),
+                     bias=bias, stumps=())
+
+
+def _model_build(i):
+    return TypoModel(seed=i, schema_version=FEATURE_SCHEMA_VERSION,
+                     domain=_lane("domain", DOMAIN_FEATURES, 0.25 + i),
+                     message=_lane("message", MESSAGE_FEATURES, -0.5),
+                     provenance={"note": "contract"})
+
+
+def _model_tamper(data):
+    data["domain"]["bias"] += 1.0
+
+
+FORMATS = [
+    FormatCase(
+        "study-checkpoint", "study-checkpoint",
+        build=lambda i: {"config": {"seed": 5}, "next_day": 40 + i,
+                         "crash_attempts": {"10": 1},
+                         "state": {"mode": "batch", "sent": 99}},
+        save=_study_save, load=lambda path: StudyCheckpoint(path).load(),
+        view=_study_view, tamper=_study_tamper, legacy=_study_legacy),
+    FormatCase(
+        "scan-checkpoint", "scan-checkpoint", build=_scan_build,
+        save=_scan_save,
+        load=lambda path: ScanCheckpoint(path, seed=9, max_rank=12).get(1, 13),
+        view=lambda aggregates: aggregates.canonical_dict(),
+        tamper=_scan_tamper, legacy=_scan_legacy),
+    FormatCase(
+        "scan-baseline", "scan-baseline",
+        build=lambda i: build_scan_baseline(606, 100, range_width=50,
+                                            day=i),
+        save=lambda baseline, path: baseline.save(path),
+        load=ScanBaseline.load,
+        view=lambda baseline: baseline.canonical_dict(),
+        tamper=_baseline_tamper, legacy=_baseline_legacy),
+    FormatCase(
+        "risk-index", "risk-index",
+        build=lambda i: TypoRiskIndex(11, 60, day=i),
+        save=lambda index, path: index.save(path),
+        load=TypoRiskIndex.load,
+        view=lambda index: index.canonical_dict(),
+        tamper=lambda data: data.__setitem__("day", data["day"] + 1)),
+    FormatCase(
+        "typo-model", "typo-model", build=_model_build,
+        save=lambda model, path: save_model(model, str(path)),
+        load=lambda path: load_model(str(path)),
+        view=lambda model: model.to_payload(), tamper=_model_tamper),
+    FormatCase(
+        "scenario", "scenario",
+        build=lambda i: Scenario(seed=1, name=f"contract-{i}", max_rank=100),
+        save=lambda scenario, path: scenario.save(path),
+        load=Scenario.load,
+        view=lambda scenario: scenario.to_dict(),
+        tamper=lambda data: data.__setitem__("churn_rate", 0.5)),
+]
+
+
+@pytest.fixture(params=FORMATS, ids=lambda case: case.name)
+def case(request):
+    return request.param
+
+
+def _saved(case, tmp_path, i=0):
+    path = tmp_path / f"{case.name}.json"
+    case.save(case.build(i), path)
+    return path
+
+
+def _rewrite(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+class TestEnvelopeContract:
+    def test_round_trip(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        assert case.view(case.load(path)) == case.view(case.build(0))
+
+    def test_digest_covers_every_other_key(self, case, tmp_path):
+        data = json.loads(_saved(case, tmp_path).read_bytes())
+        digest = data.pop("digest")
+        assert digest == json_digest(data)
+        assert data["format"].startswith("repro-")
+
+    def test_second_save_leaves_one_file(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        case.save(case.build(1), path)
+        assert os.listdir(tmp_path) == [path.name]
+        assert case.view(case.load(path)) == case.view(case.build(1))
+
+    def test_failed_replace_keeps_previous_bytes(self, case, tmp_path,
+                                                 monkeypatch):
+        path = _saved(case, tmp_path)
+        before = path.read_bytes()
+        monkeypatch.setattr(artifact.os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="simulated crash"):
+            case.save(case.build(1), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_tampered_value_is_corrupt(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        data = json.loads(path.read_bytes())
+        case.tamper(data)
+        _rewrite(path, data)
+        with pytest.raises(CheckpointCorruptError, match="digest"):
+            case.load(path)
+        assert diagnose_file(path).exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_truncated_file_is_corrupt(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            case.load(path)
+        assert diagnose_file(path).exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_foreign_tag_is_mismatch(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        data = json.loads(path.read_bytes())
+        data["format"] = "other-artifact@7"
+        _rewrite(path, data)
+        with pytest.raises(CheckpointMismatchError):
+            case.load(path)
+
+    @pytest.mark.parametrize(
+        "case", [case for case in FORMATS if case.legacy is not None],
+        ids=lambda case: case.name)
+    def test_pre_envelope_layout_is_refused(self, case, tmp_path):
+        path = _saved(case, tmp_path)
+        _rewrite(path, case.legacy(json.loads(path.read_bytes())))
+        with pytest.raises(CheckpointMismatchError) as raised:
+            case.load(path)
+        assert raised.value.exit_code == EXIT_CORRUPT_CHECKPOINT
+        assert ("start fresh" in str(raised.value)
+                or "rescan" in str(raised.value)
+                or "full scan" in str(raised.value))
+        diagnosis = diagnose_file(path)
+        assert not diagnosis.ok
+        assert diagnosis.exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_doctor_names_the_kind(self, case, tmp_path):
+        diagnosis = diagnose_file(_saved(case, tmp_path))
+        assert diagnosis.ok, diagnosis.problems
+        assert diagnosis.kind == case.kind
+
+
+def test_indented_model_from_before_the_envelope_still_loads(tmp_path):
+    """Typo models used to be written with ``indent=2``; the digest never
+    depended on layout, so those files load with the same digest."""
+    path = tmp_path / "model.json"
+    digest = save_model(_model_build(0), str(path))
+    old_layout = json.dumps(json.loads(path.read_bytes()), indent=2) + "\n"
+    path.write_text(old_layout, encoding="utf-8")
+    assert load_model(str(path)).digest() == digest
+    assert diagnose_file(path).ok
