@@ -9,18 +9,23 @@ reports problems through the :mod:`repro.util.errors` taxonomy instead
 of raw tracebacks.
 
 The six enveloped formats (:mod:`repro.util.artifact`) are identified by
-their ``format`` tag alone, and validated by the *same* loader the
-runtime uses, so a file the doctor passes is a file the engine will
-accept — there is no second, drifting schema.  A tag of a known format
-but another version goes to that format's loader too, which refuses it
-as a foreign format (exit 3) with the format's remedy.  Only the two
-untagged inputs, user-authored fault plans and ``BENCH_perf.json``, are
+their ``format`` tag alone — for the study journal, the tag on its first
+line — and validated by the *same* loader the runtime uses, so a file
+the doctor passes is a file the engine will accept — there is no second,
+drifting schema.  A journal whose last line is torn is such a file: the
+engine drops the tail and resumes from the segment before it, so the
+doctor reports it healthy with a note.  A tag of a known format but
+another version (or the single-snapshot study checkpoint the journal
+replaced) goes to that format's loader too, which refuses it as a
+foreign format (exit 3) with the format's remedy.  Only the two untagged
+inputs, user-authored fault plans and ``BENCH_perf.json``, are
 recognized by shape, and a file with no readable tag (torn, or from
 before the envelope) falls back to its name.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Union
@@ -59,6 +64,8 @@ class Diagnosis:
     details: Dict[str, object] = field(default_factory=dict)
     #: the taxonomy exit code this failure maps to (0 when healthy)
     exit_code: int = 0
+    #: what a healthy file still deserves a word about (a dropped tail)
+    notes: List[str] = field(default_factory=list)
 
     def summary_line(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -68,6 +75,8 @@ class Diagnosis:
                                      in sorted(self.details.items())) + ")"
         elif self.problems:
             extra = f": {self.problems[0]}"
+        if self.ok and self.notes:
+            extra += "; note: " + "; ".join(self.notes)
         return f"{status:4s} {self.kind:17s} {self.path}{extra}"
 
 
@@ -75,26 +84,44 @@ class Diagnosis:
 _Entry = Tuple[str, Callable[[Path, Dict], object],
                Callable[[object], Dict[str, object]]]
 
+_TORN_TAIL_NOTE = ("the last line is a torn append; it is dropped and a "
+                   "resume starts from the segment before it")
+
+
+def _load_study_journal(path: Path):
+    from repro.experiment.checkpoint import StudyCheckpoint
+
+    checkpoint = StudyCheckpoint(path)
+    return checkpoint, checkpoint.load()
+
+
+def _study_journal_details(loaded) -> Dict[str, object]:
+    checkpoint, payload = loaded
+    return {"segments": checkpoint.segments,
+            "next_day": payload["next_day"],
+            "torn_tail": checkpoint.torn_tail,
+            "mode": payload["state"].get("mode"),
+            "sent": payload["state"].get("sent")}
+
 
 def _enveloped_formats() -> Dict[str, _Entry]:
     """Every enveloped format, keyed by its tag without the ``@version``."""
     from repro.ecosystem.delta import SCAN_BASELINE_FORMAT, ScanBaseline
-    from repro.experiment.checkpoint import (
-        STUDY_CHECKPOINT_FORMAT,
-        StudyCheckpoint,
-    )
+    from repro.experiment.checkpoint import STUDY_JOURNAL_FORMAT
     from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT, ScanCheckpoint
     from repro.learned.model import LEARNED_MODEL_FORMAT, load_model
     from repro.scenario.timeline import SCENARIO_FORMAT, Scenario
     from repro.service.index import RISK_INDEX_FORMAT, TypoRiskIndex
 
+    study_journal: _Entry = (
+        KIND_STUDY_CHECKPOINT,
+        lambda path, data: _load_study_journal(path),
+        _study_journal_details)
     table: Dict[str, _Entry] = {
-        STUDY_CHECKPOINT_FORMAT: (
-            KIND_STUDY_CHECKPOINT,
-            lambda path, data: StudyCheckpoint(path).load(),
-            lambda payload: {"next_day": payload["next_day"],
-                             "mode": payload["state"].get("mode"),
-                             "sent": payload["state"].get("sent")}),
+        STUDY_JOURNAL_FORMAT: study_journal,
+        # the single-snapshot study checkpoint the journal replaced: its
+        # files reach the journal loader, which refuses them (exit 3)
+        "repro-study-checkpoint": study_journal,
         SCAN_CHECKPOINT_FORMAT: (
             KIND_SCAN_CHECKPOINT,
             # seed/max_rank come from the file itself, so only a
@@ -150,7 +177,9 @@ def diagnose_file(path: Union[str, Path]) -> Diagnosis:
                              problems=[str(error)],
                              exit_code=EXIT_BAD_INPUT)
         problem = str(error)
-    else:
+        # a journal is one envelope per line: its first line names it
+        data = _first_line_object(path)
+    if data is not None:
         entry = _enveloped_formats().get(_family(data.get("format")))
         if entry is not None:
             kind, load, details = entry
@@ -163,7 +192,9 @@ def diagnose_file(path: Union[str, Path]) -> Diagnosis:
             facts = details(artifact)
             if "digest" in data:
                 facts["digest"] = str(data["digest"])[:12]
-            return Diagnosis(path=path, kind=kind, ok=True, details=facts)
+            notes = [_TORN_TAIL_NOTE] if facts.get("torn_tail") else []
+            return Diagnosis(path=path, kind=kind, ok=True, details=facts,
+                             notes=notes)
         if "baseline" in data and isinstance(data["baseline"], dict):
             return _check_perf_baseline(path, data)
         if "seed" in data and _PLAN_KEYS & set(data):
@@ -174,6 +205,16 @@ def diagnose_file(path: Union[str, Path]) -> Diagnosis:
     kind, code = _kind_from_name(path)
     return Diagnosis(path=path, kind=kind, ok=False, problems=[problem],
                      exit_code=code)
+
+
+def _first_line_object(path: Path):
+    """The JSON object on the first line of ``path``, or None."""
+    try:
+        with open(path, "rb") as handle:
+            data = json.loads(handle.readline())
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
 
 
 def diagnose_paths(paths) -> List[Diagnosis]:

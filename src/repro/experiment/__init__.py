@@ -30,7 +30,7 @@ from repro.experiment.parallel import (
     run_study_samples,
 )
 from repro.experiment.checkpoint import (
-    STUDY_CHECKPOINT_FORMAT,
+    STUDY_JOURNAL_FORMAT,
     StudyCheckpoint,
     config_identity,
 )
@@ -85,7 +85,7 @@ __all__ = [
     "ResilientScanResult",
     "ScanCheckpoint",
     "run_resilient_scan",
-    "STUDY_CHECKPOINT_FORMAT",
+    "STUDY_JOURNAL_FORMAT",
     "StudyCheckpoint",
     "config_identity",
     "DurableStudyOutcome",

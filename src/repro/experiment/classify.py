@@ -45,6 +45,7 @@ from repro.spamfilter.funnel import (
     SummaryFold,
     Verdict,
 )
+from repro.util.journal import Appended
 from repro.util.perf import PerfRegistry, paused_gc
 from repro.util.pool import parallel_map
 
@@ -436,6 +437,12 @@ def classify_corpus_records(messages: Sequence[EmailMessage],
             return _emit_records(items, results, true_kind_by_seq, processor)
 
 
+def _encode_pending(entry: Tuple[int, StageAItem]) -> List:
+    index, item = entry
+    return [index, {"tokenized": item.tokenized.to_canonical_dict(),
+                    "study_domain": item.study_domain}]
+
+
 class StreamingClassifier:
     """Day-by-day classification inside the window loop (bounded memory).
 
@@ -536,14 +543,20 @@ class StreamingClassifier:
     # -- durable state (the study checkpoint's classifier payload) -----------
 
     def state_dict(self) -> Dict:
-        """Compact mid-window classifier state, JSON-ready (sink mode only).
+        """Compact mid-window classifier state (sink mode only).
 
         Covers the funnel's learned state, the fold's emitted results,
         the retained provisional stage-A items (whose ``tokenized`` has
         already dropped the raw original in bounded-memory mode), and the
-        emitted-record count.  Retaining modes never call this — a
-        resumed run re-feeds the serialized corpus in ingest order
-        instead, which reproduces the same state for far fewer bytes.
+        emitted-record count.  The growing parts are handed over live as
+        :mod:`repro.util.journal` fields, so a checkpoint save encodes
+        only the items added since the last one
+        (:func:`~repro.util.journal.materialize` gives the JSON).  A
+        pending item's summary is the very object the fold holds at the
+        same index, so it is persisted once, on the fold side.
+        Retaining modes never call this — a resumed run re-feeds the
+        serialized corpus in ingest order instead, which reproduces the
+        same state for far fewer bytes.
         """
         if self._sink is None:
             raise RuntimeError(
@@ -552,25 +565,33 @@ class StreamingClassifier:
         return {
             "funnel": self.funnel.state_dict(),
             "fold": self.fold.state_dict(),
-            "pending": [
-                [index,
-                 {"tokenized": item.tokenized.to_canonical_dict(),
-                  "summary": item.summary.to_canonical_dict(),
-                  "study_domain": item.study_domain}]
-                for index, item in self._pending],
+            "pending": Appended(self._pending, _encode_pending),
             "emitted_count": self.emitted_count,
         }
 
     def restore_state(self, data: Dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto a fresh classifier."""
+        """Restore a materialized :meth:`state_dict` onto a fresh classifier.
+
+        Each pending item is re-linked to the fold's summary at the same
+        index, so the two share one object again, as in the live run.
+        """
         self.funnel.restore_state(data["funnel"])
         self.fold.restore_state(data["fold"])
-        self._pending = [
-            (index, StageAItem(
+        provisional = self.fold.provisional
+        if len(provisional) != len(data["pending"]):
+            raise ValueError(
+                f"{len(data['pending'])} pending classifier items but "
+                f"{len(provisional)} provisional fold summaries")
+        self._pending = []
+        for (index, entry), (fold_index, summary) in zip(data["pending"],
+                                                         provisional):
+            if index != fold_index:
+                raise ValueError(
+                    f"pending item {index} does not match provisional "
+                    f"summary {fold_index}")
+            self._pending.append((index, StageAItem(
                 TokenizedEmail.from_canonical_dict(entry["tokenized"]),
-                MessageSummary.from_canonical_dict(entry["summary"]),
-                entry["study_domain"]))
-            for index, entry in data["pending"]]
+                summary, entry["study_domain"])))
         self.emitted_count = data["emitted_count"]
 
     def finalize(self) -> List[CollectedRecord]:

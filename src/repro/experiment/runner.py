@@ -39,6 +39,7 @@ from repro.smtpsim.message import EmailMessage
 from repro.smtpsim.retryqueue import RetryQueue
 from repro.spamfilter.funnel import Verdict
 from repro.util.errors import CheckpointMismatchError, ConfigError
+from repro.util.journal import Appended
 from repro.util.perf import PerfRegistry, throughput
 from repro.util.rand import SeededRng
 from repro.util.simtime import SECONDS_PER_DAY, CollectionWindow, paper_window
@@ -123,6 +124,11 @@ class StudyResults:
             else:
                 correct += verdict is Verdict.TRUE_TYPO
         return correct, total
+
+
+def _encode_kind(entry: Tuple[int, TypoEmailKind]) -> List:
+    seq, kind = entry
+    return [seq, kind.value]
 
 
 class StudyRunner:
@@ -539,7 +545,7 @@ class StudyRunner:
                        classifier: Optional[StreamingClassifier],
                        record_sink: Optional[RecordSink],
                        scenario_driver=None) -> Dict:
-        """The full day-boundary state block, JSON-clean.
+        """The full day-boundary state block, as journal fields.
 
         Everything that can diverge between a resumed and an
         uninterrupted run is here: RNG stream positions (the whole child
@@ -550,16 +556,24 @@ class StudyRunner:
         classifier fold plus the sink accumulator.  Stateless pieces
         (resolver, SMTP client, infra wiring) are rebuilt from the
         config on resume.
+
+        Parts that only grow (kind attribution, the retained corpus, the
+        classifier's items and counters) are live
+        :mod:`repro.util.journal` fields, so a checkpoint save encodes
+        just what was added since the previous save;
+        :func:`~repro.util.journal.materialize` turns the tree into the
+        full JSON state a journal replay gives back to
+        :meth:`_restore_state`.
         """
         state = {
             "mode": mode,
             "sent": sent,
             "rng": self._rng.capture_state_tree(),
-            "true_kind_by_seq": {str(seq): kind.value for seq, kind
-                                 in true_kind_by_seq.items()},
+            "true_kind_by_seq": Appended(true_kind_by_seq.items(),
+                                         _encode_kind),
             "collector": collector.state_dict(),
-            "corpus": ([message.to_canonical_dict()
-                        for message in collector.corpus]
+            "corpus": (Appended(collector.corpus,
+                                EmailMessage.to_canonical_dict)
                        if self.config.retain_messages else None),
             "retry_queue": (retry_queue.to_canonical_dict()
                             if retry_queue is not None else None),
@@ -595,8 +609,8 @@ class StudyRunner:
         restored send counter and the (re-built) retry queue.
         """
         self._rng.restore_state_tree(state["rng"])
-        for seq, value in state["true_kind_by_seq"].items():
-            true_kind_by_seq[int(seq)] = TypoEmailKind(value)
+        for seq, value in state["true_kind_by_seq"]:
+            true_kind_by_seq[seq] = TypoEmailKind(value)
         collector.restore_state(state["collector"])
         if state["corpus"] is not None:
             collector.corpus[:] = [

@@ -60,6 +60,7 @@ from typing import (
 
 from repro.pipeline.tokenizer import TokenizedEmail
 from repro.spamfilter.spamassassin import SpamAssassinScorer
+from repro.util.journal import Appended, Counted
 from repro.util.textcache import BoundedMemo
 
 __all__ = [
@@ -218,11 +219,16 @@ class MessageSummary:
 
 
 class CollaborativeDatabase:
-    """Shared spam knowledge across all of the study's domains (Layer 3)."""
+    """Shared spam knowledge across all of the study's domains (Layer 3).
+
+    Both sets are dicts with ``None`` values, i.e. insertion-ordered
+    sets: they only grow, so the study journal appends new members
+    instead of re-writing the whole set each save.
+    """
 
     def __init__(self, bag_of_words_minimum: int = 20) -> None:
-        self.spam_senders: Set[str] = set()
-        self.spam_bags: Set[FrozenSet[str]] = set()
+        self.spam_senders: Dict[str, None] = {}
+        self.spam_bags: Dict[FrozenSet[str], None] = {}
         self._bow_minimum = bag_of_words_minimum
 
     def record_spam(self, sender: Optional[str], body: str) -> None:
@@ -239,9 +245,9 @@ class CollaborativeDatabase:
                        bag: Optional[FrozenSet[str]]) -> None:
         """:meth:`record_spam` with the keys already extracted (stage B)."""
         if sender_lower:
-            self.spam_senders.add(sender_lower)
+            self.spam_senders[sender_lower] = None
         if bag is not None:
-            self.spam_bags.add(bag)
+            self.spam_bags[bag] = None
 
     def matches_summary(self, sender: Optional[str],
                         sender_lower: Optional[str],
@@ -254,15 +260,16 @@ class CollaborativeDatabase:
         return None
 
     def state_dict(self) -> Dict:
-        """The learned spam knowledge, canonically ordered for JSON."""
+        """The learned spam knowledge as journal fields, in learning order."""
         return {
-            "spam_senders": sorted(self.spam_senders),
-            "spam_bags": sorted(sorted(bag) for bag in self.spam_bags),
+            "spam_senders": Appended(self.spam_senders),
+            "spam_bags": Appended(self.spam_bags, sorted),
         }
 
     def restore_state(self, data: Dict) -> None:
-        self.spam_senders = set(data["spam_senders"])
-        self.spam_bags = {frozenset(bag) for bag in data["spam_bags"]}
+        self.spam_senders = dict.fromkeys(data["spam_senders"])
+        self.spam_bags = dict.fromkeys(frozenset(bag)
+                                       for bag in data["spam_bags"])
 
     def _bag(self, body: str) -> Optional[FrozenSet[str]]:
         # the word set is a pure function of the body; campaign spam repeats
@@ -351,17 +358,20 @@ class FilterFunnel:
     # -- durable state (the study checkpoint's stage-B payload) --------------
 
     def state_dict(self) -> Dict:
-        """Every piece of fold-mutable funnel state, JSON-ready.
+        """Every piece of fold-mutable funnel state, as journal fields.
 
-        Configuration (domains, thresholds, enabled layers) is *not*
-        included — a resumed run rebuilds the funnel from its config and
-        only the learned/accumulated state needs restoring.
+        The counters only ever increase, so each is a
+        :class:`~repro.util.journal.Counted` field and a save journals
+        just the changed keys.  Configuration (domains, thresholds,
+        enabled layers) is *not* included — a resumed run rebuilds the
+        funnel from its config and only the learned/accumulated state
+        needs restoring.
         """
         return {
             "collaborative": self.collaborative.state_dict(),
-            "recipient_counts": dict(self._recipient_counts),
-            "sender_counts": dict(self._sender_counts),
-            "content_counts": dict(self._content_counts),
+            "recipient_counts": Counted(self._recipient_counts),
+            "sender_counts": Counted(self._sender_counts),
+            "content_counts": Counted(self._content_counts),
         }
 
     def restore_state(self, data: Dict) -> None:
@@ -603,6 +613,11 @@ class SummaryFold:
         """Summaries awaiting the corpus-wide pass (memory high-water)."""
         return len(self._provisional)
 
+    @property
+    def provisional(self) -> Sequence[Tuple[int, MessageSummary]]:
+        """``(result index, summary)`` of each summary awaiting the pass."""
+        return self._provisional
+
     def feed(self, summary: MessageSummary) -> Optional[FilterResult]:
         """Fold in one summary; return its terminal result or None."""
         if self._finalized:
@@ -654,15 +669,15 @@ class SummaryFold:
         fold conceptually — it is the learned-filter state); here we
         snapshot only the per-run fold: emitted results in feed order
         (``None`` marks slots still provisional) and the provisional
-        summaries awaiting the corpus-wide pass.
+        summaries awaiting the corpus-wide pass.  Both lists only grow
+        before :meth:`finalize`, so both are journal
+        :class:`~repro.util.journal.Appended` fields.
         """
         if self._finalized:
             raise RuntimeError("cannot checkpoint a finalized SummaryFold")
         return {
-            "results": [r.to_canonical_dict() if r is not None else None
-                        for r in self.results],
-            "provisional": [[index, summary.to_canonical_dict()]
-                            for index, summary in self._provisional],
+            "results": Appended(self.results, _encode_result),
+            "provisional": Appended(self._provisional, _encode_provisional),
         }
 
     def restore_state(self, data: Dict) -> None:
@@ -673,6 +688,15 @@ class SummaryFold:
             (index, MessageSummary.from_canonical_dict(entry))
             for index, entry in data["provisional"]]
         self._finalized = False
+
+
+def _encode_result(result: Optional[FilterResult]) -> Optional[Dict]:
+    return result.to_canonical_dict() if result is not None else None
+
+
+def _encode_provisional(entry: Tuple[int, MessageSummary]) -> List:
+    index, summary = entry
+    return [index, summary.to_canonical_dict()]
 
 
 # -- header helpers -----------------------------------------------------------

@@ -1,7 +1,10 @@
 """Atomic file writes and the artifact envelope every persisted format shares.
 
 A failed write never tears or litters the target, and each of the six
-enveloped formats keeps the same save/load contract.
+enveloped formats keeps the same save/load contract.  The study
+checkpoint is a journal of envelopes; its one-segment form is in the
+six-format contract, and the journal contract below states the same
+properties per segment.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from repro.doctor import diagnose_file
+from repro.doctor import KIND_STUDY_CHECKPOINT, diagnose_file
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.delta import ScanBaseline, build_scan_baseline
 from repro.experiment import ScanCheckpoint, StudyCheckpoint, run_sharded_scan
@@ -29,12 +32,13 @@ from repro.scenario.timeline import Scenario
 from repro.service.bench import record_query_service
 from repro.service.index import TypoRiskIndex
 from repro.util import artifact
-from repro.util.artifact import json_digest, write_atomic
+from repro.util.artifact import json_digest, save_artifact, write_atomic
 from repro.util.errors import (
     EXIT_CORRUPT_CHECKPOINT,
     CheckpointCorruptError,
     CheckpointMismatchError,
 )
+from repro.util.journal import Appended, Counted, materialize
 
 
 def _fail_replace(src, dst):
@@ -318,3 +322,207 @@ def test_indented_model_from_before_the_envelope_still_loads(tmp_path):
     path.write_text(old_layout, encoding="utf-8")
     assert load_model(str(path)).digest() == digest
     assert diagnose_file(path).ok
+
+
+# -- the study journal: the envelope contract, per segment --------------------
+
+JOURNAL_IDENTITY = {"seed": 5}
+
+
+def _journal(path, saves=3):
+    """Save ``saves`` days of a growing state; return the checkpoint and
+    the full JSON state of each save."""
+    checkpoint = StudyCheckpoint(path)
+    log, counts, views = [], {}, []
+    for day in range(saves):
+        log.extend(f"mail-{day}-{i}" for i in range(day + 2))
+        key = f"sender-{day % 2}"
+        counts[key] = counts.get(key, 0) + 1
+        state = {"mode": "sink", "sent": len(log),
+                 "log": Appended(log, str.upper),
+                 "classifier": {"counts": Counted(counts),
+                                "seen": Appended(log)}}
+        checkpoint.save(JOURNAL_IDENTITY, day + 1, {day: 1}, state)
+        views.append(json.loads(json.dumps(materialize(state))))
+    return checkpoint, views
+
+
+def _lines(path):
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def _write_lines(path, lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+
+
+class TestStudyJournalContract:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _, views = _journal(path)
+        payload = StudyCheckpoint(path).load(JOURNAL_IDENTITY)
+        assert payload == {"config": JOURNAL_IDENTITY, "next_day": 3,
+                           "crash_attempts": {"2": 1}, "state": views[-1]}
+
+    def test_each_segment_digest_covers_its_other_keys(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        lines = _lines(path)
+        assert len(lines) == 3
+        previous = None
+        for line in lines:
+            data = json.loads(line)
+            digest = data.pop("digest")
+            assert digest == json_digest(data)
+            assert data["format"] == "repro-study-journal@1"
+            assert data["prev"] == previous
+            previous = digest
+
+    def test_delta_segments_hold_only_new_items(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        third = json.loads(_lines(path)[2])
+        assert third["state"]["log"] == ["MAIL-2-0", "MAIL-2-1",
+                                         "MAIL-2-2", "MAIL-2-3"]
+        assert third["state"]["classifier"]["counts"] == {"sender-0": 2}
+        assert "config" not in third
+
+    def test_journal_is_one_file(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path, saves=6)
+        assert os.listdir(tmp_path) == [path.name]
+        StudyCheckpoint(path).save(JOURNAL_IDENTITY, 7, {}, {"mode": "x"})
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_append_raising_partway_keeps_earlier_segments(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "study.ckpt"
+        checkpoint, views = _journal(path)
+        write = artifact._write_chunks
+
+        def half_then_crash(handle, chunks):
+            data = b"".join(chunk.encode() if isinstance(chunk, str)
+                            else bytes(chunk) for chunk in chunks)
+            write(handle, [data[:len(data) // 2]])
+            raise OSError("simulated crash mid-append")
+
+        monkeypatch.setattr(artifact, "_write_chunks", half_then_crash)
+        with pytest.raises(OSError, match="mid-append"):
+            checkpoint.save(JOURNAL_IDENTITY, 9, {}, {"mode": "sink"})
+        monkeypatch.undo()
+        resumed = StudyCheckpoint(path)
+        assert resumed.load()["state"] == views[-1]
+        assert resumed.torn_tail and resumed.segments == 3
+        diagnosis = diagnose_file(path)
+        assert diagnosis.ok and diagnosis.exit_code == 0
+        assert diagnosis.details["torn_tail"] is True
+        assert "torn" in diagnosis.summary_line()
+        # the next append cuts the torn tail before writing
+        resumed.save(JOURNAL_IDENTITY, 10, {}, {"mode": "sink", "sent": 1})
+        assert path.read_bytes().endswith(b"\n")
+        assert len(_lines(path)) == 4
+        assert StudyCheckpoint(path).load()["state"]["sent"] == 1
+
+    def test_tampered_middle_segment_is_corrupt(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        lines = _lines(path)
+        data = json.loads(lines[1])
+        data["state"]["sent"] += 1
+        lines[1] = json.dumps(data).encode()
+        _write_lines(path, lines)
+        with pytest.raises(CheckpointCorruptError, match="segment 2.*digest"):
+            StudyCheckpoint(path).load()
+        assert diagnose_file(path).exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_broken_prev_chain_is_corrupt(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        lines = _lines(path)
+        _write_lines(path, [lines[0], lines[2]])
+        with pytest.raises(CheckpointCorruptError, match="chain"):
+            StudyCheckpoint(path).load()
+        assert diagnose_file(path).exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbled"])
+    def test_unreadable_base_segment_is_corrupt(self, tmp_path, damage):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        lines = _lines(path)
+        if damage == "truncated":
+            path.write_bytes(lines[0][:len(lines[0]) // 2])
+        else:
+            _write_lines(path, [b"{not json"] + lines[1:])
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            StudyCheckpoint(path).load()
+        diagnosis = diagnose_file(path)
+        assert diagnosis.exit_code == EXIT_CORRUPT_CHECKPOINT
+        assert diagnosis.kind == KIND_STUDY_CHECKPOINT
+
+    def test_foreign_tag_is_mismatch(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        lines = _lines(path)
+        data = json.loads(lines[0])
+        data["format"] = "other-artifact@7"
+        _write_lines(path, [json.dumps(data).encode()] + lines[1:])
+        with pytest.raises(CheckpointMismatchError):
+            StudyCheckpoint(path).load()
+
+    @pytest.mark.parametrize("tag", ["repro-study-checkpoint@2",
+                                     "repro-study-checkpoint@1"])
+    def test_single_snapshot_checkpoints_are_refused(self, tmp_path, tag):
+        path = tmp_path / "study.ckpt"
+        payload = {"format": tag, "config": JOURNAL_IDENTITY,
+                   "next_day": 3, "crash_attempts": {},
+                   "state": {"mode": "batch", "sent": 7}}
+        save_artifact(path, payload)
+        if tag.endswith("@1"):
+            data = json.loads(path.read_bytes())
+            data["payload_sha256"] = data.pop("digest")
+            path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(CheckpointMismatchError,
+                           match="start fresh") as raised:
+            StudyCheckpoint(path).load()
+        assert raised.value.exit_code == EXIT_CORRUPT_CHECKPOINT
+        diagnosis = diagnose_file(path)
+        assert diagnosis.kind == KIND_STUDY_CHECKPOINT
+        assert diagnosis.exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_doctor_reports_kind_segments_and_next_day(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        diagnosis = diagnose_file(path)
+        assert diagnosis.ok, diagnosis.problems
+        assert diagnosis.kind == KIND_STUDY_CHECKPOINT
+        assert diagnosis.details["segments"] == 3
+        assert diagnosis.details["next_day"] == 3
+        assert diagnosis.details["torn_tail"] is False
+        assert diagnosis.notes == []
+
+    def test_loaded_journal_takes_the_next_append(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        _journal(path)
+        resumed = StudyCheckpoint(path)
+        resumed.load(JOURNAL_IDENTITY)
+        resumed.save(JOURNAL_IDENTITY, 4, {}, {"mode": "sink", "sent": 0})
+        assert len(_lines(path)) == 4
+        # a fresh object knows nothing of the file: it writes a base
+        StudyCheckpoint(path).save(JOURNAL_IDENTITY, 5, {}, {"mode": "x"})
+        assert len(_lines(path)) == 1
+
+    def test_compaction_rewrites_one_base_segment(self, tmp_path):
+        path = tmp_path / "study.ckpt"
+        checkpoint = StudyCheckpoint(path)
+        log = []
+        line_counts = []
+        for day in range(8):
+            log.append(f"mail-{day}")
+            # a large leaf written whole each save: superseded bytes grow
+            # faster than the live log
+            state = {"rng": [day] * 500, "log": Appended(log)}
+            checkpoint.save(JOURNAL_IDENTITY, day + 1, {}, state)
+            line_counts.append(len(_lines(path)))
+        assert line_counts == [1, 2, 3, 1, 2, 3, 1, 2]
+        payload = StudyCheckpoint(path).load()
+        assert payload["state"] == {"rng": [7] * 500, "log": log}
+        assert os.listdir(tmp_path) == [path.name]
