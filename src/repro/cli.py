@@ -302,6 +302,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except KeyboardInterrupt:
+        # Ctrl-C is an operator's choice, not a crash: one line, the
+        # shell's SIGINT status, and the way back in when there is one
+        checkpoint = (args.command == "study"
+                      and (args.resume or args.checkpoint))
+        hint = (f"; the checkpoint journal {checkpoint} is intact, re-run "
+                f"with --resume {checkpoint} to continue"
+                if checkpoint else "")
+        print(f"interrupted{hint}", file=sys.stderr)
+        return 130
     except ReproError as error:
         # the taxonomy's contract: one line on stderr, a meaningful
         # exit code, no traceback; anything else still fails loud

@@ -1,35 +1,31 @@
-"""The study's two-stage classification pipeline (batch, parallel, streaming).
+"""The study's classification loop: stage A, then the fold, then emit.
 
-``StudyRunner._classify`` historically tokenized and classified the whole
-delivered corpus serially, after the window loop, with everything held in
-memory.  This module splits that work along the funnel's stage boundary
-(see :mod:`repro.spamfilter.funnel`):
+The paper's funnel (§4.3) is one pass over the collected corpus, part
+of which runs afterwards: Layer 3 goes back and condemns a spammer's
+earlier mail, and Layer 5 counts over the whole corpus.
+:class:`StreamingClassifier` is the one loop that makes that pass,
+split along the funnel's stage boundary (see :mod:`repro.spamfilter.funnel`):
 
-* **Stage A** — pure per-message work: tokenize, Layer-1/2/4 evaluation
-  via :meth:`FilterFunnel.summarize`, study-domain attribution, and (in
-  the parallel path) speculative scrub/processing.  Pure means it can be
-  fanned over a :class:`ProcessPoolExecutor` in deterministic day-ordered
-  batches, or run day-by-day inside the window loop.
+* **Stage A** (:func:`_stage_a`) — pure per-message work: tokenize,
+  Layer-1/2/4 evaluation via :meth:`FilterFunnel.summarize`, study-domain
+  attribution and, for the learned detector, the feature matrix.  Pure,
+  so it runs inline or on worker processes in day-ordered chunks
+  (:func:`run_stage_a_chunk`).
 * **Stage B** — the serial stateful fold (:class:`SummaryFold`): the
   collaborative database, corpus-wide frequencies, and the retroactive
   pass, consuming stage-A summaries in arrival order.
 
-Because stage B always sees summaries in arrival order, the emitted
-:class:`CollectedRecord` stream is byte-identical across the serial,
-parallel (any ``jobs``), and day-streamed drivers — pinned by
+Batch classification (:func:`classify_corpus_records`) feeds the whole
+corpus once; the study's streaming mode feeds one day at a time.  Stage
+B sees the same summaries in the same order either way, so the
+:class:`CollectedRecord` stream is byte-identical across batch, parallel
+(any ``jobs``) and day-streamed feeding — pinned by
 ``record_stream_digest`` in the classify-pipeline tests.
-
-The bounded-memory variant (:class:`StreamingClassifier` with
-``retain_messages=False``) drops each raw message once its summary is
-taken (``tokenize(..., retain_original=False)``) and keeps only compact
-per-survivor state for the retroactive pass; with a ``record_sink`` it
-emits terminal records as they are decided and retains nothing at all.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.records import CollectedRecord
@@ -45,6 +41,7 @@ from repro.spamfilter.funnel import (
     SummaryFold,
     Verdict,
 )
+from repro.util.errors import ConfigError
 from repro.util.journal import Appended
 from repro.util.perf import PerfRegistry, paused_gc
 from repro.util.pool import parallel_map
@@ -84,8 +81,8 @@ class ClassifyContext:
     enabled_layers: Tuple[int, ...] = (1, 2, 3, 4, 5)
     process_non_spam: bool = True
     retain_original: bool = True
-    #: build the message-lane feature matrix alongside each stage-A chunk
-    #: (the learned detector's featurization rides the same pool fan-out)
+    #: build the message-lane feature matrix in stage A (on the pool
+    #: workers too); :class:`StreamingClassifier` sets it from its detector
     featurize: bool = False
 
     def build_funnel(self) -> FilterFunnel:
@@ -142,9 +139,9 @@ class _Attribution:
 class StageAItem:
     """One message's stage-A output: everything stage B consumes.
 
-    ``processed`` is only pre-filled by the parallel workers (speculative
-    scrub of every Layer-1/2 survivor); the serial paths leave it None
-    and process after the fold, skipping mail Layer 3 condemns.
+    ``processed`` is only pre-filled by the pool workers (speculative
+    scrub of every Layer-1/2 survivor); inline stage A leaves it None
+    and processes at emit time, skipping mail the funnel condemns.
     """
 
     __slots__ = ("tokenized", "summary", "study_domain", "processed")
@@ -176,16 +173,55 @@ class StageAChunk:
 
 @dataclass
 class StageAChunkResult:
-    """A completed chunk: items in input order plus worker-side timings."""
+    """A completed chunk: items in input order plus the worker's timers."""
 
     items: List[StageAItem]
-    tokenize_seconds: float
-    score_seconds: float
-    process_seconds: float
+    #: the worker's ``classify.*`` timers, merged into the parent's
+    perf: PerfRegistry
     #: message-lane feature matrix (rows aligned with ``items``); only
     #: populated when the context asked stage A to featurize
     features: Optional[object] = None
-    featurize_seconds: float = 0.0
+
+
+def _stage_a(messages: Sequence[EmailMessage], context: ClassifyContext,
+             funnel: FilterFunnel, attribution: _Attribution,
+             perf: PerfRegistry,
+             processor: Optional[EmailProcessor] = None
+             ) -> Tuple[List[StageAItem], Optional[object]]:
+    """Stage A over an in-order batch: ``(items, feature matrix)``.
+
+    With a ``processor`` every Layer-1/2 survivor is scrubbed
+    speculatively; stage B discards the result for mail it condemns.
+    """
+    retain = context.retain_original
+    with paused_gc():
+        with perf.timer("classify.tokenize"):
+            tokenized = [tokenize(message, retain_original=retain)
+                         for message in messages]
+        with perf.timer("classify.score"):
+            study_domain = attribution.study_domain
+            items: List[StageAItem] = []
+            append = items.append
+            for message, tok in zip(messages, tokenized):
+                summary = funnel.summarize(tok, sequence=message.sequence)
+                append(StageAItem(tok, summary,
+                                  study_domain(tok, summary.kind)))
+        if processor is not None:
+            with perf.timer("classify.process"):
+                for item in items:
+                    summary = item.summary
+                    if summary.layer1 is None and summary.layer2 is None:
+                        item.processed = processor.process(
+                            item.tokenized.original,
+                            tokenized=item.tokenized)
+        features = None
+        if context.featurize:
+            from repro.features.messages import message_feature_matrix
+
+            with perf.timer("classify.featurize"):
+                features = message_feature_matrix(
+                    [(item.tokenized, item.summary) for item in items])
+    return items, features
 
 
 def run_stage_a_chunk(chunk: StageAChunk) -> StageAChunkResult:
@@ -193,54 +229,15 @@ def run_stage_a_chunk(chunk: StageAChunk) -> StageAChunkResult:
 
     Workers speculatively process every Layer-1/2 survivor — Layer-3
     verdicts are not knowable here, and scrubbing in the worker is the
-    point of fanning out.  Stage B discards the speculative result for
-    mail the collaborative layer later condemns.
+    point of fanning out.
     """
     context = chunk.context
-    funnel = context.build_funnel()
-    attribution = _Attribution(context.our_domains, context.ip_to_domain)
-    processor = EmailProcessor() if context.process_non_spam else None
-    retain = context.retain_original
-
-    clock = time.perf_counter
-    with paused_gc():
-        start = clock()
-        tokenized = [tokenize(message, retain_original=retain)
-                     for message in chunk.messages]
-        tokenize_seconds = clock() - start
-
-        start = clock()
-        summaries = [funnel.summarize(tok, sequence=message.sequence)
-                     for message, tok in zip(chunk.messages, tokenized)]
-        score_seconds = clock() - start
-
-        start = clock()
-        items: List[StageAItem] = []
-        for tok, summary in zip(tokenized, summaries):
-            processed = None
-            if (processor is not None and summary.layer1 is None
-                    and summary.layer2 is None):
-                processed = processor.process(tok.original, tokenized=tok)
-            items.append(StageAItem(
-                tok, summary, attribution.study_domain(tok, summary.kind),
-                processed))
-        process_seconds = clock() - start
-
-        features = None
-        featurize_seconds = 0.0
-        if context.featurize:
-            from repro.features.messages import message_feature_matrix
-
-            start = clock()
-            features = message_feature_matrix(
-                [(item.tokenized, item.summary) for item in items])
-            featurize_seconds = clock() - start
-
-    return StageAChunkResult(items=items, tokenize_seconds=tokenize_seconds,
-                             score_seconds=score_seconds,
-                             process_seconds=process_seconds,
-                             features=features,
-                             featurize_seconds=featurize_seconds)
+    perf = PerfRegistry()
+    items, features = _stage_a(
+        chunk.messages, context, context.build_funnel(),
+        _Attribution(context.our_domains, context.ip_to_domain), perf,
+        EmailProcessor() if context.process_non_spam else None)
+    return StageAChunkResult(items=items, perf=perf, features=features)
 
 
 def partition_messages_by_day(messages: Sequence[EmailMessage],
@@ -274,7 +271,7 @@ def _emit_records(items: Sequence[StageAItem],
                   true_kind_by_seq: Dict[int, TypoEmailKind],
                   processor: Optional[EmailProcessor]
                   ) -> List[CollectedRecord]:
-    """Stage-B tail: final verdicts → the record stream, in fold order."""
+    """Stage-B tail: decided verdicts → their records, in input order."""
     records: List[CollectedRecord] = []
     append = records.append
     new = CollectedRecord.__new__
@@ -332,21 +329,6 @@ def apply_learned_detector(results: Sequence[FilterResult],
     return adjusted
 
 
-def _score_learned(items: Sequence[StageAItem], model, perf: PerfRegistry,
-                   features=None) -> List[bool]:
-    """Vectorized message-lane scoring: one matmul + stump pass per batch."""
-    from repro.features.messages import message_feature_matrix
-    from repro.learned.evaluate import SCORE_THRESHOLD
-
-    if features is None:
-        with perf.timer("classify.featurize"):
-            features = message_feature_matrix(
-                [(item.tokenized, item.summary) for item in items])
-    with perf.timer("classify.learned_score"):
-        flags = model.message.scores(features) >= SCORE_THRESHOLD
-    return [bool(f) for f in flags]
-
-
 def classify_corpus_records(messages: Sequence[EmailMessage],
                             context: ClassifyContext,
                             true_kind_by_seq: Dict[int, TypoEmailKind],
@@ -354,87 +336,17 @@ def classify_corpus_records(messages: Sequence[EmailMessage],
                             jobs: Optional[int] = None,
                             detector: str = "funnel",
                             model=None) -> List[CollectedRecord]:
-    """Batch classification of a delivered corpus, serial or fanned out.
+    """Batch classification: the classifier fed the whole corpus once.
 
-    ``jobs<=1`` runs stage A inline (tokenize → summarize → fold →
-    emit, each under its own ``classify.*`` timer); ``jobs>1`` fans
-    stage A over worker processes in day-ordered chunks and folds the
-    returned summaries in arrival order.  Either way the record stream
-    is byte-identical.
-
-    ``detector`` selects the spam arm: ``"funnel"`` (rules only, the
-    default), ``"learned"`` (the model replaces the funnel's spam
-    verdicts), or ``"both"`` (union).  The non-funnel modes need a
-    loaded :class:`~repro.learned.model.TypoModel`; featurization rides
-    the stage-A chunks (set ``context.featurize``) or runs inline, and
-    scoring is one vectorized pass over the whole corpus either way.
+    See :class:`StreamingClassifier` for ``jobs``, ``detector`` and
+    ``model``; the record stream is byte-identical to feeding the same
+    corpus day by day.
     """
-    if detector not in ("funnel", "learned", "both"):
-        from repro.util.errors import ConfigError
-        raise ConfigError(f"unknown detector {detector!r}; expected "
-                          "funnel, learned, or both")
-    if detector != "funnel" and model is None:
-        from repro.util.errors import ConfigError
-        raise ConfigError(f"detector {detector!r} requires a trained "
-                          "typo model (see `repro train`)")
-    funnel = context.build_funnel()
-    processor = (EmailProcessor() if context.process_non_spam else None)
-
-    if jobs is not None and jobs > 1 and len(messages) > 1:
-        chunks = [StageAChunk(messages=chunk, context=context)
-                  for chunk in partition_messages_by_day(messages, jobs)]
-        chunk_results = parallel_map(run_stage_a_chunk, chunks, jobs=jobs,
-                                     perf=perf)
-        items: List[StageAItem] = []
-        feature_parts = []
-        for result in chunk_results:
-            items.extend(result.items)
-            if result.features is not None:
-                feature_parts.append(result.features)
-            perf.add_seconds("classify.tokenize", result.tokenize_seconds)
-            perf.add_seconds("classify.score", result.score_seconds)
-            perf.add_seconds("classify.process", result.process_seconds)
-            perf.add_seconds("classify.featurize", result.featurize_seconds)
-        with paused_gc(), perf.timer("classify.fold"):
-            fold = SummaryFold(funnel)
-            for item in items:
-                fold.feed(item.summary)
-            results = fold.finalize()
-        if detector != "funnel":
-            features = None
-            if feature_parts and len(feature_parts) == len(chunk_results):
-                import numpy as np
-                features = np.vstack(feature_parts)
-            flags = _score_learned(items, model, perf, features=features)
-            results = apply_learned_detector(results, flags, detector)
-        with paused_gc(), perf.timer("classify.emit"):
-            return _emit_records(items, results, true_kind_by_seq, processor)
-
-    with paused_gc():
-        attribution = _Attribution(context.our_domains, context.ip_to_domain)
-        retain = context.retain_original
-        with perf.timer("classify.tokenize"):
-            tokenized = [tokenize(message, retain_original=retain)
-                         for message in messages]
-        with perf.timer("classify.score"):
-            summarize = funnel.summarize
-            study_domain = attribution.study_domain
-            items = []
-            append = items.append
-            for message, tok in zip(messages, tokenized):
-                summary = summarize(tok, sequence=message.sequence)
-                append(StageAItem(tok, summary,
-                                  study_domain(tok, summary.kind)))
-        with perf.timer("classify.fold"):
-            fold = SummaryFold(funnel)
-            for item in items:
-                fold.feed(item.summary)
-            results = fold.finalize()
-        if detector != "funnel":
-            flags = _score_learned(items, model, perf)
-            results = apply_learned_detector(results, flags, detector)
-        with perf.timer("classify.emit"):
-            return _emit_records(items, results, true_kind_by_seq, processor)
+    classifier = StreamingClassifier(context, true_kind_by_seq, perf,
+                                     jobs=jobs, detector=detector,
+                                     model=model)
+    classifier.feed(messages)
+    return classifier.finalize()
 
 
 def _encode_pending(entry: Tuple[int, StageAItem]) -> List:
@@ -444,22 +356,26 @@ def _encode_pending(entry: Tuple[int, StageAItem]) -> List:
 
 
 class StreamingClassifier:
-    """Day-by-day classification inside the window loop (bounded memory).
+    """The classify loop: :meth:`feed` in-order batches, then :meth:`finalize`.
 
-    Feed each day's delivered mail as it arrives; layers 1–4 verdicts are
-    final immediately and their records are emitted (and, with a
-    ``record_sink``, handed off) on the spot.  Survivors wait as compact
-    stage-A items for :meth:`finalize`, which runs the retroactive and
-    frequency passes — the resulting record stream is byte-identical to
-    the batch classifier's for the same corpus.
+    Each feed runs stage A over the batch (fanned over ``jobs`` worker
+    processes when ``jobs > 1``) and folds it in arrival order; layers
+    1–4 verdicts are final at once and their records are emitted (to
+    the ``record_sink`` if there is one) on the spot.  Survivors wait as
+    compact stage-A items for :meth:`finalize`, which runs the
+    retroactive and frequency passes.
 
-    Memory model: with ``retain_messages=True`` the tokenized originals
-    ride along and the full record list is returned, so only the work is
-    restructured.  With ``retain_messages=False`` each message is
-    released once summarised (``tokenize(..., retain_original=False)``)
-    and records carry ``tokenized.original=None`` — compare them with the
-    content digests in :mod:`repro.experiment.parallel`, which exclude
-    the original by construction.  With a ``record_sink`` on top, even
+    ``detector`` selects the spam arm: ``"funnel"`` (rules only),
+    ``"learned"`` (a loaded :class:`~repro.learned.model.TypoModel`
+    replaces the funnel's spam verdicts) or ``"both"`` (union).  The
+    model scores each fed batch's feature matrix in one vectorized pass,
+    and :func:`apply_learned_detector` overlays each result once it is
+    decided.
+
+    Memory model: with ``retain_messages=False`` each raw message is
+    released once summarised and records carry
+    ``tokenized.original=None`` (compare them with the content digests
+    in :mod:`repro.experiment.parallel`).  With a ``record_sink`` even
     terminal records are handed off instead of retained; only the
     per-survivor items and the result list remain, which is what the
     scale bench's peak-memory gate measures.
@@ -468,21 +384,35 @@ class StreamingClassifier:
     def __init__(self, context: ClassifyContext,
                  true_kind_by_seq: Dict[int, TypoEmailKind],
                  perf: PerfRegistry,
-                 record_sink: Optional[RecordSink] = None) -> None:
-        self.context = context
+                 record_sink: Optional[RecordSink] = None, *,
+                 jobs: Optional[int] = None,
+                 detector: str = "funnel",
+                 model=None) -> None:
+        if detector not in ("funnel", "learned", "both"):
+            raise ConfigError(f"unknown detector {detector!r}; expected "
+                              "funnel, learned, or both")
+        if detector != "funnel" and model is None:
+            raise ConfigError(f"detector {detector!r} requires a trained "
+                              "typo model (see `repro train`)")
+        self.context = replace(context, featurize=detector != "funnel")
         self.funnel = context.build_funnel()
         self.fold = SummaryFold(self.funnel)
         self.processor = (EmailProcessor() if context.process_non_spam
                           else None)
+        self.jobs = jobs or 1
+        self.detector = detector
+        self.model = model
         self._attribution = _Attribution(context.our_domains,
                                          context.ip_to_domain)
         self._true_kind_by_seq = true_kind_by_seq
         self._perf = perf
         self._sink = record_sink
         #: in-order record slots (None = awaiting finalize); unused in
-        #: sink mode, where terminal records are handed off immediately
+        #: sink mode, where records are handed off as they are decided
         self._records: List[Optional[CollectedRecord]] = []
         self._pending: List[Tuple[int, StageAItem]] = []
+        #: the learned lane's spam flag per fed message, by fold index
+        self._flags: List[bool] = []
         self.emitted_count = 0
 
     def feed(self, messages: Sequence[EmailMessage]) -> None:
@@ -491,54 +421,69 @@ class StreamingClassifier:
             return
         perf = self._perf
         context = self.context
-        retain = context.retain_original
-        with paused_gc():
-            with perf.timer("classify.tokenize"):
-                tokenized = [tokenize(message, retain_original=retain)
-                             for message in messages]
-            with perf.timer("classify.score"):
-                summarize = self.funnel.summarize
-                study_domain = self._attribution.study_domain
-                items = []
-                append = items.append
-                for message, tok in zip(messages, tokenized):
-                    summary = summarize(tok, sequence=message.sequence)
-                    append(StageAItem(tok, summary,
-                                      study_domain(tok, summary.kind)))
-            terminal: List[Tuple[int, StageAItem, FilterResult]] = []
-            with perf.timer("classify.fold"):
-                for item in items:
-                    index = len(self.fold.results)
-                    result = self.fold.feed(item.summary)
-                    if self._sink is None:
-                        self._records.append(None)
-                    if result is None:
-                        self._pending.append((index, item))
-                    else:
-                        terminal.append((index, item, result))
-            with perf.timer("classify.emit"):
-                for index, item, result in terminal:
-                    self._emit(index, item, result)
-
-    def _emit(self, index: int, item: StageAItem,
-              result: FilterResult) -> None:
-        tok = item.tokenized
-        processed = None
-        if result.verdict is not Verdict.SPAM and self.processor is not None:
-            processed = self.processor.process(tok.original, tokenized=tok)
-        record = CollectedRecord(
-            tokenized=tok,
-            result=result,
-            study_domain=item.study_domain,
-            timestamp=tok.metadata.received_at,
-            true_kind=self._true_kind_by_seq.get(item.summary.sequence),
-            processed=processed,
-        )
-        self.emitted_count += 1
-        if self._sink is not None:
-            self._sink(record)
+        if self.jobs > 1 and len(messages) > 1:
+            chunks = [StageAChunk(messages=chunk, context=context)
+                      for chunk in partition_messages_by_day(messages,
+                                                             self.jobs)]
+            items: List[StageAItem] = []
+            parts = []
+            for result in parallel_map(run_stage_a_chunk, chunks,
+                                       jobs=self.jobs, perf=perf):
+                items.extend(result.items)
+                parts.append(result.features)
+                perf.merge(result.perf)
+            features = None
+            if context.featurize:
+                import numpy as np
+                features = np.vstack(parts)
         else:
-            self._records[index] = record
+            items, features = _stage_a(messages, context, self.funnel,
+                                       self._attribution, perf)
+        if self.model is not None:
+            from repro.learned.evaluate import SCORE_THRESHOLD
+
+            with perf.timer("classify.learned_score"):
+                self._flags.extend(
+                    (self.model.message.scores(features)
+                     >= SCORE_THRESHOLD).tolist())
+        base = len(self.fold)
+        indices: List[int] = []
+        decided: List[StageAItem] = []
+        results: List[FilterResult] = []
+        with paused_gc():
+            with perf.timer("classify.fold"):
+                feed = self.fold.feed
+                pending = self._pending
+                for position, item in enumerate(items, base):
+                    result = feed(item.summary)
+                    if result is None:
+                        pending.append((position, item))
+                    else:
+                        indices.append(position)
+                        decided.append(item)
+                        results.append(result)
+            if self._sink is None:
+                self._records.extend([None] * len(items))
+            self._emit(indices, decided, results)
+
+    def _emit(self, indices: Sequence[int], items: Sequence[StageAItem],
+              results: Sequence[FilterResult]) -> None:
+        """Emit decided results: to the sink, or into their record slots."""
+        if self.model is not None:
+            flags = self._flags
+            results = apply_learned_detector(
+                results, [flags[index] for index in indices], self.detector)
+        with self._perf.timer("classify.emit"):
+            records = _emit_records(items, results, self._true_kind_by_seq,
+                                    self.processor)
+            self.emitted_count += len(records)
+            if self._sink is not None:
+                for record in records:
+                    self._sink(record)
+            else:
+                slots = self._records
+                for index, record in zip(indices, records):
+                    slots[index] = record
 
     # -- durable state (the study checkpoint's classifier payload) -----------
 
@@ -558,10 +503,11 @@ class StreamingClassifier:
         serialized corpus in ingest order instead, which reproduces the
         same state for far fewer bytes.
         """
-        if self._sink is None:
+        if self._sink is None or self.model is not None:
             raise RuntimeError(
-                "classifier state capture requires a record sink; "
-                "retaining modes re-feed the corpus on resume")
+                "classifier state capture requires a record sink and the "
+                "funnel detector; retaining modes re-feed the corpus on "
+                "resume")
         return {
             "funnel": self.funnel.state_dict(),
             "fold": self.fold.state_dict(),
@@ -604,10 +550,11 @@ class StreamingClassifier:
         with paused_gc():
             with self._perf.timer("classify.fold"):
                 results = self.fold.finalize()
-            with self._perf.timer("classify.emit"):
-                for index, item in self._pending:
-                    self._emit(index, item, results[index])
-                self._pending.clear()
+            pending = self._pending
+            self._emit([index for index, _ in pending],
+                       [item for _, item in pending],
+                       [results[index] for index, _ in pending])
+            pending.clear()
         if self._sink is not None:
             return []
         records = self._records

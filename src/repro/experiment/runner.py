@@ -238,7 +238,6 @@ class StudyRunner:
                 ip_to_domain=ClassifyContext.ip_map(infra),
                 process_non_spam=config.process_non_spam,
                 retain_original=config.retain_messages,
-                featurize=typo_model is not None,
             )
             true_kind_by_seq: Dict[int, TypoEmailKind] = {}
             classifier: Optional[StreamingClassifier] = None

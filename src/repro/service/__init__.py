@@ -28,10 +28,8 @@ from repro.service.bench import (
 from repro.service.engine import (
     AdmissionController,
     AdmissionPolicy,
-    LookupShardTask,
     RiskEngine,
     RiskVerdict,
-    run_lookup_shard,
 )
 from repro.service.health import (
     HEALTH_STATES,
@@ -55,8 +53,6 @@ __all__ = [
     "normalize_query",
     "RiskEngine",
     "RiskVerdict",
-    "LookupShardTask",
-    "run_lookup_shard",
     "LookupWorkload",
     "WorkloadMix",
     "ServeBenchResult",

@@ -53,15 +53,13 @@ from repro.core.distances import (
 )
 from repro.core.typogen import split_domain
 from repro.defenses.risktiers import TIER_ACTIONS, RiskPolicy
-from repro.ecosystem.delta import ChurnSchedule, _config_digest
-from repro.ecosystem.internet import InternetConfig
+from repro.ecosystem.delta import ChurnSchedule
 from repro.service.index import TypoRiskIndex, normalize_query
 from repro.util.artifact import canonical_json
 from repro.util.perf import PerfRegistry
-from repro.util.pool import parallel_map
 
 __all__ = ["RiskVerdict", "RiskEngine", "AdmissionPolicy",
-           "AdmissionController", "LookupShardTask", "run_lookup_shard"]
+           "AdmissionController"]
 
 #: edit-type priors (paper Figure 9): deletions and transpositions
 #: receive the most misdirected traffic, additions the least — the same
@@ -302,11 +300,7 @@ class RiskEngine:
         the verdict is still computed and memoized, but review-band
         bookkeeping (the human queue append) is skipped.
         """
-        if self._epoch != self.index.epoch:
-            # a churn delta landed since the memo warmed; stale verdicts
-            # must not outlive the world that produced them
-            self.clear_verdict_memo()
-            self._epoch = self.index.epoch
+        self._sync_epoch()
         cached = self._memo_probe(query)
         if cached is not None:
             self._hits += 1
@@ -315,6 +309,13 @@ class RiskEngine:
         verdict = self._classify(query, self.index.candidate_ranks)
         self._remember(verdict, enqueue_review=enqueue_review)
         return verdict
+
+    def _sync_epoch(self) -> None:
+        if self._epoch != self.index.epoch:
+            # a churn delta landed since the memo warmed; stale verdicts
+            # must not outlive the world that produced them
+            self.clear_verdict_memo()
+            self._epoch = self.index.epoch
 
     def lookup_bruteforce(self, query: str) -> RiskVerdict:
         """The same classification with brute-force candidate retrieval.
@@ -332,10 +333,10 @@ class RiskEngine:
 
         The serial path amortizes per-call overhead through the shared
         memo; ``jobs > 1`` partitions the stream across worker
-        processes (each holding a per-process engine over the same
-        world identity) and folds the computed verdicts back into the
-        resident memo, so results are identical to serial lookups in
-        order and content.
+        processes (the resilient server's shards under the empty fault
+        plan) and folds the computed verdicts back into the resident
+        memo, review queue and hit/miss counters, so verdicts and
+        resident state are identical to serial lookups.
         """
         work = list(queries)
         if (jobs is None or jobs <= 1 or len(work) <= 1
@@ -344,23 +345,18 @@ class RiskEngine:
             # don't ship to shard workers, and the memo amortizes anyway
             lookup = self.lookup
             return [lookup(query) for query in work]
-        shard_count = min(jobs, len(work))
-        step = (len(work) + shard_count - 1) // shard_count
-        churn = tuple(sorted(self.index.churn_map().items()))
-        tasks = [LookupShardTask(
-            seed=self.index.seed, max_rank=self.index.max_rank,
-            day=self.index.day, churn=churn, config=self.index.config,
-            policy=self.policy,
-            allowlist=tuple(sorted(self._allow)),
-            blocklist=tuple(sorted(self._block)),
-            queries=tuple(work[low:low + step]))
-            for low in range(0, len(work), step)]
-        shards = parallel_map(run_lookup_shard, tasks, jobs=jobs,
+        from repro.faultsim.plan import FaultPlan
+        from repro.service.health import fan_out_lookups
+
+        out = fan_out_lookups(self, work, jobs, plan=FaultPlan.empty(),
                               perf=self.perf)
-        out = [verdict for shard in shards for verdict in shard]
+        self._sync_epoch()
         for verdict in out:
             if self._memo_probe(verdict.query) is None:
+                self._misses += 1
                 self._remember(verdict)
+            else:
+                self._hits += 1
         return out
 
     def apply_delta(self, schedule: ChurnSchedule, day: int) -> int:
@@ -735,47 +731,3 @@ class RiskEngine:
             target_rank=rank, edit_type=op, fat_finger=fat_finger,
             visual=visual, registered=True, score=best_score,
             candidates=tuple(names))
-
-
-# -- pool fan-out ---------------------------------------------------------
-#
-# The batch path ships (world identity, policy, queries) to module-level
-# workers — the same picklable-task idiom as the sharded scan.  Each
-# worker process keeps one engine per world identity so a stream of
-# batches pays index construction once, not per batch.
-
-
-@dataclass(frozen=True)
-class LookupShardTask:
-    """One picklable slice of a batch lookup."""
-
-    seed: int
-    max_rank: int
-    day: int
-    churn: Tuple[Tuple[int, int], ...]
-    config: Optional[InternetConfig]
-    policy: RiskPolicy
-    allowlist: Tuple[str, ...]
-    blocklist: Tuple[str, ...]
-    queries: Tuple[str, ...]
-
-
-_SHARD_ENGINE: Dict[Tuple, RiskEngine] = {}
-
-
-def run_lookup_shard(task: LookupShardTask) -> List[RiskVerdict]:
-    """Process-pool entry point: classify one shard of queries."""
-    key = (task.seed, task.max_rank, task.day, task.churn, task.policy,
-           task.allowlist, task.blocklist, _config_digest(task.config))
-    engine = _SHARD_ENGINE.get(key)
-    if engine is None:
-        _SHARD_ENGINE.clear()      # one resident world per worker
-        index = TypoRiskIndex(task.seed, task.max_rank,
-                              config=task.config,
-                              churn=dict(task.churn), day=task.day)
-        engine = RiskEngine(index, policy=task.policy,
-                            allowlist=task.allowlist,
-                            blocklist=task.blocklist)
-        _SHARD_ENGINE[key] = engine
-    lookup = engine.lookup
-    return [lookup(query) for query in task.queries]

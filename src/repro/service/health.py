@@ -260,25 +260,10 @@ class ResilientServer:
         work = list(queries)
         if jobs is None or jobs <= 1 or len(work) <= 1:
             return [self.lookup(query) for query in work]
-        engine = self.engine
-        index = engine.index
-        base = self.injector.sequence
-        shard_count = min(jobs, len(work))
-        step = (len(work) + shard_count - 1) // shard_count
-        churn = tuple(sorted(index.churn_map().items()))
-        tasks = [ChaosShardTask(
-            seed=index.seed, max_rank=index.max_rank, day=index.day,
-            churn=churn, config=index.config, policy=engine.policy,
-            allowlist=tuple(sorted(engine._allow)),
-            blocklist=tuple(sorted(engine._block)),
-            plan=self.plan, offset=base + low,
-            admission=self.admission.policy, health=self.health_policy,
-            queries=tuple(work[low:low + step]),
-            scorer=engine.scorer, model=engine.model)
-            for low in range(0, len(work), step)]
-        shards = parallel_map(run_chaos_shard, tasks, jobs=jobs,
-                              perf=self.perf)
-        out = [verdict for shard in shards for verdict in shard]
+        out = fan_out_lookups(self.engine, work, jobs, plan=self.plan,
+                              offset=self.injector.sequence,
+                              admission=self.admission.policy,
+                              health=self.health_policy, perf=self.perf)
         for query, verdict in zip(work, out):
             self._fold(query, verdict)
         return out
@@ -414,13 +399,14 @@ class ResilientServer:
 
 @dataclass(frozen=True)
 class ChaosShardTask:
-    """One picklable slice of a chaos batch lookup.
+    """One picklable slice of a batch lookup.
 
-    Carries the world identity (like
-    :class:`~repro.service.engine.LookupShardTask`) plus the fault
-    plan, the shard's global sequence offset, and the admission/health
-    policies — everything a worker needs to rebuild the serial path's
-    exact state at ``offset``.
+    Carries the world identity plus the fault plan, the shard's global
+    sequence offset, and the admission/health policies — everything a
+    worker needs to rebuild the serial path's exact state at
+    ``offset``.  The fault-free fan-out of
+    :meth:`~repro.service.engine.RiskEngine.batch_lookup` ships the
+    empty plan.
     """
 
     seed: int
@@ -443,14 +429,15 @@ class ChaosShardTask:
 
 
 def run_chaos_shard(task: ChaosShardTask) -> List[RiskVerdict]:
-    """Process-pool entry point: serve one chaos shard.
+    """Process-pool entry point: serve one shard.
 
     Builds a fresh engine (index construction is O(head targets) — the
-    mid-traffic churn swaps mutate it, so the fault-free resident-engine
-    cache cannot be shared), fast-forwards the resilient state to the
-    shard's global offset, and serves.  Only the verdicts ship back;
-    the worker's memo/review/counter state is discarded — the parent
-    reconstructs the serial-equivalent state by replaying the fold.
+    mid-traffic churn swaps mutate it, so it cannot be shared),
+    fast-forwards the resilient state to the shard's global offset
+    (nothing to replay under the empty plan), and serves.  Only the
+    verdicts ship back; the worker's memo/review/counter state is
+    discarded — the parent reconstructs the serial-equivalent state by
+    replaying the fold.
     """
     index = TypoRiskIndex(task.seed, task.max_rank, config=task.config,
                           churn=dict(task.churn), day=task.day)
@@ -460,6 +447,37 @@ def run_chaos_shard(task: ChaosShardTask) -> List[RiskVerdict]:
                         scorer=task.scorer, model=task.model)
     server = ResilientServer(engine, task.plan,
                              admission=task.admission, health=task.health)
-    server.fast_forward(task.offset)
+    if not task.plan.is_empty:
+        server.fast_forward(task.offset)
     lookup = server.lookup
     return [lookup(query) for query in task.queries]
+
+
+def fan_out_lookups(engine: RiskEngine, queries: Sequence[str], jobs: int,
+                    *, plan: FaultPlan, offset: int = 0,
+                    admission: Optional[AdmissionPolicy] = None,
+                    health: Optional[HealthPolicy] = None,
+                    perf: Optional[PerfRegistry] = None
+                    ) -> List[RiskVerdict]:
+    """Serve ``queries`` as contiguous shards on worker processes.
+
+    Returns the verdicts in stream order; folding them into the
+    resident engine's state is the caller's job.
+    """
+    index = engine.index
+    shard_count = min(jobs, len(queries))
+    step = (len(queries) + shard_count - 1) // shard_count
+    churn = tuple(sorted(index.churn_map().items()))
+    tasks = [ChaosShardTask(
+        seed=index.seed, max_rank=index.max_rank, day=index.day,
+        churn=churn, config=index.config, policy=engine.policy,
+        allowlist=tuple(sorted(engine._allow)),
+        blocklist=tuple(sorted(engine._block)),
+        plan=plan, offset=offset + low,
+        admission=admission or AdmissionPolicy(),
+        health=health or HealthPolicy(),
+        queries=tuple(queries[low:low + step]),
+        scorer=engine.scorer, model=engine.model)
+        for low in range(0, len(queries), step)]
+    shards = parallel_map(run_chaos_shard, tasks, jobs=jobs, perf=perf)
+    return [verdict for shard in shards for verdict in shard]

@@ -72,3 +72,27 @@ class TestCommands:
                      "--jobs", "2"]) == 0
         sharded = capsys.readouterr().out
         assert serial == sharded
+
+
+class TestInterrupt:
+    """Ctrl-C ends a run with one line and the SIGINT status, 130."""
+
+    @pytest.fixture(autouse=True)
+    def interrupted_study(self, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("repro.cli._cmd_study", interrupt)
+
+    def test_checkpointed_study_points_at_resume(self, tmp_path, capsys):
+        path = str(tmp_path / "run.ckpt")
+        assert main(["study", "--checkpoint", path]) == 130
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "intact" in captured.err
+        assert f"--resume {path}" in captured.err
+
+    def test_plain_study_prints_one_line(self, capsys):
+        assert main(["study"]) == 130
+        err = capsys.readouterr().err
+        assert err == "interrupted\n"

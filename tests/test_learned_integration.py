@@ -23,6 +23,18 @@ from repro.util.errors import ConfigError
 TINY_SEED = 707
 STUDY_CONFIG = dict(seed=2016, spam_scale=2e-5)
 
+#: record-stream digests of the learned-detector study (the
+#: ``model_file`` model on ``STUDY_CONFIG``), pinned before the learned
+#: overlay moved into the classify loop so that moving it can never
+#: change a verdict; every mode emits the funnel run's 7,870 records
+PINNED_LEARNED = {
+    "learned": ("2a894833e02c10b1529b12f264dcb8e3be7b16460b457ca693397fa"
+                "e4804f41a"),
+    "both": ("ee4c39853b4c2437b70b7822c237ea6a29e5b0ea63eb1662e02690fb5a2"
+             "59b7a"),
+}
+PINNED_LEARNED_COUNT = 7870
+
 
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
@@ -98,6 +110,18 @@ class TestStudyIntegration:
             classify_jobs=2)).run()
         assert record_stream_digest(serial.records) == \
             record_stream_digest(parallel.records)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("detector", ["learned", "both"])
+    def test_learned_study_matches_pinned_digest(self, model_file,
+                                                 detector, jobs):
+        _, path = model_file
+        results = StudyRunner(ExperimentConfig(
+            **STUDY_CONFIG, detector=detector, model_path=path,
+            classify_jobs=jobs)).run()
+        assert len(results.records) == PINNED_LEARNED_COUNT
+        assert record_stream_digest(results.records) == \
+            PINNED_LEARNED[detector]
 
     def test_both_mode_spam_is_a_superset_of_funnel_spam(self, model_file):
         _, path = model_file

@@ -101,3 +101,41 @@ class TestPerfRegistry:
         assert throughput(100, 0.0) == 0.0
         assert throughput(100, -1.0) == 0.0
         assert throughput(100, 4.0) == 25.0
+
+
+class TestBenchTraceHooks:
+    """The bench harness's traced run wraps program entry points by name.
+
+    ``perfbench/spans.py`` lists them as ``(owner, attribute)`` pairs;
+    a rename in the program would only surface as a crash of a traced
+    bench run, so installing and uninstalling the tracer here proves
+    every listed entry point still resolves.
+    """
+
+    @pytest.fixture(scope="class")
+    def spans(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("_bench_spans", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_entry_point_wraps_and_restores(self, spans):
+        def raw_attributes():
+            for spec, attr, _ in spans.ENTRY_POINTS:
+                owner = spans._resolve(spec)
+                yield (owner.__dict__[attr] if isinstance(owner, type)
+                       else getattr(owner, attr))
+
+        before = list(raw_attributes())
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            wrapped = list(raw_attributes())
+        finally:
+            tracer.uninstall()
+        assert all(hasattr(fn, "__wrapped__") for fn in wrapped)
+        assert all(a is b for a, b in zip(raw_attributes(), before))

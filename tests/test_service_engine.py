@@ -209,6 +209,31 @@ class TestBatchLookup:
         assert len(serial.review_queue) > 0
 
 
+    def test_parallel_batch_state_equals_serial(self, index,
+                                                sample_queries):
+        """The fan-out's fold counts memo hits and misses like lookups.
+
+        Verdicts, ``cache_stats()`` and the review queue after a
+        ``jobs=2`` batch all equal the ``jobs=1`` run over a stream with
+        repeats (hits), rules/exact verdicts and review-band verdicts.
+        """
+        policy = RiskPolicy(critical=0.99, high=0.98, medium=0.97,
+                            review=0.01)
+        queries = (["gmail.com", "not a domain"] + sample_queries[150:160]
+                   + ["gmail.com"] + sample_queries[150:158])
+        runs = []
+        for jobs in (1, 2):
+            engine = RiskEngine(index, policy=policy)
+            verdicts = engine.batch_lookup(queries, jobs=jobs)
+            runs.append(([v.canonical_json() for v in verdicts],
+                         engine.cache_stats(),
+                         [v.canonical_json() for v in engine.review_queue]))
+        assert runs[1] == runs[0]
+        assert runs[0][1]["hits"] == 9
+        assert runs[0][1]["misses"] == len(queries) - 9
+        assert runs[0][2]
+
+
 class TestPersistence:
     def test_round_trip_preserves_every_verdict(self, tmp_path, engine,
                                                 sample_queries):
