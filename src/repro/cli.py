@@ -340,6 +340,11 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if args.bounded_memory and not args.streaming:
         print("--bounded-memory requires --streaming", file=sys.stderr)
         return 2
+    if args.streaming and args.jobs is not None and args.jobs > 1 \
+            and not args.seeds:
+        print("--streaming classifies each day inline; drop --jobs or "
+              "--streaming", file=sys.stderr)
+        return 2
     if args.bounded_memory and args.seeds:
         print("--bounded-memory needs a single-seed run", file=sys.stderr)
         return 2

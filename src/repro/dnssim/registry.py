@@ -49,6 +49,9 @@ class DomainRegistry:
 
     def __init__(self) -> None:
         self._registrations: Dict[str, Registration] = {}
+        #: bumped by every register/deregister, so answers derived from
+        #: the registry (the resolver's route memo) can tell they are stale
+        self.generation = 0
 
     def register(self, registration: Registration) -> None:
         """Register a domain; double registration is an error."""
@@ -56,6 +59,7 @@ class DomainRegistry:
         if domain in self._registrations:
             raise ValueError(f"domain {domain!r} already registered")
         self._registrations[domain] = registration
+        self.generation += 1
 
     def deregister(self, domain: str) -> None:
         """Remove a registration; unknown domains raise KeyError."""
@@ -63,6 +67,7 @@ class DomainRegistry:
         if domain not in self._registrations:
             raise KeyError(domain)
         del self._registrations[domain]
+        self.generation += 1
 
     def is_registered(self, domain: str) -> bool:
         """Whether ``domain`` is currently registered."""

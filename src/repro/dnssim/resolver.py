@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dnssim.records import RecordType, normalize_name
 from repro.dnssim.registry import DomainRegistry
+from repro.dnssim.zone import Zone
 
 __all__ = ["Resolver", "MailRoute", "ResolutionStatus"]
 
@@ -48,11 +49,23 @@ class MailRoute:
         return self.status is ResolutionStatus.OK and bool(self.addresses)
 
 
+#: entries the route memo holds before it is cleared wholesale
+_ROUTE_MEMO_MAX = 1 << 12
+
+
 class Resolver:
-    """Resolves names against a :class:`DomainRegistry`."""
+    """Resolves names against a :class:`DomainRegistry`.
+
+    :meth:`mail_route` answers from a per-resolver memo.  An entry holds
+    the registry generation and the version of every zone its answer
+    read, and is used only while all of them are unchanged, so a memo
+    hit always equals a fresh resolution.
+    """
 
     def __init__(self, registry: DomainRegistry) -> None:
         self._registry = registry
+        # name -> (registry generation, ((zone, version), ...), route)
+        self._routes: Dict[str, Tuple[int, tuple, MailRoute]] = {}
 
     def resolve_a(self, name: str) -> List[str]:
         """IPv4 addresses for ``name`` (empty when none/NXDOMAIN)."""
@@ -74,16 +87,35 @@ class Resolver:
         Applies RFC 5321: MX first; if the domain exists but has no MX,
         treat its A record as an implicit MX of priority 0.
         """
-        domain = normalize_name(domain)
+        entry = self._routes.get(domain)
+        if entry is not None and entry[0] == self._registry.generation \
+                and all(zone.version == version
+                        for zone, version in entry[1]):
+            return entry[2]
+        zones: List[Zone] = []
+        route = self._resolve_route(normalize_name(domain), zones)
+        if len(self._routes) >= _ROUTE_MEMO_MAX:
+            self._routes.clear()
+        self._routes[domain] = (
+            self._registry.generation,
+            tuple((zone, zone.version) for zone in zones), route)
+        return route
+
+    def _resolve_route(self, domain: str, zones: List[Zone]) -> MailRoute:
+        """Resolve ``domain``'s route, appending every zone read to ``zones``."""
         zone = self._registry.zone_for(domain)
         if zone is None:
             return MailRoute(domain, ResolutionStatus.NXDOMAIN)
+        zones.append(zone)
 
         mx_hosts = zone.mx_hosts(domain)
         if mx_hosts:
             addresses: List[str] = []
             for host in mx_hosts:
-                addresses.extend(self.resolve_a(host))
+                host_zone = self._registry.zone_for(host)
+                if host_zone is not None:
+                    zones.append(host_zone)
+                    addresses.extend(host_zone.a_addresses(host))
             if not addresses:
                 return MailRoute(domain, ResolutionStatus.NO_MAIL_HOST,
                                  mx_hosts=tuple(mx_hosts))

@@ -27,6 +27,9 @@ class Zone:
         self.origin = normalize_name(self.origin)
         for record in self.records:
             self._check_in_zone(record)
+        #: bumped by every :meth:`add`, so answers derived from the
+        #: zone (the resolver's route memo) can tell they are stale
+        self.version = 0
 
     def _check_in_zone(self, record: ResourceRecord) -> None:
         name = record.name[2:] if record.is_wildcard else record.name
@@ -38,6 +41,7 @@ class Zone:
         """Add a record; it must belong under this zone's origin."""
         self._check_in_zone(record)
         self.records.append(record)
+        self.version += 1
 
     def lookup(self, name: str, rtype: RecordType) -> List[ResourceRecord]:
         """Records answering a query, exact matches shadowing wildcards."""

@@ -93,7 +93,9 @@ def config_identity(config) -> Dict:
             config.reflection_signups_per_domain,
         "spam": asdict(config.spam),
         "process_non_spam": config.process_non_spam,
-        "smtp_forwarding": config.smtp_forwarding,
+        # the direct-callback topology is gone; the key stays so that
+        # journals written before its removal still resume
+        "smtp_forwarding": True,
         "fault_plan": (config.fault_plan.to_dict()
                        if config.fault_plan is not None else None),
         "streaming_classify": config.streaming_classify,

@@ -44,9 +44,6 @@ class ExperimentConfig:
     spam: SpamConfig = field(default_factory=SpamConfig)
     #: scrub+process non-spam emails (needed for Figure 6)
     process_non_spam: bool = True
-    #: route mail through the Figure-1 two-hop topology (VPS relays over
-    #: SMTP to the central collector) instead of a direct callback
-    smtp_forwarding: bool = True
     #: deterministic chaos schedule (see :mod:`repro.faultsim`); None or
     #: an empty plan reproduces the fault-free byte stream exactly
     fault_plan: Optional[FaultPlan] = None
@@ -84,6 +81,11 @@ class ExperimentConfig:
             raise ValueError("yearly_true_typos must be non-negative")
         if self.classify_jobs is not None and self.classify_jobs < 1:
             raise ValueError("classify_jobs must be >= 1")
+        if self.streaming_classify and self.classify_jobs is not None \
+                and self.classify_jobs > 1:
+            raise ValueError(
+                "streaming_classify classifies each day inline; "
+                "classify_jobs > 1 needs the batch classifier")
         if not self.retain_messages and not self.streaming_classify:
             raise ValueError(
                 "retain_messages=False requires streaming_classify=True")

@@ -33,7 +33,8 @@ from repro.experiment.classify import (
 from repro.experiment.config import ExperimentConfig
 from repro.faultsim.inject import FaultyResolver, StudyFaultInjector
 from repro.faultsim.plan import InjectedStudyCrash
-from repro.infra import CollectionInfrastructure, provision_study
+from repro.infra import (CollectionInfrastructure, attach_forwarding,
+                         provision_study)
 from repro.smtpsim import Network, SmtpClient
 from repro.smtpsim.message import EmailMessage
 from repro.smtpsim.retryqueue import RetryQueue
@@ -170,10 +171,7 @@ class StudyRunner:
                 network = Network(self._rng.child("network"))
                 infra = provision_study(corpus, registry, network)
                 collector = infra.collector
-                if config.smtp_forwarding:
-                    from repro.infra.forwarding import attach_forwarding
-
-                    attach_forwarding(infra, network)
+                attach_forwarding(infra, network)
                 window = paper_window(outage_spans=config.outage_spans)
 
             # -- fault injection (only when a non-trivial plan is given:

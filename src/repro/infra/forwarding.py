@@ -72,21 +72,21 @@ def _make_forwarder(vps: SmtpServer, collector_server: SmtpServer,
         session.banner()
         # the VPS identifies itself with its typo-domain hostname: the
         # fingerprint Layer 1 verifies
-        session.command(f"EHLO {vps.hostname}")
+        session.ehlo(vps.hostname)
         sender = message.envelope_from or "forwarder@invalid"
-        reply = session.command(f"MAIL FROM:<{sender}>")
+        reply = session.mail_from(sender)
         if not reply.is_success:
             stats.forward_failures += 1
             return
         recipients = message.envelope_to or ["catchall@collector"]
         accepted_any = False
         for recipient in recipients:
-            if session.command(f"RCPT TO:<{recipient}>").is_success:
+            if session.rcpt_to(recipient).is_success:
                 accepted_any = True
         if not accepted_any:
             stats.forward_failures += 1
             return
-        if session.command("DATA").code != 354:
+        if session.data().code != 354:
             stats.forward_failures += 1
             return
         reply = collector_server.receive(session, message,

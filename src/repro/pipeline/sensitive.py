@@ -147,15 +147,25 @@ _EMAIL_RE = re.compile(r"\b[a-zA-Z0-9._%+-]+@[a-zA-Z0-9.-]+\.[a-zA-Z]{2,}\b")
 _ZIP_RE = re.compile(
     r"(?:\b[A-Z]{2}[,]?\s+(\d{5}(?:-\d{4})?)\b)|(?:\bzip(?:\s*code)?\s*[:#]?\s*(\d{5}(?:-\d{4})?)\b)",
     re.IGNORECASE)
+#: the keywords each labelled-identifier pattern starts with; they also
+#: drive the keyword gate in :meth:`SensitiveScrubber.find`
+_PASSWORD_KEYWORDS = ("password", "passwd", "pwd", "passcode")
+_USERNAME_KEYWORDS = ("username", "user name", "user id", "userid", "login")
+_IDNUMBER_KEYWORDS = (
+    "id number", "identification number", "member id", "account number",
+    "case id", "case number", "reference number", "record number",
+    "policy number")
+_KEYWORDS = _PASSWORD_KEYWORDS + _USERNAME_KEYWORDS + _IDNUMBER_KEYWORDS
 _PASSWORD_RE = re.compile(
-    r"\b(?:password|passwd|pwd|passcode)\s*(?:is|[:=])?\s+(\S+)", re.IGNORECASE)
+    rf"\b(?:{'|'.join(_PASSWORD_KEYWORDS)})\s*(?:is|[:=])?\s+(\S+)",
+    re.IGNORECASE)
 _USERNAME_RE = re.compile(
-    r"\b(?:username|user name|user id|userid|login)\s*(?:is|[:=])?\s+(\S+)",
+    rf"\b(?:{'|'.join(_USERNAME_KEYWORDS)})\s*(?:is|[:=])?\s+(\S+)",
     re.IGNORECASE)
 _IDNUMBER_RE = re.compile(
-    r"\b(?:id(?:entification)? number|member id|account number|case (?:id|number)|"
-    r"reference number|record number|policy number)\s*[:#]?\s*([A-Za-z0-9-]{4,20})\b",
+    rf"\b(?:{'|'.join(_IDNUMBER_KEYWORDS)})\s*[:#]?\s*([A-Za-z0-9-]{{4,20}})\b",
     re.IGNORECASE)
+_KEYWORD_RE = re.compile(rf"\b(?:{'|'.join(_KEYWORDS)})", re.IGNORECASE)
 _DATE_RES = (
     re.compile(r"\b\d{4}-\d{2}-\d{2}\b"),
     re.compile(r"\b\d{1,2}/\d{1,2}/\d{2,4}\b"),
@@ -194,12 +204,16 @@ class SensitiveScrubber:
             candidates.extend(_simple(text, _PHONE_RE, "phone"))
             for pattern in _DATE_RES:
                 candidates.extend(_simple(text, pattern, "date"))
-        candidates.extend(_simple(text, _EMAIL_RE, "email"))
+        if "@" in text:
+            candidates.extend(_simple(text, _EMAIL_RE, "email"))
         if has_digit:
             candidates.extend(_zip_matches(text))
-        candidates.extend(_group(text, _PASSWORD_RE, "password", group=1))
-        candidates.extend(_group(text, _USERNAME_RE, "username", group=1))
-        candidates.extend(_group(text, _IDNUMBER_RE, "idnumber", group=1))
+        if _has_keyword(text):
+            candidates.extend(_group(text, _PASSWORD_RE, "password", group=1))
+            candidates.extend(_group(text, _USERNAME_RE, "username", group=1))
+            candidates.extend(_group(text, _IDNUMBER_RE, "idnumber", group=1))
+        if not candidates:
+            return []
         return _resolve_overlaps(candidates)
 
     def _find_cards(self, text: str) -> List[SensitiveMatch]:
@@ -263,6 +277,20 @@ class SensitiveScrubber:
 
 
 # -- helpers --------------------------------------------------------------------
+
+
+def _has_keyword(text: str) -> bool:
+    """Whether a keyword of the password/username/idnumber patterns occurs.
+
+    On ASCII text ``str.lower`` folds case exactly as ``re.IGNORECASE``
+    does, so substring tests suffice; other text can match through
+    Unicode case folds (``ſ`` for ``s``, ``ı`` for ``i``) and takes the
+    case-insensitive regex.
+    """
+    if text.isascii():
+        lowered = text.lower()
+        return any(keyword in lowered for keyword in _KEYWORDS)
+    return _KEYWORD_RE.search(text) is not None
 
 
 def _simple(text: str, pattern: Pattern, kind: str) -> List[SensitiveMatch]:

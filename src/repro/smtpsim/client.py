@@ -140,27 +140,28 @@ class SmtpClient:
             from_header = message.sender
             sender = from_header.bare if from_header else "nobody@invalid"
 
-        for line in (f"EHLO {self.helo_hostname}",
-                     f"MAIL FROM:<{sender}>",
-                     f"RCPT TO:<{recipient}>"):
-            reply = session.command(line)
-            if not reply.is_success:
-                session.command("QUIT")
-                if reply.is_permanent_failure:
-                    status = SendStatus.BOUNCED
-                elif reply.is_transient_failure:
-                    status = SendStatus.TEMPFAIL
-                else:
-                    status = SendStatus.OTHER_ERROR
-                return status, reply
+        reply = session.ehlo(self.helo_hostname)
+        if reply.is_success:
+            reply = session.mail_from(sender)
+            if reply.is_success:
+                reply = session.rcpt_to(recipient)
+        if not reply.is_success:
+            session.quit()
+            if reply.is_permanent_failure:
+                status = SendStatus.BOUNCED
+            elif reply.is_transient_failure:
+                status = SendStatus.TEMPFAIL
+            else:
+                status = SendStatus.OTHER_ERROR
+            return status, reply
 
-        reply = session.command("DATA")
+        reply = session.data()
         if reply.code != 354:
-            session.command("QUIT")
+            session.quit()
             return SendStatus.OTHER_ERROR, reply
 
         reply = server.receive(session, message, timestamp=timestamp)
-        session.command("QUIT")
+        session.quit()
         if reply.is_success:
             return SendStatus.DELIVERED, reply
         if reply.is_transient_failure:

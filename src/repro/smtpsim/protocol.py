@@ -41,8 +41,8 @@ class SmtpReply:
 
     def __str__(self) -> str:
         # replies are shared across sessions (see the reply caches below)
-        # and each one is rendered into every transcript, so the wire
-        # string is memoized per instance
+        # and re-rendered on every transcript read, so the wire string is
+        # memoized per instance
         rendered = self.__dict__.get("_rendered")
         if rendered is None:
             rendered = f"{self.code} {self.text}"
@@ -94,10 +94,13 @@ def accept_all_policy(recipient: str) -> Tuple[bool, str]:
 class SmtpSession:
     """Server-side SMTP conversation.
 
-    Drive it with :meth:`command` calls and a final :meth:`data_payload`;
-    the session records the envelope so the server can construct the
-    received message.  STARTTLS is modelled as a capability flag that the
-    ecosystem scanner reads; no actual cryptography is simulated.
+    Drive it with the verbs (:meth:`ehlo`, :meth:`mail_from`,
+    :meth:`rcpt_to`, :meth:`data`, :meth:`quit`) or with text
+    :meth:`command` lines, which parse into the same handlers, and a
+    final :meth:`data_payload`; the session records the envelope so the
+    server can construct the received message.  STARTTLS is modelled as
+    a capability flag that the ecosystem scanner reads; no actual
+    cryptography is simulated.
     """
 
     def __init__(self, server_hostname: str,
@@ -115,7 +118,12 @@ class SmtpSession:
         self.envelope_from: Optional[str] = None
         self.envelope_to: List[str] = []
         self.tls_active = False
-        self.transcript: List[str] = []
+        self._replies: List[SmtpReply] = []
+
+    @property
+    def transcript(self) -> List[str]:
+        """Every reply sent so far, as wire strings, in order."""
+        return [str(reply) for reply in self._replies]
 
     # -- banner -------------------------------------------------------------
 
@@ -128,6 +136,33 @@ class SmtpSession:
                 key, SmtpReply(220, f"{self.server_hostname} ESMTP ready"))
         return self._log(reply)
 
+    # -- verbs ----------------------------------------------------------------
+
+    def ehlo(self, hostname: str) -> SmtpReply:
+        """``EHLO hostname``."""
+        self._check_open()
+        return self._log(self._ehlo(hostname))
+
+    def mail_from(self, address: str) -> SmtpReply:
+        """``MAIL FROM:<address>``; ``""`` is the null reverse-path."""
+        self._check_open()
+        return self._log(self._mail(address))
+
+    def rcpt_to(self, address: str) -> SmtpReply:
+        """``RCPT TO:<address>``."""
+        self._check_open()
+        return self._log(self._rcpt(address))
+
+    def data(self) -> SmtpReply:
+        """``DATA``: 354 when at least one recipient was accepted."""
+        self._check_open()
+        return self._log(self._data(""))
+
+    def quit(self) -> SmtpReply:
+        """``QUIT``: closes the session."""
+        self._check_open()
+        return self._log(self._quit(""))
+
     # -- command dispatch -----------------------------------------------------
 
     #: verb -> unbound handler; class-level so dispatch costs one dict
@@ -135,8 +170,8 @@ class SmtpSession:
     _HANDLERS = {
         "HELO": "_helo",
         "EHLO": "_ehlo",
-        "MAIL": "_mail",
-        "RCPT": "_rcpt",
+        "MAIL": "_mail_line",
+        "RCPT": "_rcpt_line",
         "DATA": "_data",
         "RSET": "_rset",
         "NOOP": "_noop",
@@ -145,9 +180,8 @@ class SmtpSession:
     }
 
     def command(self, line: str) -> SmtpReply:
-        """Dispatch one client command line and return the server reply."""
-        if self.state is SmtpState.CLOSED:
-            raise RuntimeError("session is closed")
+        """Parse one client command line and return the server reply."""
+        self._check_open()
         verb, _, argument = line.strip().partition(" ")
         # clients overwhelmingly send upper-case verbs already; only pay
         # for .upper() when the exact-match lookup misses
@@ -199,22 +233,27 @@ class SmtpSession:
         self.tls_active = True
         return SmtpReply(220, "ready to start TLS")
 
-    def _mail(self, argument: str) -> SmtpReply:
+    def _mail_line(self, argument: str) -> SmtpReply:
+        return self._mail(_extract_path(argument, "FROM"))
+
+    def _rcpt_line(self, argument: str) -> SmtpReply:
+        return self._rcpt(_extract_path(argument, "TO"))
+
+    def _mail(self, address: Optional[str]) -> SmtpReply:
         if self.state not in (SmtpState.GREETED, SmtpState.DONE):
             return SmtpReply(503, "send HELO/EHLO first")
-        address = _extract_path(argument, "FROM")
-        if address is None:
+        # the null reverse-path is legal (bounces); any other needs an @
+        if address is None or (address and "@" not in address):
             return SmtpReply(501, "syntax: MAIL FROM:<address>")
         self.envelope_from = address
         self.envelope_to = []
         self.state = SmtpState.MAIL
         return _REPLY_OK
 
-    def _rcpt(self, argument: str) -> SmtpReply:
+    def _rcpt(self, address: Optional[str]) -> SmtpReply:
         if self.state not in (SmtpState.MAIL, SmtpState.RCPT):
             return SmtpReply(503, "need MAIL before RCPT")
-        address = _extract_path(argument, "TO")
-        if address is None:
+        if address is None or (address and "@" not in address):
             return SmtpReply(501, "syntax: RCPT TO:<address>")
         if len(self.envelope_to) >= self.max_recipients:
             return SmtpReply(452, "too many recipients")
@@ -251,13 +290,21 @@ class SmtpSession:
                 221, f"{self.server_hostname} closing connection"))
         return reply
 
+    def _check_open(self) -> None:
+        if self.state is SmtpState.CLOSED:
+            raise RuntimeError("session is closed")
+
     def _log(self, reply: SmtpReply) -> SmtpReply:
-        self.transcript.append(str(reply))
+        self._replies.append(reply)
         return reply
 
 
 def _extract_path(argument: str, keyword: str) -> Optional[str]:
-    """Parse ``FROM:<a@b>`` / ``TO:<a@b>`` arguments; None on bad syntax."""
+    """Unwrap ``FROM:<path>`` / ``TO:<path>``; None on a bad keyword.
+
+    The path itself is checked by the MAIL/RCPT handler, so the text and
+    verb entries reject the same addresses.
+    """
     prefix = argument[:len(keyword) + 1]
     # exact match first: only pay for case folding on the rare
     # lower/mixed-case client
@@ -266,8 +313,4 @@ def _extract_path(argument: str, keyword: str) -> Optional[str]:
     path = argument[len(keyword) + 1:].strip()
     if path.startswith("<") and path.endswith(">"):
         path = path[1:-1]
-    if path == "":  # null reverse-path is legal for bounces
-        return ""
-    if "@" not in path:
-        return None
     return path

@@ -281,3 +281,10 @@ class TestConfigValidation:
     def test_classify_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(classify_jobs=0)
+
+    def test_streaming_rejects_classify_jobs(self):
+        # the streaming loop classifies each one-day chunk inline, so
+        # workers would never be used
+        with pytest.raises(ValueError, match="classify_jobs"):
+            ExperimentConfig(streaming_classify=True, classify_jobs=2)
+        ExperimentConfig(streaming_classify=True, classify_jobs=1)

@@ -73,6 +73,12 @@ class TestCommands:
         sharded = capsys.readouterr().out
         assert serial == sharded
 
+    def test_streaming_with_jobs_is_a_usage_error(self, capsys):
+        assert main(["study", "--streaming", "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--streaming" in err
+
 
 class TestInterrupt:
     """Ctrl-C ends a run with one line and the SIGINT status, 130."""

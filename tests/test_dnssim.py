@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import build_study_corpus
+from repro.dnssim import resolver as resolver_module
 from repro.dnssim import (
     DomainRegistry,
     MailRoute,
@@ -15,6 +17,11 @@ from repro.dnssim import (
     is_valid_ipv4,
     normalize_name,
 )
+from repro.faultsim.inject import FaultyResolver, StudyFaultInjector
+from repro.faultsim.plan import DnsFaultSpell, FaultPlan
+from repro.infra import provision_study, surrender_domain
+from repro.smtpsim import Network
+from repro.util import SeededRng
 
 
 class TestRecords:
@@ -213,3 +220,107 @@ class TestResolver:
         route = self._setup().mail_route("exampel.com")
         assert route.mx_hosts == ("exampel.com",)
         assert route.addresses == ("1.1.1.1",)
+
+
+class TestRouteMemo:
+    """``Resolver.mail_route`` memoizes, but never serves a stale route."""
+
+    def _world(self):
+        registry = DomainRegistry()
+        zone = Zone(origin="shop.com")
+        zone.add(ResourceRecord("shop.com", RecordType.MX, "mx.mailhost.com",
+                                priority=10))
+        registry.register(Registration(domain="shop.com", zone=zone))
+        host_zone = Zone(origin="mailhost.com")
+        host_zone.add(ResourceRecord("mx.mailhost.com", RecordType.A,
+                                     "9.9.9.9"))
+        registry.register(Registration(domain="mailhost.com", zone=host_zone))
+        resolver = Resolver(registry)
+        assert resolver.mail_route("shop.com").addresses == ("9.9.9.9",)
+        return registry, zone, host_zone, resolver
+
+    def test_repeat_lookup_is_memoized(self):
+        _, _, _, resolver = self._world()
+        assert resolver.mail_route("shop.com") is \
+            resolver.mail_route("shop.com")
+
+    def test_register_invalidates(self):
+        registry = DomainRegistry()
+        resolver = Resolver(registry)
+        assert resolver.mail_route("new.com").status is \
+            ResolutionStatus.NXDOMAIN
+        registry.register(Registration(
+            domain="new.com", zone=collection_zone("new.com", "4.4.4.4")))
+        assert resolver.mail_route("new.com").addresses == ("4.4.4.4",)
+
+    def test_register_of_mx_host_domain_invalidates(self):
+        registry = DomainRegistry()
+        zone = Zone(origin="shop.com")
+        zone.add(ResourceRecord("shop.com", RecordType.MX, "mx.later.com",
+                                priority=1))
+        registry.register(Registration(domain="shop.com", zone=zone))
+        resolver = Resolver(registry)
+        assert resolver.mail_route("shop.com").status is \
+            ResolutionStatus.NO_MAIL_HOST
+        later = Zone(origin="later.com")
+        later.add(ResourceRecord("mx.later.com", RecordType.A, "5.5.5.5"))
+        registry.register(Registration(domain="later.com", zone=later))
+        assert resolver.mail_route("shop.com").addresses == ("5.5.5.5",)
+
+    def test_deregister_invalidates(self):
+        registry, _, _, resolver = self._world()
+        registry.deregister("shop.com")
+        assert resolver.mail_route("shop.com").status is \
+            ResolutionStatus.NXDOMAIN
+
+    def test_add_to_domain_zone_invalidates(self):
+        _, zone, host_zone, resolver = self._world()
+        host_zone.add(ResourceRecord("mx2.mailhost.com", RecordType.A,
+                                     "7.7.7.7"))
+        zone.add(ResourceRecord("shop.com", RecordType.MX, "mx2.mailhost.com",
+                                priority=5))
+        route = resolver.mail_route("shop.com")
+        assert route.mx_hosts == ("mx2.mailhost.com", "mx.mailhost.com")
+        assert route.addresses == ("7.7.7.7", "9.9.9.9")
+
+    def test_add_to_mx_host_zone_invalidates(self):
+        _, _, host_zone, resolver = self._world()
+        host_zone.add(ResourceRecord("mx.mailhost.com", RecordType.A,
+                                     "9.9.9.8"))
+        assert resolver.mail_route("shop.com").addresses == \
+            ("9.9.9.9", "9.9.9.8")
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(resolver_module, "_ROUTE_MEMO_MAX", 8)
+        _, _, _, resolver = self._world()
+        for index in range(50):
+            resolver.mail_route(f"absent{index}.com")
+            assert len(resolver._routes) <= 8
+        assert resolver.mail_route("shop.com").addresses == ("9.9.9.9",)
+
+    def test_surrender_mid_run_reroutes(self):
+        registry = DomainRegistry()
+        network = Network(SeededRng(55))
+        infra = provision_study(build_study_corpus(), registry, network)
+        resolver = Resolver(registry)
+        assert resolver.mail_route("gmaiql.com").can_receive_mail
+        surrender_domain(infra, registry, network, "gmaiql.com",
+                         "google-legal")
+        assert resolver.mail_route("gmaiql.com").status is \
+            ResolutionStatus.NO_MAIL_HOST
+        assert resolver.mail_route("ohtlook.com").can_receive_mail
+
+    def test_faulty_resolver_servfails_over_a_memoized_route(self):
+        _, _, _, resolver = self._world()
+        plan = FaultPlan(seed=3, dns_spells=(
+            DnsFaultSpell(start_day=2, end_day=3,
+                          domain_suffixes=("shop.com",)),))
+        injector = StudyFaultInjector(plan, total_days=5)
+        faulty = FaultyResolver(resolver, injector)
+        injector.begin_day(1)
+        assert faulty.mail_route("shop.com").status is ResolutionStatus.OK
+        injector.begin_day(2)
+        assert faulty.mail_route("shop.com").status is \
+            ResolutionStatus.SERVFAIL
+        injector.begin_day(3)
+        assert faulty.mail_route("shop.com").addresses == ("9.9.9.9",)

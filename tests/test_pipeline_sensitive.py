@@ -1,12 +1,17 @@
 """Tests for the sensitive-information scrubber (paper Table 2 machinery)."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline import (
     SENTINEL,
     SensitiveScrubber,
     card_brand,
     luhn_valid,
+    sensitive,
 )
 
 
@@ -196,3 +201,102 @@ class TestScrubbing:
     def test_non_sensitive_words_preserved(self, scrubber):
         result = scrubber.scrub("meeting moved to the blue room")
         assert result.text == "meeting moved to the blue room"
+
+
+# -- gated find == ungated reference ----------------------------------------------
+
+#: every keyword alternative of the password, username and idnumber
+#: patterns, spelled out independently of the module
+KEYWORDS = (
+    "password", "passwd", "pwd", "passcode",
+    "username", "user name", "user id", "userid", "login",
+    "id number", "identification number", "member id", "account number",
+    "case id", "case number", "reference number", "record number",
+    "policy number",
+)
+# the three keyword patterns exactly as first written, before the gate
+_REFERENCE_PASSWORD_RE = re.compile(
+    r"\b(?:password|passwd|pwd|passcode)\s*(?:is|[:=])?\s+(\S+)", re.IGNORECASE)
+_REFERENCE_USERNAME_RE = re.compile(
+    r"\b(?:username|user name|user id|userid|login)\s*(?:is|[:=])?\s+(\S+)",
+    re.IGNORECASE)
+_REFERENCE_IDNUMBER_RE = re.compile(
+    r"\b(?:id(?:entification)? number|member id|account number|case (?:id|number)|"
+    r"reference number|record number|policy number)\s*[:#]?\s*([A-Za-z0-9-]{4,20})\b",
+    re.IGNORECASE)
+
+
+def reference_find(scrubber, text):
+    """``find`` with every pattern run on every text: no gate at all."""
+    candidates = []
+    candidates.extend(scrubber._find_cards(text))
+    candidates.extend(sensitive._simple(text, sensitive._SSN_RE, "ssn"))
+    candidates.extend(sensitive._group(text, sensitive._SSN_CONTEXT_RE, "ssn",
+                                       group=1))
+    candidates.extend(sensitive._simple(text, sensitive._EIN_RE, "ein"))
+    candidates.extend(sensitive._simple(text, sensitive._VIN_RE, "vin"))
+    candidates.extend(sensitive._simple(text, sensitive._PHONE_RE, "phone"))
+    for pattern in sensitive._DATE_RES:
+        candidates.extend(sensitive._simple(text, pattern, "date"))
+    candidates.extend(sensitive._simple(text, sensitive._EMAIL_RE, "email"))
+    candidates.extend(sensitive._zip_matches(text))
+    candidates.extend(sensitive._group(text, _REFERENCE_PASSWORD_RE,
+                                       "password", group=1))
+    candidates.extend(sensitive._group(text, _REFERENCE_USERNAME_RE,
+                                       "username", group=1))
+    candidates.extend(sensitive._group(text, _REFERENCE_IDNUMBER_RE,
+                                       "idnumber", group=1))
+    return sensitive._resolve_overlaps(candidates)
+
+
+#: non-ASCII characters that re.IGNORECASE folds onto keyword letters
+_FOLDS = {"s": "ſ", "i": "ı", "k": "K"}
+
+
+@st.composite
+def _cased(draw, keyword):
+    """``keyword`` in random case, sometimes through a Unicode case fold."""
+    out = []
+    for char in keyword:
+        choice = draw(st.integers(0, 5))
+        if choice == 0 and char in _FOLDS:
+            out.append(_FOLDS[char])
+        else:
+            out.append(char.upper() if choice % 2 else char)
+    return "".join(out)
+
+
+_PIECES = st.one_of(
+    st.sampled_from(KEYWORDS).flatmap(_cased),
+    st.text(alphabet="0123456789", min_size=1, max_size=17),
+    st.sampled_from(["@", "a@b.com", "Bob.Smith@mail.example.org", " is ",
+                     ": ", " = ", " # ", "-", "/", " ", "\n", "CA ", "zip "]),
+    st.text(alphabet="abcxyzAB \t.,", max_size=6),
+)
+_SALTED = st.lists(_PIECES, max_size=12).map("".join)
+_FILLER = st.text(alphabet="ab Z1@.:ſ", max_size=8)
+_VALUE = st.text(alphabet="abcXYZ0123456789-", min_size=1, max_size=10)
+
+
+class TestGatedFindParity:
+    @pytest.mark.parametrize("keyword", KEYWORDS)
+    def test_each_keyword_alone_is_found(self, scrubber, keyword):
+        text = f"{keyword.upper()} Ab12cd"
+        expected = reference_find(scrubber, text)
+        assert expected
+        assert scrubber.find(text) == expected
+        assert scrubber.find(text.replace("1", "x")) == \
+            reference_find(scrubber, text.replace("1", "x"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SALTED)
+    def test_salted_texts(self, scrubber, text):
+        assert scrubber.find(text) == reference_find(scrubber, text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KEYWORDS).flatmap(_cased), _FILLER, _VALUE,
+           _FILLER)
+    def test_keyword_in_context(self, scrubber, keyword, before, value,
+                                after):
+        text = f"{before}{keyword} {value}{after}"
+        assert scrubber.find(text) == reference_find(scrubber, text)

@@ -1,6 +1,8 @@
 """Tests for the SMTP state machine, servers, transport, and client."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dnssim import (
     DomainRegistry,
@@ -277,3 +279,108 @@ class TestSmtpClient:
         client, _, _ = self._world()
         with pytest.raises(ValueError):
             client.send(EmailMessage())
+
+
+# -- verb / text parity ---------------------------------------------------------
+
+_HOSTS = st.sampled_from(["client.org", "", "mx.b.com"])
+_ADDRESSES = st.one_of(
+    st.sampled_from(["", "<>", "nobody", "a@b.com", " a@b.com ", "<a@b.com>",
+                     "  ", "x@other.com", "MiXeD@B.com"]),
+    st.text(alphabet="ab@<> .", max_size=8),
+)
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("EHLO"), _HOSTS),
+    st.tuples(st.just("MAIL"), _ADDRESSES),
+    st.tuples(st.just("RCPT"), _ADDRESSES),
+    st.tuples(st.just("DATA"), st.none()),
+    st.tuples(st.just("QUIT"), st.none()),
+), max_size=8)
+_LINE_STYLES = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+
+def _text_line(verb, argument, lower, padded, space_after_colon):
+    """The command line a client would send for one verb call."""
+    keyword = {"MAIL": "FROM:", "RCPT": "TO:"}.get(verb)
+    if lower:
+        verb = verb.lower()
+        keyword = keyword and keyword.lower()
+    if keyword is not None:
+        gap = " " if space_after_colon else ""
+        line = f"{verb} {keyword}{gap}<{argument}>"
+    elif argument is not None:
+        line = f"{verb} {argument}"
+    else:
+        line = verb
+    return f"  {line}  " if padded else line
+
+
+def _call_verb(session, verb, argument):
+    if verb == "EHLO":
+        return session.ehlo(argument)
+    if verb == "MAIL":
+        return session.mail_from(argument)
+    if verb == "RCPT":
+        return session.rcpt_to(argument)
+    if verb == "DATA":
+        return session.data()
+    return session.quit()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RuntimeError as error:
+        return ("RuntimeError", str(error))
+
+
+def _observable(session):
+    return (session.state, session.client_hostname, session.envelope_from,
+            list(session.envelope_to))
+
+
+class TestVerbTextParity:
+    """The verbs and the text parser drive one state machine."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_STEPS, _LINE_STYLES)
+    @example([("EHLO", "c.org"), ("MAIL", "nobody")], (False, False, False))
+    @example([("EHLO", "c.org"), ("MAIL", ""), ("RCPT", "nobody")],
+             (False, False, False))
+    def test_verbs_match_command_lines(self, steps, style):
+        def open_session():
+            session = SmtpSession("mx.b.com", max_recipients=2,
+                                  rcpt_policy=domain_policy(["b.com"]))
+            session.banner()
+            return session
+
+        by_text, by_verb = open_session(), open_session()
+        for verb, argument in steps:
+            text_reply = _outcome(lambda: by_text.command(
+                _text_line(verb, argument, *style)))
+            verb_reply = _outcome(lambda: _call_verb(by_verb, verb, argument))
+            assert text_reply == verb_reply, (verb, argument)
+            assert _observable(by_text) == _observable(by_verb)
+        assert by_text.transcript == by_verb.transcript
+
+    def test_verbs_require_an_at_sign(self):
+        session = SmtpSession("mx.b.com")
+        session.banner()
+        session.ehlo("c.org")
+        assert session.mail_from("nobody").code == 501
+        assert session.mail_from("").code == 250
+        assert session.rcpt_to("nobody").code == 501
+        assert session.envelope_to == []
+
+    def test_transcript_renders_each_reply(self):
+        session = SmtpSession("mx.b.com")
+        session.banner()
+        session.ehlo("c.org")
+        session.quit()
+        assert session.transcript == [
+            "220 mx.b.com ESMTP ready",
+            "250 mx.b.com greets c.org\nSTARTTLS",
+            "221 mx.b.com closing connection",
+        ]
+        with pytest.raises(RuntimeError):
+            session.data()

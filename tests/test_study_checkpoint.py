@@ -37,6 +37,7 @@ from repro.util.errors import (
     CheckpointMismatchError,
     ConfigError,
 )
+from repro.util.artifact import json_digest
 from repro.util.rand import SeededRng
 
 CHEAP = dict(seed=41, spam_scale=1e-5, ham_scale=0.5, outage_spans=())
@@ -209,6 +210,14 @@ class TestCheckpointFileDiscipline:
         other_seed = config_identity(
             ExperimentConfig(**dict(CHEAP, seed=99)))
         assert one != other_seed
+
+    def test_default_config_identity_is_pinned(self):
+        """Journals written before ``smtp_forwarding`` left the config
+        carry ``"smtp_forwarding": true``; the identity still matches."""
+        identity = config_identity(ExperimentConfig())
+        assert identity["smtp_forwarding"] is True
+        assert json_digest(identity) == (
+            "4dfa17985aaec2839ca7c5084bbfa97b248d50518e76e9a22321bd7873ca7cb5")
 
 
 class TestGuards:
