@@ -16,6 +16,18 @@ rank)`` on demand:
   from a rank-keyed uniform stream, and the zmap-style probe observation
   from another.
 
+One walk derives all of it, and each rule lives once inside it: the
+registration draw (:meth:`WorldModel._draws`, batched over head and
+filler-chunk blocks, confirmed by :func:`_confirm`), the wild-state law
+(:meth:`WorldModel._wild_codes`, small integer codes), and the
+membership oracle (:meth:`WorldModel.target_rank`, which drops a
+candidate that is itself a target).  Two consumers read it:
+:meth:`WorldModel.scan_ranks` probes and folds the codes into scan
+aggregates, and :meth:`WorldModel.featurize_ranks` packs them into
+feature words.  :meth:`WorldModel.iter_rank_states` maps the same codes
+to strings, the :class:`DomainState` form ``build_internet`` and the
+query service read.
+
 Every stream is a pure function of ``(seed, purpose, rank)``: uniforms
 come from a Philox counter-based generator whose key is
 ``derive_seed(seed, purpose)`` and whose 256-bit counter starts at
@@ -30,6 +42,7 @@ scanned world and an eagerly built one agree on ground truth.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
@@ -76,20 +89,12 @@ PARKED_MX_HOSTS: Tuple[str, ...] = tuple(
 WEB_MX_HOSTS: Tuple[str, ...] = tuple(
     f"web-mx-{i}.example" for i in range(3))
 
-_EDIT_TYPE_QUALITY = {
-    "deletion": 6.0,
-    "transposition": 5.0,
-    "substitution": 1.0,
-    "addition": 0.45,
-}
-
 #: owner classes by the small integer code the hot path switches on
 _OWNER_BY_CODE: Tuple[OwnerType, ...] = (
     OwnerType.DEFENSIVE, OwnerType.LEGITIMATE, OwnerType.BULK_SQUATTER,
     OwnerType.MEDIUM_SQUATTER, OwnerType.SMALL_SQUATTER)
 _OWNER_VALUE_BY_CODE: Tuple[str, ...] = tuple(
     owner.value for owner in _OWNER_BY_CODE)
-_SUPPORT_VALUE: Dict[SmtpSupport, str] = {s: s.value for s in SmtpSupport}
 
 #: SMTP support by the small integer code the hot path switches on —
 #: records carry codes so the streaming fold never hashes an enum
@@ -100,6 +105,15 @@ _SUPPORT_CODE: Dict[SmtpSupport, int] = {
     s: i for i, s in enumerate(_SUPPORT_BY_CODE)}
 _SUPPORT_VALUE_BY_CODE: Tuple[str, ...] = tuple(
     s.value for s in _SUPPORT_BY_CODE)
+
+#: string forms of the walk's edit-op, profile and policy codes
+_OP_NAMES = ("deletion", "transposition", "substitution", "addition")
+_PROFILES = ("collector", "reseller")          # by reseller flag
+_POLICIES = (None, "catch_all", "reject_unknown", "domain")
+
+#: the wild-state codes of every defensive registration (see
+#: ``WorldModel._wild_codes``): mail and DNS at the target, full WHOIS
+_DEFENSIVE_CODES = (0, 0, 5, 5, 0, False, 2, 0, False, 0, 6, 0)
 
 
 @dataclass(frozen=True)
@@ -227,7 +241,6 @@ class _RankKeyedStream:
 
 _ALPHA_SIZE = len(DOMAIN_ALPHABET)
 _ALPHA_CODES = np.frombuffer(DOMAIN_ALPHABET.encode("ascii"), dtype=np.uint8)
-_ALPHA_CODE_LIST = [ord(c) for c in DOMAIN_ALPHABET]
 _HYPHEN = ord("-")
 _HYPHEN_IDX = DOMAIN_ALPHABET.index("-")
 
@@ -261,17 +274,12 @@ for _i, _c in enumerate(DOMAIN_ALPHABET):
     _CODE2IDX[ord(_c)] = _i
 _CODE2IDX_LIST = _CODE2IDX.tolist()
 
-#: per-alphabet-index character classes, for the feature sweep's
-#: delta-computed lexical stats
-_IDX_IS_DIGIT = [c.isdigit() for c in DOMAIN_ALPHABET]
-_IDX_IS_VOWEL = [c in "aeiou" for c in DOMAIN_ALPHABET]
-_IDX_IS_HYPHEN = [c == "-" for c in DOMAIN_ALPHABET]
-
 # -- packed feature-row layout -------------------------------------------------
 #
 # ``WorldModel.featurize_ranks`` emits one (packed int, visual float) pair
 # per wild registered ctypo; everything else a feature row needs is either
-# inside the packed word or shared per rank.  Bit layout (LSB up):
+# inside the packed word or shared per rank.  The state fields are the
+# wild-state law's codes verbatim.  Bit layout (LSB up):
 #
 #   op:2  index:6  char:6  digits:6  hyphens:6  vowels:6  mx:3  addr:1
 #   ns:2  private:1  fields:3  policy:2  support:3  squat:1  adjacent:1
@@ -290,10 +298,17 @@ FEATURE_PACK_SHIFTS = {
     "adjacent": 48,
 }
 
-#: ranks per batched registration draw in the feature sweep — large
-#: enough to amortize the per-slab numpy dispatch, small enough that the
-#: draw matrix stays a few MB
-_FEATURE_BATCH = 256
+#: per-alphabet-index digit/hyphen/vowel bits at their packed offsets,
+#: so a label's lexical counts are one sum and an edit's are +/- a char
+_IDX_LEX = [(c.isdigit() << FEATURE_PACK_SHIFTS["digits"])
+            | ((c == "-") << FEATURE_PACK_SHIFTS["hyphens"])
+            | ((c in "aeiou") << FEATURE_PACK_SHIFTS["vowels"])
+            for c in DOMAIN_ALPHABET]
+
+#: ranks per batched registration draw in the walk — large enough to
+#: amortize the per-slab numpy dispatch, small enough that the draw
+#: matrix stays a few MB
+_DRAW_BATCH = 256
 
 #: sentinel marking a rank whose registration draw needs the dense path
 _DENSE = ("dense",)
@@ -527,30 +542,43 @@ def _generated_count(label: str) -> int:
 _PRESELECT_SCRATCH: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _label_indices(label: str) -> List[int]:
+    """The label's alphabet-index list, the confirm step's input."""
+    lidx = [_CODE2IDX_LIST[b] for b in label.encode("ascii")]
+    if min(lidx) < 0:
+        raise ValueError(f"label {label!r} has characters outside the "
+                         "domain alphabet")
+    return lidx
+
+
 def _grid_draw(label: str, reg_p: float,
                uniforms: np.ndarray) -> Tuple[int, List[int]]:
     """(generated count, registered flat indices) of one rank's raw grid."""
-    return _generated_count(label), _registered_flats(label, reg_p, uniforms)
+    flats, uvals = _candidates(label, reg_p, uniforms)
+    if uvals is not None:
+        flats = [slot[0] for slot in
+                 _confirm(_label_indices(label), reg_p, flats, uvals)]
+    return _generated_count(label), flats
 
 
-def _registered_flats(label: str, reg_p: float,
-                      uniforms: np.ndarray) -> List[int]:
-    """The registered flat indices of one rank's raw grid.
+def _candidates(label: str, reg_p: float, uniforms: np.ndarray
+                ) -> Tuple[List[int], Optional[List[float]]]:
+    """One rank's registration candidates as ``(flats, uniforms)``.
 
     Dense regime (the 0.95 probability cap can bind): evaluate the full
-    validity/quality masks.  Sparse regime (every slot's probability is
-    below the cap): preselect ``u < reg_p * section_max`` — a strict
-    superset of the registrations — then confirm the few survivors with
-    the scalar law.  Both paths compute the identical registered set; the
-    parity tests pin that.  Split from :func:`_grid_draw` so the chunked
-    scan loop can pair it with precomputed generated counts.
+    validity/quality masks; the flats are the registrations and the
+    uniforms ``None``, nothing being left to test.  Sparse regime (every
+    slot's probability is below the cap): preselect ``u < reg_p *
+    section_max`` — a strict superset of the registrations — for
+    :func:`_confirm` to settle with the scalar law.  Both paths register
+    the identical set; the parity tests pin that.
     """
-    length = len(label)
     if reg_p * _QUALITY_MAX >= 0.95:
         valid, quality, _ = _grid_masks(label)
         probability = np.minimum(0.95, reg_p * quality)
-        return np.nonzero(valid & (uniforms < probability))[0].tolist()
+        return np.nonzero(valid & (uniforms < probability))[0].tolist(), None
 
+    length = len(label)
     scratch = _PRESELECT_SCRATCH.get(length)
     if scratch is None:
         total = _grid_total(length)
@@ -560,177 +588,67 @@ def _registered_flats(label: str, reg_p: float,
     np.multiply(_section_upper(length), reg_p, out=thresh)
     np.less(uniforms, thresh, out=hits)
     cand_arr = hits.nonzero()[0]
-    if not cand_arr.size:
-        return []
-    return _confirm_flats(label, reg_p, cand_arr.tolist(),
-                          uniforms[cand_arr].tolist())
+    return cand_arr.tolist(), uniforms[cand_arr].tolist()
 
 
-def _confirm_flats(label: str, reg_p: float, cand_flats: List[int],
-                   uvals: List[float]) -> List[int]:
-    """Confirm preselected raw-grid slots with the scalar quality law.
+def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
+             uvals: Optional[List[float]]) -> List[tuple]:
+    """Confirm raw-grid slots with the scalar validity + quality law.
 
     ``cand_flats`` must be a superset of the registrations produced by
     any bound of the form ``u < reg_p * upper`` with per-section
     ``upper >= quality``; the scalar law then keeps exactly the slots the
-    dense path would.  Split out of :func:`_registered_flats` so the
-    feature sweep's batched (multi-rank) preselect shares the confirm
-    step verbatim.
+    dense path would.  ``uvals is None`` skips the uniform test, for
+    slots the dense path already drew.  Each kept slot comes back
+    decoded as ``(flat, op, index, char, visual cost, fat-finger)``:
+    op codes 0 deletion, 1 transposition, 2 substitution, 3 addition;
+    ``char`` is an alphabet index (0 where the op inserts none); the
+    visual cost and fat-finger flag are the quality law's own terms, so
+    no consumer re-derives them.
     """
-    length = len(label)
-    registered: List[int] = []
-    if cand_flats:
-        _char_tables()
-        adj, cost = _ADJ_LIST, _COST_LIST
-        codes = label.encode("ascii")
-        idx = [_CODE2IDX_LIST[b] for b in codes]
-        if min(idx) < 0:
-            raise ValueError(f"label {label!r} has characters outside the "
-                             "domain alphabet")
-        posw = _position_weight_list(length)
-        inv_len = 3.0 / max(1, length)
-        n_del = length
-        n_trans = length - 1 if length > 1 else 0
-        sub_base = n_del + n_trans
-        add_base = sub_base + length * _ALPHA_SIZE
-        for flat, u in zip(cand_flats, uvals):
-            if flat < n_del:
-                i = flat
-                if length < 2 or length > 64:
-                    continue
-                if i > 0 and codes[i] == codes[i - 1]:
-                    continue
-                if i == 0 and codes[1] == _HYPHEN:
-                    continue
-                if i == length - 1 and codes[length - 2] == _HYPHEN:
-                    continue
-                doubled = ((i < length - 1 and codes[i] == codes[i + 1])
-                           or (i > 0 and codes[i] == codes[i - 1]))
-                vis = (0.3 if doubled else 0.9) * posw[i]
-                q = 6.0 * 1.6 * max(0.2, 1.5 - vis * inv_len)
-            elif flat < sub_base:
-                i = flat - n_del
-                if length > 63:
-                    continue
-                if codes[i] == codes[i + 1]:
-                    continue
-                if i == 0 and codes[1] == _HYPHEN:
-                    continue
-                if i == n_trans - 1 and codes[length - 2] == _HYPHEN:
-                    continue
-                q = 5.0 * 1.6 * max(0.2, 1.5 - (0.5 * posw[i]) * inv_len)
-            elif flat < add_base:
-                rem = flat - sub_base
-                i, a = divmod(rem, _ALPHA_SIZE)
-                if length > 63:
-                    continue
-                ch = _ALPHA_CODE_LIST[a]
-                if ch == codes[i]:
-                    continue
-                if a == _HYPHEN_IDX and (i == 0 or i == length - 1):
-                    continue
-                row = idx[i]
-                vis = cost[row][a] * posw[i]
-                q = ((1.6 if adj[row][a] else 1.0)
-                     * max(0.2, 1.5 - vis * inv_len))
-            else:
-                rem = flat - add_base
-                i, a = divmod(rem, _ALPHA_SIZE)
-                if length + 1 > 63:
-                    continue
-                ch = _ALPHA_CODE_LIST[a]
-                if i >= 1 and ch == codes[i - 1]:
-                    continue
-                if a == _HYPHEN_IDX and (i == 0 or i == length):
-                    continue
-                next_eq = i < length and ch == codes[i]
-                ff1 = (next_eq or (i >= 1 and adj[idx[i - 1]][a])
-                       or (i < length and adj[idx[i]][a]))
-                vis = (0.3 if next_eq else 1.0) * posw[i]
-                q = (0.45 * (1.6 if ff1 else 1.0)
-                     * max(0.2, 1.5 - vis * inv_len))
-            if u < reg_p * q:
-                registered.append(flat)
-    return registered
-
-
-def _confirm_decoded(lidx: List[int], posw: List[float], reg_p: float,
-                     cand_flats: List[int],
-                     uvals: Optional[List[float]],
-                     base_digits: int, base_hyphens: int,
-                     base_vowels: int) -> List[tuple]:
-    """Confirm candidate slots and decode the survivors in one pass.
-
-    The feature sweep's fused twin of :func:`_confirm_flats`: the same
-    validity + quality law decides registration (``uvals is None`` skips
-    the uniform test for already-registered flats from the dense path),
-    but instead of flat indices it returns ``(pack_lex, vis, op, index,
-    char)`` per kept slot — the lexical half of the packed feature word
-    (op, index, char, digit/hyphen/vowel counts, adjacency bit, see
-    ``FEATURE_PACK_SHIFTS``) plus the visual cost, so the record walk
-    never re-decodes.  ``lidx`` is the label's alphabet-index list; the
-    parity tests pin the kept set against :func:`_confirm_flats` and the
-    decoded fields against the scalar reference featurizer.
-    """
-    length = len(lidx)
-    decoded: List[tuple] = []
+    kept: List[tuple] = []
     if not cand_flats:
-        return decoded
+        return kept
+    _char_tables()
     adj, cost = _ADJ_LIST, _COST_LIST
-    is_digit, is_vowel = _IDX_IS_DIGIT, _IDX_IS_VOWEL
-    is_hyphen = _IDX_IS_HYPHEN
-    hyphen_i = _HYPHEN_IDX
+    length = len(lidx)
+    posw = _position_weight_list(length)
     inv_len = 3.0 / max(1, length)
     n_del = length
     n_trans = length - 1 if length > 1 else 0
     sub_base = n_del + n_trans
     add_base = sub_base + length * _ALPHA_SIZE
+    hyphen = _HYPHEN_IDX
     check = uvals is not None
-    append = decoded.append
     for k, flat in enumerate(cand_flats):
         if flat < n_del:
             i = flat
             if length < 2 or length > 64:
                 continue
-            if i > 0 and lidx[i] == lidx[i - 1]:
-                continue
-            if i == 0 and lidx[1] == hyphen_i:
-                continue
-            if i == length - 1 and lidx[length - 2] == hyphen_i:
-                continue
             rm = lidx[i]
-            doubled = ((i < length - 1 and rm == lidx[i + 1])
-                       or (i > 0 and rm == lidx[i - 1]))
-            vis = (0.3 if doubled else 0.9) * posw[i]
-            if check and uvals[k] >= (reg_p * 6.0 * 1.6
-                                      * max(0.2, 1.5 - vis * inv_len)):
+            if i > 0 and rm == lidx[i - 1]:
                 continue
-            op = 0
-            a = 0
-            adjacent = 1 << 48
-            digits = base_digits - (1 if is_digit[rm] else 0)
-            hyphens = base_hyphens - (1 if is_hyphen[rm] else 0)
-            vowels = base_vowels - (1 if is_vowel[rm] else 0)
+            if i == 0 and lidx[1] == hyphen:
+                continue
+            if i == length - 1 and lidx[length - 2] == hyphen:
+                continue
+            doubled = i < length - 1 and rm == lidx[i + 1]
+            vis = (0.3 if doubled else 0.9) * posw[i]
+            q = 6.0 * 1.6 * max(0.2, 1.5 - vis * inv_len)
+            op, a, ff = 0, 0, True
         elif flat < sub_base:
             i = flat - n_del
             if length > 63:
                 continue
             if lidx[i] == lidx[i + 1]:
                 continue
-            if i == 0 and lidx[1] == hyphen_i:
+            if i == 0 and lidx[1] == hyphen:
                 continue
-            if i == n_trans - 1 and lidx[length - 2] == hyphen_i:
+            if i == n_trans - 1 and lidx[length - 2] == hyphen:
                 continue
             vis = 0.5 * posw[i]
-            if check and uvals[k] >= (reg_p * 5.0 * 1.6
-                                      * max(0.2, 1.5 - vis * inv_len)):
-                continue
-            op = 1
-            a = 0
-            adjacent = 1 << 48
-            digits = base_digits
-            hyphens = base_hyphens
-            vowels = base_vowels
+            q = 5.0 * 1.6 * max(0.2, 1.5 - vis * inv_len)
+            op, a, ff = 1, 0, True
         elif flat < add_base:
             i, a = divmod(flat - sub_base, _ALPHA_SIZE)
             if length > 63:
@@ -738,45 +656,30 @@ def _confirm_decoded(lidx: List[int], posw: List[float], reg_p: float,
             rm = lidx[i]
             if a == rm:
                 continue
-            if a == hyphen_i and (i == 0 or i == length - 1):
+            if a == hyphen and (i == 0 or i == length - 1):
                 continue
             vis = cost[rm][a] * posw[i]
-            adj_f = adj[rm][a]
-            if check and uvals[k] >= (reg_p * (1.6 if adj_f else 1.0)
-                                      * max(0.2, 1.5 - vis * inv_len)):
-                continue
+            ff = adj[rm][a]
+            q = (1.6 if ff else 1.0) * max(0.2, 1.5 - vis * inv_len)
             op = 2
-            adjacent = (1 << 48) if adj_f else 0
-            digits = (base_digits - (1 if is_digit[rm] else 0)
-                      + (1 if is_digit[a] else 0))
-            hyphens = (base_hyphens - (1 if is_hyphen[rm] else 0)
-                       + (1 if is_hyphen[a] else 0))
-            vowels = (base_vowels - (1 if is_vowel[rm] else 0)
-                      + (1 if is_vowel[a] else 0))
         else:
             i, a = divmod(flat - add_base, _ALPHA_SIZE)
             if length + 1 > 63:
                 continue
             if i >= 1 and a == lidx[i - 1]:
                 continue
-            if a == hyphen_i and (i == 0 or i == length):
+            if a == hyphen and (i == 0 or i == length):
                 continue
             next_eq = i < length and a == lidx[i]
-            ff1 = (next_eq or (i >= 1 and adj[lidx[i - 1]][a])
-                   or (i < length and adj[lidx[i]][a]))
+            ff = (next_eq or (i >= 1 and adj[lidx[i - 1]][a])
+                  or (i < length and adj[lidx[i]][a]))
             vis = (0.3 if next_eq else 1.0) * posw[i]
-            if check and uvals[k] >= (reg_p * 0.45 * (1.6 if ff1 else 1.0)
-                                      * max(0.2, 1.5 - vis * inv_len)):
-                continue
+            q = 0.45 * (1.6 if ff else 1.0) * max(0.2, 1.5 - vis * inv_len)
             op = 3
-            adjacent = (1 << 48) if ff1 else 0
-            digits = base_digits + (1 if is_digit[a] else 0)
-            hyphens = base_hyphens + (1 if is_hyphen[a] else 0)
-            vowels = base_vowels + (1 if is_vowel[a] else 0)
-        append((op | (i << 2) | (a << 8) | (digits << 14)
-                | (hyphens << 20) | (vowels << 26) | adjacent,
-                vis, op, i, a))
-    return decoded
+        if check and uvals[k] >= reg_p * q:
+            continue
+        kept.append((flat, op, i, a, vis, ff))
+    return kept
 
 
 def _registration_grid(label: str, seed: int, rank: int,
@@ -795,6 +698,10 @@ def _registration_grid(label: str, seed: int, rank: int,
 
 _FILLER_CHUNK = 1024
 
+#: filler chunks whose syllable draws one world keeps for stem compares;
+#: the cache clears when full, so a 10x-scale universe stays bounded
+_STEM_CACHE_CAP = 4096
+
 _SYL_TABLE: Optional[List[str]] = None
 
 
@@ -807,7 +714,31 @@ def _syllable_table() -> List[str]:
     return _SYL_TABLE
 
 
-def _filler_chunk(seed: int, chunk: int) -> Tuple[List[str], List[int]]:
+def _filler_syllables(seed: int, chunk: int) -> Tuple[array, bytes]:
+    """(flat syllable indices, third-syllable flags) of one filler chunk.
+
+    The stem half of the filler name law, drawn in numpy (~0.1 ms a
+    chunk) and kept compact (7 KB): filler ``chunk*N + j`` has the stem
+    ``syl[s[3j]] + syl[s[3j+1]]``, plus ``syl[s[3j+2]]`` where flag
+    ``j`` is set.
+    """
+    uniforms = _rank_uniforms(seed, "fillers", chunk, _FILLER_CHUNK * 7)
+    u = uniforms.reshape(_FILLER_CHUNK, 7)
+    n_onsets = len(_PRONOUNCEABLE_ONSETS)
+    n_vowels = len(_PRONOUNCEABLE_VOWELS)
+    # columns are (u0, o1, v1, o2, v2, o3, v3); the truncating casts
+    # reproduce the scalar ``min(int(u * n), n - 1)`` law exactly
+    onset_i = np.minimum((u[:, 1::2] * n_onsets).astype(np.intp),
+                         n_onsets - 1)
+    vowel_i = np.minimum((u[:, 2::2] * n_vowels).astype(np.intp),
+                         n_vowels - 1)
+    return (array("H", (onset_i * n_vowels + vowel_i).astype(np.uint16)
+                  .tobytes()),
+            (u[:, 0] >= 0.5).tobytes())
+
+
+def _filler_chunk(chunk: int, syllables: Tuple[array, bytes]
+                  ) -> Tuple[List[str], List[int]]:
     """(names, generated counts) for filler indices [chunk*N, (chunk+1)*N).
 
     Chunked so a 100k-target universe costs ~100 stream constructions
@@ -820,27 +751,17 @@ def _filler_chunk(seed: int, chunk: int) -> Tuple[List[str], List[int]]:
     character across a boundary) — the chunk parity test pins this
     against the general-purpose counter.
     """
-    uniforms = _rank_uniforms(seed, "fillers", chunk, _FILLER_CHUNK * 7)
-    u = uniforms.reshape(_FILLER_CHUNK, 7)
+    flat_i, third = syllables
     syl = _syllable_table()
-    n_onsets = len(_PRONOUNCEABLE_ONSETS)
-    n_vowels = len(_PRONOUNCEABLE_VOWELS)
-    # columns are (u0, o1, v1, o2, v2, o3, v3); the truncating casts
-    # reproduce the scalar ``min(int(u * n), n - 1)`` law exactly
-    onset_i = np.minimum((u[:, 1::2] * n_onsets).astype(np.intp),
-                         n_onsets - 1)
-    vowel_i = np.minimum((u[:, 2::2] * n_vowels).astype(np.intp),
-                         n_vowels - 1)
-    flat_i = (onset_i * n_vowels + vowel_i).tolist()
-    third = (u[:, 0] >= 0.5).tolist()
     base = chunk * _FILLER_CHUNK
     names: List[str] = []
     counts: List[int] = []
     append_name, append_count = names.append, counts.append
     for j in range(_FILLER_CHUNK):
-        s1, s2, s3 = flat_i[j]
-        label = (syl[s1] + syl[s2] + syl[s3] if third[j]
-                 else syl[s1] + syl[s2])
+        k = 3 * j
+        label = syl[flat_i[k]] + syl[flat_i[k + 1]]
+        if third[j]:
+            label += syl[flat_i[k + 2]]
         digits = str(base + j)
         dups = 0
         prev = ""
@@ -851,11 +772,6 @@ def _filler_chunk(seed: int, chunk: int) -> Tuple[List[str], List[int]]:
         append_count(74 * (len(label) + len(digits)) + 32 - 2 * dups)
         append_name(f"{label}{digits}.com")
     return names, counts
-
-
-def _filler_labels(seed: int, chunk: int) -> List[str]:
-    """Filler target domains for indices [chunk*N, (chunk+1)*N)."""
-    return _filler_chunk(seed, chunk)[0]
 
 
 # -- the world model ----------------------------------------------------------
@@ -890,26 +806,35 @@ class WorldModel:
             _generated_count(label) for label, _ in self._head_parts]
         self._head_rank: Dict[str, int] = {
             name: index + 1 for index, name in enumerate(self._head_names)}
+        #: a typo that ends in a filler's digit run can only spell a head
+        #: if some head label ends in a digit — the walk's collision
+        #: pre-check rests on this
+        self._letter_final_heads = not any(
+            label[-1].isdigit() for label, _ in self._head_parts)
         #: filler chunks, built on demand and kept for the world's
-        #: lifetime — a scan touches each chunk O(1) times (its own rank
-        #: window plus collision probes from digit-edited candidates),
-        #: so chunks never need rebuilding and the total stays bounded
-        #: by the target universe, far below the eager builder's
-        #: list+frozenset materialization
+        #: lifetime — a walk builds only its own window's chunks (the
+        #: membership oracle reads foreign stems from ``_stems``), so
+        #: the total stays bounded by the target universe, far below
+        #: ``build_internet``'s list+frozenset materialization
         self._chunks: Dict[int, Tuple[List[str], List[int]]] = {}
-        self.chunk_builds = 0
+        self._stems: Dict[int, Tuple[array, bytes]] = {}
         self._target_set: FrozenSet[str] = frozenset()
         self._target_set_size = 0
         self._churn: Optional[Dict[int, int]] = dict(churn) if churn else None
         self._streams: Dict[str, _RankKeyedStream] = {}
         # hot-path tables: cumulative weights for bisect draws, interned
-        # owner-id strings, and the MX-host -> registrable-domain map
+        # owner-id strings, owner profiles, and the MX host pick ->
+        # host / registrable-domain maps by MX kind
         self._bulk_cum, self._bulk_total = _cumulative(
             [1.8 ** -i for i in range(config.bulk_registrant_count)])
         self._bulk_ids = tuple(
             f"bulk-{i:02d}" for i in range(config.bulk_registrant_count))
         self._medium_ids = tuple(
             f"medium-{i:03d}" for i in range(config.medium_registrant_count))
+        self._bulk_reseller = tuple(
+            i < 3 for i in range(config.bulk_registrant_count))
+        self._medium_reseller = tuple(
+            i % 2 == 1 for i in range(config.medium_registrant_count))
         self._support_mixes = {
             name: (tuple(_SUPPORT_CODE[s] for s in mix),
                    *_cumulative(list(mix.values())))
@@ -917,13 +842,14 @@ class WorldModel:
                 ("squatter", config.squatter_support_mix),
                 ("reseller", _RESELLER_SUPPORT_MIX),
                 ("longtail", config.longtail_support_mix))}
-        self._pool_hosts = tuple(h for h, _, _ in SQUATTER_MX_POOL)
+        pool_hosts = tuple(h for h, _, _ in SQUATTER_MX_POOL)
         self._pool_broken = tuple(b for _, _, b in SQUATTER_MX_POOL)
         self._pool_cum, self._pool_total = _cumulative(
             [w for _, w, _ in SQUATTER_MX_POOL])
-        self._mx_key = {
-            host: registrable_domain(host)
-            for host in (*PARKED_MX_HOSTS, *WEB_MX_HOSTS, *self._pool_hosts)}
+        self._mx_hosts = (None, PARKED_MX_HOSTS, WEB_MX_HOSTS, pool_hosts)
+        self._mx_keys = (None, *(
+            tuple(registrable_domain(host) for host in hosts)
+            for hosts in self._mx_hosts[1:]))
 
     def _stream(self, purpose: str) -> _RankKeyedStream:
         stream = self._streams.get(purpose)
@@ -938,10 +864,30 @@ class WorldModel:
         """The (names, generated counts) of one filler chunk, cached."""
         cached = self._chunks.get(chunk)
         if cached is None:
-            cached = _filler_chunk(self.seed, chunk)
+            cached = _filler_chunk(chunk, self._syllables(chunk))
             self._chunks[chunk] = cached
-            self.chunk_builds += 1
         return cached
+
+    def _syllables(self, chunk: int) -> Tuple[array, bytes]:
+        """One filler chunk's syllable draws, cached (capped) in
+        ``_stems``."""
+        drawn = self._stems.get(chunk)
+        if drawn is None:
+            if len(self._stems) >= _STEM_CACHE_CAP:
+                self._stems.clear()
+            drawn = _filler_syllables(self.seed, chunk)
+            self._stems[chunk] = drawn
+        return drawn
+
+    def _filler_stem(self, index: int) -> str:
+        """The letter stem of filler ``index``, from its chunk's syllable
+        draws — without building the chunk's 1,024 names."""
+        chunk, offset = divmod(index, _FILLER_CHUNK)
+        flat_i, third = self._syllables(chunk)
+        syl = _syllable_table()
+        k = 3 * offset
+        stem = syl[flat_i[k]] + syl[flat_i[k + 1]]
+        return stem + syl[flat_i[k + 2]] if third[offset] else stem
 
     def target_domain(self, rank: int) -> str:
         """The rank-``rank`` domain of the simulated Alexa list."""
@@ -991,12 +937,14 @@ class WorldModel:
 
         The membership law inverted, with the rank recovered: a domain
         is a target iff it is one of the email-study heads, or it
-        parses as ``<letters><index>.com`` where ``index`` (decimal,
-        no leading zeros — ``str`` never prints them) addresses a
-        filler slot inside the universe and the slot's derived name
-        matches exactly.  This is the single membership oracle: the
-        scan's :meth:`is_target_domain` and the query service's
-        candidate index both probe it, so they can never disagree.
+        parses as ``<stem><index>.com`` where ``index`` (decimal, no
+        leading zeros — ``str`` never prints them) addresses a filler
+        slot inside the universe and ``stem`` is that slot's stem.  A
+        built chunk answers by name; an unbuilt one by its syllable
+        draws, so probing a far slot never builds its chunk.  This is
+        the single membership oracle: the scan, the feature sweep and
+        the query service's candidate index all probe it, so they can
+        never disagree.
         """
         rank = self._head_rank.get(domain)
         if rank is not None:
@@ -1016,27 +964,27 @@ class WorldModel:
         index = int(digits)
         if index >= max_rank - len(self._head_names):
             return None
-        chunk, offset = divmod(index, _FILLER_CHUNK)
-        cached = self._chunks.get(chunk)
-        if cached is None:
-            cached = self._chunk(chunk)
-        if cached[0][offset] != domain:
-            return None
-        return len(self._head_names) + index + 1
+        built = self._chunks.get(index // _FILLER_CHUNK)
+        if built is not None:
+            hit = built[0][index % _FILLER_CHUNK] == domain
+        else:
+            hit = self._filler_stem(index) == stem
+        return len(self._head_names) + index + 1 if hit else None
 
     def evolved(self, churn: Optional[Dict[int, int]]) -> "WorldModel":
         """A world over the same ``(seed, config)`` at different churn.
 
         Target *identities* never churn — only per-rank registration,
         wild-state, and probe streams are generation-keyed — so the
-        filler chunk cache and any materialized target set transfer to
-        the new world unchanged.  This is what lets a resident index
-        apply a churn delta without re-deriving the target universe.
+        filler chunk and stem caches and any materialized target set
+        transfer to the new world unchanged.  This is what lets a
+        resident index apply a churn delta without re-deriving the
+        target universe.
         """
         world = WorldModel(self.seed, self.config,
                            probe_attempts=self.probe_attempts, churn=churn)
         world._chunks = self._chunks
-        world.chunk_builds = self.chunk_builds
+        world._stems = self._stems
         world._target_set = self._target_set
         world._target_set_size = self._target_set_size
         return world
@@ -1087,517 +1035,109 @@ class WorldModel:
         """Stream the rank's registered-domain states (never a list)."""
         target = self.target_domain(rank)
         label = grid.label
-        suffix = target[len(label) + 1:]
-        for rec in self._iter_rank_records(rank, target, label, suffix,
-                                           grid.registered.tolist()):
-            (domain, owner_id, cls, profile, support, mx_domain, _mx_key,
-             has_address, nameserver, private, proxy, fields, policy,
-             op, index, char) = rec
-            yield DomainState(
-                domain=domain, target=target, rank=rank, edit_op=op,
-                edit_index=index, edit_char=char, owner_id=owner_id,
-                owner_type=_OWNER_BY_CODE[cls], profile=profile,
-                support=_SUPPORT_BY_CODE[support], mx_domain=mx_domain,
-                has_address=has_address, nameserver=nameserver,
-                private_whois=private, privacy_proxy=proxy,
-                whois_fields_filled=fields, longtail_policy=policy)
+        slots = _confirm(_label_indices(label), 0.0,
+                         grid.registered.tolist(), None)
+        for row in self._rank_rows(rank, label, target[len(label) + 1:],
+                                   slots):
+            yield self._state(rank, target, row)
 
-    def _iter_rank_records(self, rank: int, target: str, label: str,
-                           suffix: str, registered: List[int]
-                           ) -> Iterator[tuple]:
-        """The rank's registered ctypos as plain tuples (the hot path).
+    # -- the world walk ----------------------------------------------------
+    #
+    # scan_ranks and featurize_ranks consume one walk: _draws (the
+    # registration draw over head and filler-chunk blocks), then per rank
+    # _wild_rows (decoded typos, the wild-state law's codes, and the
+    # membership oracle's collision rule).  iter_rank_states maps the
+    # same rows to strings through _state.
 
-        Each decision consumes exactly one uniform from the rank's "wild"
-        stream, so the derivation is independent of how the consumer
-        iterates.  Tuple layout: (domain, owner_id, owner class code,
-        profile, support code, mx_domain, mx registrable domain,
-        has_address, nameserver, private, proxy, whois fields, longtail
-        policy, op, index, char); support travels as its
-        ``_SUPPORT_BY_CODE`` index.
+    def _draws(self, start_rank: int, stop_rank: int,
+               tally: List[int]) -> Iterator[tuple]:
+        """The registration draw of ranks ``[start_rank, stop_rank)``.
+
+        Walks one block at a time — the email-target head, or one filler
+        chunk's overlap with the window — so chunk lookups, generated
+        counts and label slicing amortize across the block.  Inside a
+        block, ranks draw in batches (:meth:`_preselect`), each from its
+        churn generation's "reg" stream.  Yields ``(rank, target, label,
+        suffix, label indices, slots)`` for every rank that registers a
+        slot, with slots as :func:`_confirm` decodes them, and adds every
+        rank's generated count to ``tally[0]``.
         """
-        if not registered:
-            return
-        config = self.config
-        n = len(registered)
-        wu = self._stream(self._rank_purpose("wild", rank)).uniforms(
-            rank, 12 * n + 4).tolist()
-        wi = 0
-        def_frac = config.defensive_fraction
-        legit_cut = def_frac + config.legitimate_fraction
-        bulk_share = config.bulk_share
-        medium_cut = bulk_share + config.medium_share
-        bulk_cum, bulk_total = self._bulk_cum, self._bulk_total
-        bulk_ids, medium_ids = self._bulk_ids, self._medium_ids
-        n_bulk, n_medium = len(bulk_ids), len(medium_ids)
-        mixes = self._support_mixes
-        pool_hosts, pool_broken = self._pool_hosts, self._pool_broken
-        pool_cum, pool_total = self._pool_cum, self._pool_total
-        mx_key_of = self._mx_key
-        normal_ns, cesspool_ns = _NORMAL_NAMESERVERS, _CESSPOOL_NAMESERVERS
-        n_normal, n_cesspool = len(normal_ns), len(cesspool_ns)
-        proxies = PRIVACY_PROXIES
-        n_proxies = len(proxies)
-        catch_all = config.longtail_catch_all_rate
-        reject_cut = catch_all + config.longtail_reject_all_rate
-        n_del = len(label)
-        n_trans = n_del - 1 if n_del > 1 else 0
-        sub_base = n_del + n_trans
-        add_base = sub_base + n_del * _ALPHA_SIZE
-        dot_suffix = "." + suffix
-        legit_count = 0
-        small_count = 0
-        for flat in registered:
-            if flat < n_del:
-                op, index, char = "deletion", flat, ""
-                domain = label[:flat] + label[flat + 1:] + dot_suffix
-            elif flat < sub_base:
-                index = flat - n_del
-                op, char = "transposition", ""
-                domain = (label[:index] + label[index + 1]
-                          + label[index] + label[index + 2:] + dot_suffix)
-            elif flat < add_base:
-                index, a = divmod(flat - sub_base, _ALPHA_SIZE)
-                op, char = "substitution", DOMAIN_ALPHABET[a]
-                domain = label[:index] + char + label[index + 1:] + dot_suffix
-            else:
-                index, a = divmod(flat - add_base, _ALPHA_SIZE)
-                op, char = "addition", DOMAIN_ALPHABET[a]
-                domain = label[:index] + char + label[index:] + dot_suffix
-
-            owner_u = wu[wi]
-            wi += 1
-            if owner_u < def_frac:
-                yield (domain, f"owner-{target}", 0, "", 5,
-                       f"mx.{target}", target, False, f"ns.{target}",
-                       False, None, 6, None, op, index, char)
-                continue
-            if owner_u < legit_cut:
-                nameserver = normal_ns[min(int(wu[wi] * n_normal),
-                                           n_normal - 1)]
-                wi += 1
-                private = wu[wi] < 0.25
-                wi += 1
-                proxy = None
-                if private:
-                    proxy = proxies[min(int(wu[wi] * n_proxies),
-                                        n_proxies - 1)]
-                    wi += 1
-                policy = "catch_all" if wu[wi] < 0.1 else "reject_unknown"
-                wi += 1
-                yield (domain, f"legit-r{rank}-{legit_count}", 1, "", 5,
-                       None, None, True, nameserver, private, proxy, 6,
-                       policy, op, index, char)
-                legit_count += 1
-                continue
-
-            # squatters --------------------------------------------------
-            squatter_u = wu[wi]
-            wi += 1
-            if squatter_u < bulk_share:
-                bulk_index = min(bisect_right(bulk_cum, wu[wi] * bulk_total),
-                                 n_bulk - 1)
-                wi += 1
-                owner_id = bulk_ids[bulk_index]
-                profile = "reseller" if bulk_index < 3 else "collector"
-                cls = 2
-            elif squatter_u < medium_cut:
-                medium_index = min(int(wu[wi] * n_medium), n_medium - 1)
-                wi += 1
-                owner_id = medium_ids[medium_index]
-                profile = "collector" if medium_index % 2 == 0 else "reseller"
-                cls = 3
-            else:
-                owner_id = f"small-r{rank}-{small_count}"
-                small_count += 1
-                profile = "collector"
-                cls = 4
-
-            mix_names, mix_cum, mix_total = mixes[
-                "longtail" if cls == 4 else
-                ("reseller" if profile == "reseller" else "squatter")]
-            support = mix_names[min(bisect_right(mix_cum, wu[wi] * mix_total),
-                                    len(mix_names) - 1)]
-            wi += 1
-
-            if cls != 4:
-                cesspool = True
-            else:
-                cesspool = wu[wi] < config.small_cesspool_rate
-                wi += 1
-            if cesspool:
-                nameserver = cesspool_ns[min(int(wu[wi] * n_cesspool),
-                                             n_cesspool - 1)]
-            else:
-                nameserver = normal_ns[min(int(wu[wi] * n_normal),
-                                           n_normal - 1)]
-            wi += 1
-
-            mx_domain = None
-            mx_key = None
-            has_address = False
-            policy = None
-            if support != 0:
-                if cls != 4:
-                    if support == 1:
-                        mx_domain = PARKED_MX_HOSTS[min(int(wu[wi] * 3), 2)]
-                        wi += 1
-                    elif support == 2:
-                        mx_domain = WEB_MX_HOSTS[min(int(wu[wi] * 3), 2)]
-                        wi += 1
-                    else:
-                        pool_index = min(
-                            bisect_right(pool_cum, wu[wi] * pool_total),
-                            len(pool_hosts) - 1)
-                        wi += 1
-                        mx_domain = pool_hosts[pool_index]
-                        if pool_broken[pool_index]:
-                            support = 4
-                    mx_key = mx_key_of[mx_domain]
-                else:
-                    has_address = True
-                    if wu[wi] < 0.1:
-                        mx_domain = domain
-                        mx_key = domain
-                    wi += 1
-                    if support != 2 and support != 1:
-                        roll = wu[wi]
-                        wi += 1
-                        if roll < catch_all:
-                            policy = "catch_all"
-                        elif roll < reject_cut:
-                            policy = "reject_unknown"
-                        else:
-                            policy = "domain"
-
-            if cls != 4:
-                privacy_rate = (0.05 if profile == "reseller"
-                                else config.bulk_privacy_rate)
-            elif policy == "catch_all":
-                privacy_rate = 0.75
-            else:
-                privacy_rate = config.small_privacy_rate
-            private = wu[wi] < privacy_rate
-            wi += 1
-            proxy = None
-            fields = 6
-            if private:
-                proxy = proxies[min(int(wu[wi] * n_proxies), n_proxies - 1)]
-                wi += 1
-            elif wu[wi] >= 0.8:
-                wi += 1
-                fields = 2 + min(int(wu[wi] * 4), 3)
-                wi += 1
-            else:
-                wi += 1
-
-            yield (domain, owner_id, cls, profile, support, mx_domain,
-                   mx_key, has_address, nameserver, private, proxy, fields,
-                   policy, op, index, char)
-
-    # -- the streaming scan ------------------------------------------------
-
-    def scan_ranks(self, start_rank: int, stop_rank: int, *,
-                   max_rank: Optional[int] = None,
-                   exclude: Iterable[str] = (),
-                   aggregates: Optional[ScanAggregates] = None,
-                   retain: Optional[list] = None,
-                   perf: Optional["PerfRegistry"] = None) -> ScanAggregates:
-        """Scan ranks ``[start_rank, stop_rank)`` into streaming aggregates.
-
-        ``max_rank`` is the size of the world's target universe (candidate
-        strings colliding with a target domain are never wild typo
-        registrations); it defaults to ``stop_rank - 1`` and must be held
-        constant across the shards of one scan.  ``retain`` is the opt-in
-        result sink for small scans: when given a list, each observation
-        is appended as ``(DomainState, observed SmtpSupport)``; on the
-        paper-scale path nothing per-result is kept.
-
-        Setup is O(1) and the loop touches only this window's filler
-        chunks: target collisions resolve through the O(1)
-        :meth:`is_target_domain` law, never a materialized universe, so
-        a shard's cost depends on its own width — not on ``stop_rank``
-        or ``max_rank``.  ``perf`` (optional) accumulates
-        ``scan.setup_seconds`` / ``scan.draw_seconds`` /
-        ``scan.probe_seconds`` phase timers; when omitted the loop pays
-        only a dead branch per rank.
-
-        The probe emulation mirrors :meth:`EcosystemScanner._probe`
-        against the host behaviours ``build_internet`` attaches: per
-        attempt a timeout draw, then a network-error draw, then either a
-        deterministic refusal (no listener) or the listening server's
-        STARTTLS classification.  Hosts whose behaviour is deterministic
-        (defensive mail, parked or web-only hosts) resolve without
-        consuming probe uniforms.
-        """
-        timing = perf is not None
-        entry_t = perf_counter() if timing else 0.0
-        aggregates = aggregates if aggregates is not None else ScanAggregates()
-        max_rank = max_rank or (stop_rank - 1)
-        excluded = {domain.lower() for domain in exclude}
-        check_exclude = bool(excluded)
-        churn = self._churn
-        probe_stream = self._stream("probe")
-        attempts = self.probe_attempts
-        config = self.config
-        peak = config.peak_registration_probability
-        decay = config.rank_decay
-        reg_stream = self._stream("reg")
-        small_timeout = config.longtail_timeout_probability
-        small_neterr = config.longtail_network_error_probability
-        support_by_code = _SUPPORT_BY_CODE
-        is_target = self.is_target_domain
         head_n = len(self._head_names)
-        head_parts = self._head_parts
-        generated = 0
-        registered_n = 0
-        # categorical folds are flat index lists; dict folds only where the
-        # key space is open-ended (MX domains, owners, targets)
-        support_l = [0] * 6
-        truth_l = [0] * 6
-        owner_type_l = [0] * 5
-        mx_c: Dict[str, int] = {}
-        owner_dom_c: Dict[str, int] = {}
-        per_target_c: Dict[str, int] = {}
-        private_n = 0
-        implicit_n = 0
-        draw_s = 0.0
-        probe_s = 0.0
-        setup_s = (perf_counter() - entry_t) if timing else 0.0
-
+        peak = self.config.peak_registration_probability
+        decay = self.config.rank_decay
+        buf: Optional[np.ndarray] = None
         rank = start_rank
         while rank < stop_rank:
-            # one block: the email-target head, or one filler chunk's
-            # overlap with the scan window (chunk lookups, generated
-            # counts, and name slicing amortize across the block)
             if rank <= head_n:
                 base_rank = 1
                 block_stop = min(stop_rank, head_n + 1)
-                names = self._head_names
-                counts = self._head_gen_counts
-                filler = False
+                names, counts = self._head_names, self._head_gen_counts
+                parts: Optional[List[Tuple[str, str]]] = self._head_parts
             else:
-                chunk, _ = divmod(rank - 1 - head_n, _FILLER_CHUNK)
+                chunk = (rank - 1 - head_n) // _FILLER_CHUNK
                 names, counts = self._chunk(chunk)
                 base_rank = head_n + chunk * _FILLER_CHUNK + 1
                 block_stop = min(stop_rank, base_rank + _FILLER_CHUNK)
-                filler = True
-            for r in range(rank, block_stop):
-                idx = r - base_rank
-                name = names[idx]
-                if filler:
-                    label = name[:-4]
-                    suffix = "com"
+                parts = None
+            tally[0] += sum(counts[rank - base_rank:block_stop - base_rank])
+            for rb0 in range(rank, block_stop, _DRAW_BATCH):
+                rb1 = min(rb0 + _DRAW_BATCH, block_stop)
+                if parts is None:
+                    labels = [names[r - base_rank][:-4]
+                              for r in range(rb0, rb1)]
                 else:
-                    label, suffix = head_parts[idx]
-                reg_p = peak / (r ** decay)
-                if churn is not None and churn.get(r, 0):
-                    generation = churn[r]
-                    rank_reg = self._stream(f"reg@{generation}")
-                    rank_probe = self._stream(f"probe@{generation}")
-                else:
-                    rank_reg = reg_stream
-                    rank_probe = probe_stream
-                if timing:
-                    t0 = perf_counter()
-                uniforms = rank_reg.uniforms(r, 76 * len(label) + 36)
-                regs = _registered_flats(label, reg_p, uniforms)
-                if timing:
-                    draw_s += perf_counter() - t0
-                generated += counts[idx]
-                if not regs:
-                    continue
-                if timing:
-                    t1 = perf_counter()
-                target = name
-                pu: Optional[list] = None
-                pi = 0
-                n = len(regs)
-                scanned = 0
-                for rec in self._iter_rank_records(r, target, label,
-                                                   suffix, regs):
-                    (domain, owner_id, cls, profile, support, mx_domain,
-                     mx_key, has_address, nameserver, private, proxy,
-                     fields, policy, op, index, char) = rec
-                    if ((check_exclude and domain in excluded)
-                            or is_target(domain, max_rank)):
+                    labels = [parts[r - base_rank][0]
+                              for r in range(rb0, rb1)]
+                buf, row_of, cands = self._preselect(rb0, labels, buf)
+                for p, cand in enumerate(cands):
+                    if cand is None:
                         continue
-                    # probe emulation (all codes: 0 NO_DNS, 1 NO_INFO,
-                    # 2 NO_EMAIL, 3 PLAIN, 4 STARTTLS_ERRORS,
-                    # 5 STARTTLS_OK)
-                    if support == 0:
-                        observed = 0
-                    elif cls == 0:
-                        observed = 5
-                    elif support == 2 or (cls != 4 and cls != 1
-                                          and support == 1):
-                        # web-parked or refused hosts answer
-                        # deterministically
-                        observed = support
-                    else:
-                        if cls == 1:
-                            timeout_p, neterr_p = 0.05, 0.03
-                            starttls, broken = True, False
-                            listener = True
-                        elif cls != 4:
-                            timeout_p, neterr_p = 0.03, 0.02
-                            starttls, broken = True, support == 4
-                            listener = True
-                        elif support == 1:
-                            timeout_p, neterr_p = 0.97, 0.03
-                            listener = False
-                        else:
-                            timeout_p, neterr_p = (small_timeout,
-                                                   small_neterr)
-                            starttls, broken = support != 3, support == 4
-                            listener = True
-                        if pu is None:
-                            pu = rank_probe.uniforms(
-                                r, 2 * attempts * n + 2).tolist()
-                        observed = -1
-                        refused = False
-                        for _ in range(attempts):
-                            if pu[pi] < timeout_p:
-                                pi += 1
-                                continue
-                            pi += 1
-                            if pu[pi] < neterr_p:
-                                pi += 1
-                                continue
-                            pi += 1
-                            if not listener:
-                                refused = True
-                                continue
-                            observed = (4 if broken
-                                        else (5 if starttls else 3))
-                            break
-                        if observed < 0:
-                            observed = 2 if refused else 1
-                    # fold --------------------------------------------
-                    scanned += 1
-                    support_l[observed] += 1
-                    truth_l[support] += 1
-                    if mx_key is not None:
-                        mx_c[mx_key] = mx_c.get(mx_key, 0) + 1
-                    elif has_address:
-                        implicit_n += 1
-                    if cls == 2 or cls == 3:
-                        owner_dom_c[owner_id] = (
-                            owner_dom_c.get(owner_id, 0) + 1)
-                    owner_type_l[cls] += 1
-                    if private:
-                        private_n += 1
-                    if retain is not None:
-                        retain.append((DomainState(
-                            domain=domain, target=target, rank=r,
-                            edit_op=op, edit_index=index, edit_char=char,
-                            owner_id=owner_id,
-                            owner_type=_OWNER_BY_CODE[cls],
-                            profile=profile,
-                            support=support_by_code[support],
-                            mx_domain=mx_domain, has_address=has_address,
-                            nameserver=nameserver, private_whois=private,
-                            privacy_proxy=proxy,
-                            whois_fields_filled=fields,
-                            longtail_policy=policy),
-                            support_by_code[observed]))
-                if scanned:
-                    registered_n += scanned
-                    per_target_c[target] = (
-                        per_target_c.get(target, 0) + scanned)
-                if timing:
-                    probe_s += perf_counter() - t1
+                    r = rb0 + p
+                    label = labels[p]
+                    lidx = _label_indices(label)
+                    reg_p = peak / (r ** decay)
+                    if cand is _DENSE:
+                        cand = _candidates(
+                            label, reg_p,
+                            buf[row_of[p], :_grid_total(len(label))])
+                    slots = _confirm(lidx, reg_p, *cand)
+                    if slots:
+                        yield (r, names[r - base_rank], label,
+                               "com" if parts is None
+                               else parts[r - base_rank][1], lidx, slots)
             rank = block_stop
 
-        aggregates.fold_flat(
-            generated, registered_n, support_l, truth_l, owner_type_l,
-            _SUPPORT_VALUE_BY_CODE, _OWNER_VALUE_BY_CODE,
-            mx_c, owner_dom_c, per_target_c, private_n, implicit_n)
-        if timing:
-            perf.add_seconds("scan.setup_seconds", setup_s)
-            perf.add_seconds("scan.draw_seconds", draw_s)
-            perf.add_seconds("scan.probe_seconds", probe_s)
-            perf.count("scan.ranks", stop_rank - start_rank)
-        return aggregates
-
-    # -- the feature sweep -------------------------------------------------
-
-    def _stem_syllables(self, cache: Dict[int, tuple],
-                        chunk: int) -> tuple:
-        """(flat syllable indices, third-syllable flags) of a filler chunk.
-
-        The collision confirm of :meth:`featurize_ranks` only needs the
-        *stem* of a candidate filler name, so it derives the chunk's
-        syllable draws (pure numpy, ~60us) without paying
-        :func:`_filler_chunk`'s per-name Python loop, and keeps them in a
-        sweep-local cache the caller bounds.
-        """
-        cached = cache.get(chunk)
-        if cached is None:
-            uniforms = _rank_uniforms(self.seed, "fillers", chunk,
-                                      _FILLER_CHUNK * 7)
-            u = uniforms.reshape(_FILLER_CHUNK, 7)
-            n_onsets = len(_PRONOUNCEABLE_ONSETS)
-            n_vowels = len(_PRONOUNCEABLE_VOWELS)
-            onset_i = np.minimum((u[:, 1::2] * n_onsets).astype(np.intp),
-                                 n_onsets - 1)
-            vowel_i = np.minimum((u[:, 2::2] * n_vowels).astype(np.intp),
-                                 n_vowels - 1)
-            cached = ((onset_i * n_vowels + vowel_i).astype(np.uint16),
-                      u[:, 0] >= 0.5)
-            if len(cache) >= 4096:
-                cache.clear()          # keep a 10x-scale sweep bounded
-            cache[chunk] = cached
-        return cached
-
-    def _featurize_batch(self, rb0: int, rb1: int, base_rank: int,
-                         names: List[str], filler: bool,
-                         bufh: list) -> tuple:
-        """Batched registration draws + preselect for ranks ``[rb0, rb1)``.
+    def _preselect(self, rb0: int, labels: List[str],
+                   buf: Optional[np.ndarray]) -> tuple:
+        """Batched registration draws + preselect for ranks from ``rb0``.
 
         Draws every rank's registration stream into one reused matrix
         (rows grouped by label length) and preselects candidates with a
         single vector compare per length slab, replacing ~5 small numpy
-        dispatches per rank with ~3 per 256 ranks.  Returns ``(labels,
-        cands, rows, churned)``: per-rank labels; preselect outcome
-        (``None`` no candidates, ``_DENSE`` run the dense scalar path on
-        the stored draw row, else ``(flats, uniforms)`` for
-        :func:`_confirm_flats`); each rank's draw-matrix row; and per-rank
-        churn generations (``None`` for a churn-free window — churned
-        ranks draw from re-keyed streams, so the caller resolves them
-        rank-at-a-time and their matrix rows stay unfilled).
+        dispatches per rank with ~3 per batch.  Returns ``(buf, rows,
+        cands)``: the (possibly grown) draw matrix; each rank's matrix
+        row; and per rank ``None`` (no candidate), ``_DENSE`` (run
+        :func:`_candidates` on the stored draw row) or ``(flats,
+        uniforms)`` for :func:`_confirm`.
         """
-        m = rb1 - rb0
-        head_parts = self._head_parts
-        labels: List[str] = []
-        if filler:
-            for r in range(rb0, rb1):
-                labels.append(names[r - base_rank][:-4])
-        else:
-            for r in range(rb0, rb1):
-                labels.append(head_parts[r - base_rank][0])
-        churn = self._churn
-        churned = ([churn.get(r, 0) for r in range(rb0, rb1)]
-                   if churn is not None else None)
+        m = len(labels)
         order = sorted(range(m), key=lambda p: len(labels[p]))
-        g_max = 76 * len(labels[order[-1]]) + 36
-        buf = bufh[0]
+        g_max = _grid_total(len(labels[order[-1]]))
         if buf is None or buf.shape[1] < g_max:
-            buf = np.empty((_FEATURE_BATCH, g_max))
-            bufh[0] = buf
-        fill = self._stream("reg").uniforms_into
+            buf = np.empty((_DRAW_BATCH, g_max))
         rows = [0] * m
         for j, p in enumerate(order):
             rows[p] = j
-            if churned is not None and churned[p]:
-                continue
-            fill(rb0 + p, buf[j, :76 * len(labels[p]) + 36])
+            r = rb0 + p
+            self._stream(self._rank_purpose("reg", r)).uniforms_into(
+                r, buf[j, :_grid_total(len(labels[p]))])
         peak = self.config.peak_registration_probability
         decay = self.config.rank_decay
         # np.power can differ from the scalar ``peak / r ** decay`` law
         # in the last ulp, so both derived tests are padded to stay
         # conservative: the preselect must remain a superset (the exact
         # scalar confirm decides), and a rank flagged dense merely runs
-        # the exact dense/sparse split inside _registered_flats
+        # the exact dense/sparse split inside _candidates
         reg_all = (peak * (1.0 + 1e-9)) * np.power(
             np.array(order, dtype=np.float64) + rb0, -decay)
         dense_all = reg_all * _QUALITY_MAX >= 0.95 * (1.0 - 1e-9)
@@ -1608,9 +1148,8 @@ class WorldModel:
             j1 = j0 + 1
             while j1 < m and len(labels[order[j1]]) == length:
                 j1 += 1
-            slab = buf[j0:j1, :76 * length + 36]
-            reg_ps = reg_all[j0:j1]
-            hits = slab < reg_ps[:, None] * _section_upper(length)
+            slab = buf[j0:j1, :_grid_total(length)]
+            hits = slab < reg_all[j0:j1, None] * _section_upper(length)
             dense = dense_all[j0:j1]
             if dense.any():
                 hits[dense] = False
@@ -1631,7 +1170,412 @@ class WorldModel:
                     cands[order[j0 + row]] = (clist[k:k2], uv[k:k2])
                     k = k2
             j0 = j1
-        return labels, cands, rows, churned
+        return buf, rows, cands
+
+    def _wild_rows(self, rank: int, label: str, suffix: str,
+                   slots: List[tuple], max_rank: int
+                   ) -> Tuple[List[tuple], int]:
+        """(rows, collisions): the rank's wild registrations.
+
+        Rows come from :meth:`_rank_rows`.  A row whose domain is itself
+        a target of the ``max_rank`` universe is no wild typo
+        registration and is dropped; :meth:`target_rank` decides.  One
+        pre-check is a fact of the law: a filler edit before the last
+        stem letter leaves the digit run, and so the addressed slot (the
+        rank's own), unchanged, and no head label ends in a digit, so
+        such a typo can hit no target.
+        """
+        rows = self._rank_rows(rank, label, suffix, slots)
+        head_n = len(self._head_names)
+        safe_below = (len(label) - len(str(rank - head_n - 1)) - 1
+                      if rank > head_n and self._letter_final_heads else 0)
+        target_rank = self.target_rank
+        wild = [row for row in rows if row[1][2] < safe_below
+                or target_rank(row[0], max_rank) is None]
+        return wild, len(rows) - len(wild)
+
+    def _rank_rows(self, rank: int, label: str, suffix: str,
+                   slots: List[tuple]) -> List[tuple]:
+        """``(domain, slot, codes)`` per registered slot: the typo
+        spelled out, the slot as :func:`_confirm` decodes it, and its
+        :meth:`_wild_codes`."""
+        dot_suffix = "." + suffix
+        alpha = DOMAIN_ALPHABET
+        domains = []
+        for _, op, i, a, _, _ in slots:
+            if op == 0:
+                typo = label[:i] + label[i + 1:]
+            elif op == 1:
+                typo = label[:i] + label[i + 1] + label[i] + label[i + 2:]
+            elif op == 2:
+                typo = label[:i] + alpha[a] + label[i + 1:]
+            else:
+                typo = label[:i] + alpha[a] + label[i:]
+            domains.append(typo + dot_suffix)
+        return list(zip(domains, slots, self._wild_codes(rank, len(slots))))
+
+    def _wild_codes(self, rank: int, n: int) -> List[tuple]:
+        """The wild-state law: owner, support, MX, DNS and WHOIS codes.
+
+        Reads the rank's "wild" stream (at its churn generation); each
+        decision consumes exactly one uniform, so the derivation is
+        independent of how consumers iterate.  One tuple per registered
+        slot, in grid order: ``(class, owner pick, support, mx kind,
+        mx host pick, has address, ns kind, ns pick, private, proxy
+        pick, whois fields, policy)``.  Class codes index
+        ``_OWNER_BY_CODE`` and support codes ``_SUPPORT_BY_CODE``; the
+        owner pick is the bulk/medium registrant index, or the rank's
+        running count of legitimate or small owners; mx kinds are
+        0 none, 1 parked, 2 web, 3 pool, 4 self, 5 mx.<target>; ns kinds
+        0 cesspool, 1 normal, 2 ns.<target>; policies 0 none,
+        1 catch_all, 2 reject_unknown, 3 domain (``FEATURE_PACK_SHIFTS``
+        packs the same codes).
+        """
+        if not n:
+            return []
+        config = self.config
+        wu = self._stream(self._rank_purpose("wild", rank)).uniforms(
+            rank, 12 * n + 4).tolist()
+        wi = 0
+        def_frac = config.defensive_fraction
+        legit_cut = def_frac + config.legitimate_fraction
+        bulk_share = config.bulk_share
+        medium_cut = bulk_share + config.medium_share
+        bulk_cum, bulk_total = self._bulk_cum, self._bulk_total
+        bulk_reseller, medium_reseller = (self._bulk_reseller,
+                                          self._medium_reseller)
+        n_bulk, n_medium = len(bulk_reseller), len(medium_reseller)
+        mix_sq, mix_rs, mix_lt = (self._support_mixes["squatter"],
+                                  self._support_mixes["reseller"],
+                                  self._support_mixes["longtail"])
+        pool_broken = self._pool_broken
+        pool_cum, pool_total = self._pool_cum, self._pool_total
+        n_pool = len(pool_broken)
+        n_normal = len(_NORMAL_NAMESERVERS)
+        n_cesspool = len(_CESSPOOL_NAMESERVERS)
+        n_proxies = len(PRIVACY_PROXIES)
+        catch_all = config.longtail_catch_all_rate
+        reject_cut = catch_all + config.longtail_reject_all_rate
+        small_cess = config.small_cesspool_rate
+        legit_count = 0
+        small_count = 0
+        codes: List[tuple] = []
+        append = codes.append
+        for _ in range(n):
+            owner_u = wu[wi]
+            wi += 1
+            if owner_u < def_frac:
+                append(_DEFENSIVE_CODES)
+                continue
+            proxy = 0
+            if owner_u < legit_cut:
+                ns_pick = min(int(wu[wi] * n_normal), n_normal - 1)
+                wi += 1
+                private = wu[wi] < 0.25
+                wi += 1
+                if private:
+                    proxy = min(int(wu[wi] * n_proxies), n_proxies - 1)
+                    wi += 1
+                policy = 1 if wu[wi] < 0.1 else 2
+                wi += 1
+                append((1, legit_count, 5, 0, 0, True, 1, ns_pick, private,
+                        proxy, 6, policy))
+                legit_count += 1
+                continue
+
+            # squatters ------------------------------------------------------
+            squatter_u = wu[wi]
+            wi += 1
+            if squatter_u < bulk_share:
+                pick = min(bisect_right(bulk_cum, wu[wi] * bulk_total),
+                           n_bulk - 1)
+                wi += 1
+                cls, reseller = 2, bulk_reseller[pick]
+            elif squatter_u < medium_cut:
+                pick = min(int(wu[wi] * n_medium), n_medium - 1)
+                wi += 1
+                cls, reseller = 3, medium_reseller[pick]
+            else:
+                pick = small_count
+                small_count += 1
+                cls, reseller = 4, False
+
+            mix_names, mix_cum, mix_total = (
+                mix_lt if cls == 4 else (mix_rs if reseller else mix_sq))
+            support = mix_names[min(bisect_right(mix_cum, wu[wi] * mix_total),
+                                    len(mix_names) - 1)]
+            wi += 1
+
+            if cls != 4:
+                ns = 0
+            else:
+                ns = 0 if wu[wi] < small_cess else 1
+                wi += 1
+            if ns == 0:
+                ns_pick = min(int(wu[wi] * n_cesspool), n_cesspool - 1)
+            else:
+                ns_pick = min(int(wu[wi] * n_normal), n_normal - 1)
+            wi += 1
+
+            mx = 0
+            mx_pick = 0
+            addr = False
+            policy = 0
+            if support != 0:
+                if cls != 4:
+                    if support == 1 or support == 2:
+                        mx = support                # parked / web host
+                        mx_pick = min(int(wu[wi] * 3), 2)
+                    else:
+                        mx = 3
+                        mx_pick = min(bisect_right(pool_cum,
+                                                   wu[wi] * pool_total),
+                                      n_pool - 1)
+                        if pool_broken[mx_pick]:
+                            support = 4
+                    wi += 1
+                else:
+                    addr = True
+                    if wu[wi] < 0.1:
+                        mx = 4
+                    wi += 1
+                    if support != 2 and support != 1:
+                        roll = wu[wi]
+                        wi += 1
+                        if roll < catch_all:
+                            policy = 1
+                        elif roll < reject_cut:
+                            policy = 2
+                        else:
+                            policy = 3
+
+            if cls != 4:
+                privacy_rate = (0.05 if reseller
+                                else config.bulk_privacy_rate)
+            elif policy == 1:
+                privacy_rate = 0.75
+            else:
+                privacy_rate = config.small_privacy_rate
+            private = wu[wi] < privacy_rate
+            wi += 1
+            fields = 6
+            if private:
+                proxy = min(int(wu[wi] * n_proxies), n_proxies - 1)
+                wi += 1
+            elif wu[wi] >= 0.8:
+                wi += 1
+                fields = 2 + min(int(wu[wi] * 4), 3)
+                wi += 1
+            else:
+                wi += 1
+            append((cls, pick, support, mx, mx_pick, addr, ns, ns_pick,
+                    private, proxy, fields, policy))
+        return codes
+
+    def _state(self, rank: int, target: str, row: tuple) -> DomainState:
+        """One walk row in string form: the wild-state codes mapped."""
+        domain, (_, op, index, a, _, _), codes = row
+        (cls, pick, support, mx, mx_pick, addr, ns, ns_pick, private,
+         proxy, fields, policy) = codes
+        if cls == 0:
+            owner_id, profile = f"owner-{target}", ""
+        elif cls == 1:
+            owner_id, profile = f"legit-r{rank}-{pick}", ""
+        elif cls == 2:
+            owner_id = self._bulk_ids[pick]
+            profile = _PROFILES[self._bulk_reseller[pick]]
+        elif cls == 3:
+            owner_id = self._medium_ids[pick]
+            profile = _PROFILES[self._medium_reseller[pick]]
+        else:
+            owner_id, profile = f"small-r{rank}-{pick}", "collector"
+        if mx == 0:
+            mx_domain = None
+        elif mx <= 3:
+            mx_domain = self._mx_hosts[mx][mx_pick]
+        else:
+            mx_domain = domain if mx == 4 else f"mx.{target}"
+        return DomainState(
+            domain=domain, target=target, rank=rank, edit_op=_OP_NAMES[op],
+            edit_index=index, edit_char=DOMAIN_ALPHABET[a] if op >= 2 else "",
+            owner_id=owner_id, owner_type=_OWNER_BY_CODE[cls],
+            profile=profile, support=_SUPPORT_BY_CODE[support],
+            mx_domain=mx_domain, has_address=addr,
+            nameserver=(f"ns.{target}" if ns == 2 else
+                        (_CESSPOOL_NAMESERVERS, _NORMAL_NAMESERVERS)[ns][
+                            ns_pick]),
+            private_whois=private,
+            privacy_proxy=PRIVACY_PROXIES[proxy] if private else None,
+            whois_fields_filled=fields, longtail_policy=_POLICIES[policy])
+
+    # -- the streaming scan ------------------------------------------------
+
+    def scan_ranks(self, start_rank: int, stop_rank: int, *,
+                   max_rank: Optional[int] = None,
+                   exclude: Iterable[str] = (),
+                   aggregates: Optional[ScanAggregates] = None,
+                   retain: Optional[list] = None,
+                   perf: Optional["PerfRegistry"] = None) -> ScanAggregates:
+        """Scan ranks ``[start_rank, stop_rank)`` into streaming aggregates.
+
+        ``max_rank`` is the size of the world's target universe (candidate
+        strings colliding with a target domain are never wild typo
+        registrations); it defaults to ``stop_rank - 1`` and must be held
+        constant across the shards of one scan.  ``retain`` is the opt-in
+        result sink for small scans: when given a list, each observation
+        is appended as ``(DomainState, observed SmtpSupport)``; on the
+        paper-scale path nothing per-result is kept.
+
+        Setup is O(1) and the walk builds only this window's filler
+        chunks: target collisions resolve through the
+        :meth:`target_rank` law, never a materialized universe, so a
+        shard's cost depends on its own width — not on ``stop_rank`` or
+        ``max_rank``.  ``perf`` (optional) accumulates
+        ``scan.setup_seconds`` / ``scan.draw_seconds`` (the registration
+        draw) / ``scan.probe_seconds`` (wild state, probe and fold)
+        phase timers; when omitted the loop pays only a dead branch per
+        rank.
+
+        The probe emulation mirrors :meth:`EcosystemScanner._probe`
+        against the host behaviours ``build_internet`` attaches: per
+        attempt a timeout draw, then a network-error draw, then either a
+        deterministic refusal (no listener) or the listening server's
+        STARTTLS classification.  Hosts whose behaviour is deterministic
+        (defensive mail, parked or web-only hosts) resolve without
+        consuming probe uniforms.
+        """
+        timing = perf is not None
+        entry_t = perf_counter() if timing else 0.0
+        aggregates = aggregates if aggregates is not None else ScanAggregates()
+        max_rank = max_rank or (stop_rank - 1)
+        excluded = {domain.lower() for domain in exclude}
+        check_exclude = bool(excluded)
+        attempts = self.probe_attempts
+        small_timeout = self.config.longtail_timeout_probability
+        small_neterr = self.config.longtail_network_error_probability
+        support_by_code = _SUPPORT_BY_CODE
+        mx_keys = self._mx_keys
+        owner_ids = (None, None, self._bulk_ids, self._medium_ids)
+        tally = [0]
+        registered_n = 0
+        # categorical folds are flat index lists; dict folds only where the
+        # key space is open-ended (MX domains, owners, targets)
+        support_l = [0] * 6
+        truth_l = [0] * 6
+        owner_type_l = [0] * 5
+        mx_c: Dict[str, int] = {}
+        owner_dom_c: Dict[str, int] = {}
+        per_target_c: Dict[str, int] = {}
+        private_n = 0
+        implicit_n = 0
+        draw_s = 0.0
+        probe_s = 0.0
+        setup_s = (perf_counter() - entry_t) if timing else 0.0
+
+        mark = perf_counter() if timing else 0.0
+        for r, target, label, suffix, _, slots in self._draws(
+                start_rank, stop_rank, tally):
+            if timing:
+                t1 = perf_counter()
+                draw_s += t1 - mark
+            rows, _ = self._wild_rows(r, label, suffix, slots, max_rank)
+            pu: Optional[list] = None
+            pi = 0
+            scanned = 0
+            for row in rows:
+                domain, _, codes = row
+                if check_exclude and domain in excluded:
+                    continue
+                (cls, pick, support, mx, mx_pick, addr, _, _, private, _, _,
+                 _) = codes
+                # probe emulation (all codes: 0 NO_DNS, 1 NO_INFO,
+                # 2 NO_EMAIL, 3 PLAIN, 4 STARTTLS_ERRORS, 5 STARTTLS_OK)
+                if support == 0:
+                    observed = 0
+                elif cls == 0:
+                    observed = 5
+                elif support == 2 or (cls != 4 and cls != 1
+                                      and support == 1):
+                    # web-parked or refused hosts answer deterministically
+                    observed = support
+                else:
+                    if cls == 1:
+                        timeout_p, neterr_p = 0.05, 0.03
+                        starttls, broken = True, False
+                        listener = True
+                    elif cls != 4:
+                        timeout_p, neterr_p = 0.03, 0.02
+                        starttls, broken = True, support == 4
+                        listener = True
+                    elif support == 1:
+                        timeout_p, neterr_p = 0.97, 0.03
+                        listener = False
+                    else:
+                        timeout_p, neterr_p = small_timeout, small_neterr
+                        starttls, broken = support != 3, support == 4
+                        listener = True
+                    if pu is None:
+                        pu = self._stream(self._rank_purpose(
+                            "probe", r)).uniforms(
+                                r, 2 * attempts * len(slots) + 2).tolist()
+                    observed = -1
+                    refused = False
+                    for _ in range(attempts):
+                        if pu[pi] < timeout_p:
+                            pi += 1
+                            continue
+                        pi += 1
+                        if pu[pi] < neterr_p:
+                            pi += 1
+                            continue
+                        pi += 1
+                        if not listener:
+                            refused = True
+                            continue
+                        observed = 4 if broken else (5 if starttls else 3)
+                        break
+                    if observed < 0:
+                        observed = 2 if refused else 1
+                # fold ----------------------------------------------------
+                scanned += 1
+                support_l[observed] += 1
+                truth_l[support] += 1
+                if mx:
+                    key = (mx_keys[mx][mx_pick] if mx <= 3
+                           else (domain if mx == 4 else target))
+                    mx_c[key] = mx_c.get(key, 0) + 1
+                elif addr:
+                    implicit_n += 1
+                if cls == 2 or cls == 3:
+                    owner_id = owner_ids[cls][pick]
+                    owner_dom_c[owner_id] = owner_dom_c.get(owner_id, 0) + 1
+                owner_type_l[cls] += 1
+                if private:
+                    private_n += 1
+                if retain is not None:
+                    retain.append((self._state(r, target, row),
+                                   support_by_code[observed]))
+            if scanned:
+                registered_n += scanned
+                per_target_c[target] = per_target_c.get(target, 0) + scanned
+            if timing:
+                mark = perf_counter()
+                probe_s += mark - t1
+        if timing:
+            draw_s += perf_counter() - mark
+
+        aggregates.fold_flat(
+            tally[0], registered_n, support_l, truth_l, owner_type_l,
+            _SUPPORT_VALUE_BY_CODE, _OWNER_VALUE_BY_CODE,
+            mx_c, owner_dom_c, per_target_c, private_n, implicit_n)
+        if timing:
+            perf.add_seconds("scan.setup_seconds", setup_s)
+            perf.add_seconds("scan.draw_seconds", draw_s)
+            perf.add_seconds("scan.probe_seconds", probe_s)
+            perf.count("scan.ranks", stop_rank - start_rank)
+        return aggregates
+
+    # -- the feature sweep -------------------------------------------------
 
     def featurize_ranks(self, start_rank: int, stop_rank: int, *,
                         max_rank: Optional[int] = None,
@@ -1640,79 +1584,29 @@ class WorldModel:
                         ) -> Tuple[int, int, int]:
         """Stream packed feature rows for every wild ctypo in the window.
 
-        The columnar twin of :meth:`scan_ranks`: the same registration
-        law, the same wild-state stream consumption (the parity tests pin
-        every row against :meth:`iter_rank_states`), but instead of
-        probing it emits one ``(packed int64, visual float)`` pair per
-        wild registered ctypo plus per-rank shared context, batched into
-        blocks for vectorized featurization downstream.  ``on_block``
-        receives ``(rank_l, nrows_l, len_l, tdigit_l, tadj_l, packed_l,
-        vis_l)`` — the first five parallel per contributing rank, the
-        last two per row — whenever ``block_records`` rows accumulate.
+        The columnar consumer of the walk :meth:`scan_ranks` probes: the
+        same registration draw, wild-state codes and collision rule, but
+        instead of probing it packs one ``(int64 word, visual float)``
+        pair per wild registered ctypo (see ``FEATURE_PACK_SHIFTS``) plus
+        per-rank shared context, batched into blocks for vectorized
+        featurization downstream.  ``on_block`` receives ``(rank_l,
+        nrows_l, len_l, tdigit_l, tadj_l, packed_l, vis_l)`` — the first
+        five parallel per contributing rank, the last two per row —
+        whenever ``block_records`` rows accumulate.
 
         Returns ``(rows, excluded, generated)``; ``excluded`` counts
         registrations skipped because the candidate string collides with
-        a target domain of the ``max_rank`` universe (the same wildness
-        rule the scan applies, via the same membership law — confirmed
-        against chunk *stems* so a deep sweep never materializes foreign
-        filler chunks).  Bounded memory: per-block lists, a capped
-        stem cache, and the window's own filler chunks only.
+        a target domain of the ``max_rank`` universe.  Bounded memory:
+        per-block lists, a capped stem cache, and the window's own
+        filler chunks only.
         """
         timing = perf is not None
         entry_t = perf_counter() if timing else 0.0
         max_rank = max_rank or (stop_rank - 1)
-        churn = self._churn
-        config = self.config
-        peak = config.peak_registration_probability
-        decay = config.rank_decay
-        wild_stream = self._stream("wild")
-        head_n = len(self._head_names)
-        head_parts = self._head_parts
-        head_rank = self._head_rank
-        chunks_cache = self._chunks
-        stem_cache: Dict[int, tuple] = {}
-        stem_tbl: Dict[str, tuple] = {}
-        bufh: list = [None]   # reused draw matrix across batches
-        syl = _syllable_table()
-        head_com = {lbl: rk for rk, (lbl, sfx0)
-                    in enumerate(head_parts, start=1) if sfx0 == "com"}
-        # the digit-run collision fast path assumes no head label
-        # contains a digit (a filler typo that keeps digits in place
-        # can then never spell a head); disable it should the target
-        # list ever grow one
-        prefilter_ok = not any(any(ch.isdigit() for ch in lbl)
-                               for lbl, _ in head_parts)
-
-        def_frac = config.defensive_fraction
-        legit_cut = def_frac + config.legitimate_fraction
-        bulk_share = config.bulk_share
-        medium_cut = bulk_share + config.medium_share
-        bulk_cum, bulk_total = self._bulk_cum, self._bulk_total
-        n_bulk = len(self._bulk_ids)
-        n_medium = len(self._medium_ids)
-        mix_sq, mix_rs, mix_lt = (self._support_mixes["squatter"],
-                                  self._support_mixes["reseller"],
-                                  self._support_mixes["longtail"])
-        pool_broken = self._pool_broken
-        pool_cum, pool_total = self._pool_cum, self._pool_total
-        n_pool = len(self._pool_hosts)
-        catch_all = config.longtail_catch_all_rate
-        reject_cut = catch_all + config.longtail_reject_all_rate
-        small_cess = config.small_cesspool_rate
-        bulk_privacy = config.bulk_privacy_rate
-        small_privacy = config.small_privacy_rate
-
-        code2idx = _CODE2IDX_LIST
-        is_digit, is_vowel = _IDX_IS_DIGIT, _IDX_IS_VOWEL
-        is_hyphen = _IDX_IS_HYPHEN
+        lex_bits = _IDX_LEX
         _char_tables()
         adj_t = _ADJ_LIST
-        alpha = DOMAIN_ALPHABET
-
-        # branch-constant packed partials (see FEATURE_PACK_SHIFTS)
-        pack_defensive = ((5 << 32) | (2 << 36) | (6 << 39) | (5 << 44))
-        pack_legit = ((1 << 35) | (1 << 36) | (6 << 39) | (5 << 44))
-        squat_bit = 1 << 47
+        tally = [0]
 
         rank_l: List[int] = []
         nrows_l: List[int] = []
@@ -1726,396 +1620,51 @@ class WorldModel:
 
         n_rows = 0
         n_excluded = 0
-        generated = 0
         setup_s = (perf_counter() - entry_t) if timing else 0.0
 
-        rank = start_rank
-        while rank < stop_rank:
-            if rank <= head_n:
-                base_rank = 1
-                block_stop = min(stop_rank, head_n + 1)
-                names = self._head_names
-                counts = self._head_gen_counts
-                filler = False
-            else:
-                chunk, _ = divmod(rank - 1 - head_n, _FILLER_CHUNK)
-                names, counts = self._chunk(chunk)
-                base_rank = head_n + chunk * _FILLER_CHUNK + 1
-                block_stop = min(stop_rank, base_rank + _FILLER_CHUNK)
-                filler = True
-            generated += sum(counts[rank - base_rank:
-                                    block_stop - base_rank])
-            batch = None
-            batch_base = rank
-            for r in range(rank, block_stop):
-                p = r - batch_base
-                if batch is None or p == len(batch[0]):
-                    batch_base = r
-                    batch = self._featurize_batch(
-                        r, min(r + _FEATURE_BATCH, block_stop),
-                        base_rank, names, filler, bufh)
-                    p = 0
-                labels_b, cands, row_of, churned = batch
-                label = labels_b[p]
-                L = len(label)
-                if churned is not None and churned[p]:
-                    generation = churned[p]
-                    reg_p = peak / (r ** decay)
-                    rank_wild = self._stream(f"wild@{generation}")
-                    src_flats = _registered_flats(
-                        label, reg_p,
-                        self._stream(f"reg@{generation}").uniforms(
-                            r, 76 * L + 36))
-                    if not src_flats:
-                        continue
-                    uv = None
+        for r, _, label, suffix, lidx, slots in self._draws(
+                start_rank, stop_rank, tally):
+            rows, collided = self._wild_rows(r, label, suffix, slots,
+                                             max_rank)
+            n_excluded += collided
+            if not rows:
+                continue
+            # the target's lexical counts, packed at their word offsets;
+            # each row adjusts them by the chars its edit removes/adds
+            lex = sum(map(lex_bits.__getitem__, lidx))
+            for _, (_, op, i, a, vis, ff), codes in rows:
+                (cls, _, support, mx, _, addr, ns, _, private, _, fields,
+                 policy) = codes
+                if op == 0:
+                    word = lex - lex_bits[lidx[i]]
+                elif op == 1:
+                    word = lex
+                elif op == 2:
+                    word = lex - lex_bits[lidx[i]] + lex_bits[a]
                 else:
-                    rank_wild = wild_stream
-                    c = cands[p]
-                    if c is None:
-                        continue
-                    reg_p = peak / (r ** decay)
-                    if c is _DENSE:
-                        src_flats = _registered_flats(
-                            label, reg_p, bufh[0][row_of[p], :76 * L + 36])
-                        if not src_flats:
-                            continue
-                        uv = None
-                    else:
-                        src_flats, uv = c
-
-                # per-rank shared tables; filler labels are stem+digits
-                # with the stem drawn from a bounded syllable vocabulary,
-                # so stem-side stats come from a capped cache and only
-                # the short digit suffix is walked per rank
-                if filler:
-                    dstr = str(r - head_n - 1)
-                    nd = len(dstr)
-                    nstem = L - nd
-                    stem = label[:nstem]
-                    ent = stem_tbl.get(stem)
-                    if ent is None:
-                        s_lidx = [code2idx[ord(ch)] for ch in stem]
-                        svow = 0
-                        sadj = 0
-                        prev = -1
-                        for a0 in s_lidx:
-                            if is_vowel[a0]:
-                                svow += 1
-                            if prev >= 0 and adj_t[prev][a0]:
-                                sadj += 1
-                            prev = a0
-                        if len(stem_tbl) >= 131072:
-                            stem_tbl.clear()
-                        ent = (s_lidx, svow, sadj)
-                        stem_tbl[stem] = ent
-                    s_lidx, svow, sadj = ent
-                    d_lidx = [code2idx[ord(ch)] for ch in dstr]
-                    lidx = s_lidx + d_lidx
-                    base_digits = nd
-                    base_hyphens = 0
-                    base_vowels = svow
-                    adj_pairs = sadj
-                    prev = s_lidx[nstem - 1]
-                    for a0 in d_lidx:
-                        if adj_t[prev][a0]:
-                            adj_pairs += 1
-                        prev = a0
-                    tgt_dig_frac = nd / L
-                    tgt_adj_frac = adj_pairs / (L - 1)
-                    # collision prefilter: only edits at or after the
-                    # last stem letter can change the trailing digit
-                    # run, and an unchanged run decodes to the target's
-                    # own slot — never a typo match (heads always check)
-                    safe_below = nstem - 1 if prefilter_ok else 0
-                else:
-                    lidx = [code2idx[ord(ch)] for ch in label]
-                    base_digits = 0
-                    base_hyphens = 0
-                    base_vowels = 0
-                    adj_pairs = 0
-                    prev = -1
-                    for a0 in lidx:
-                        if is_digit[a0]:
-                            base_digits += 1
-                        elif is_vowel[a0]:
-                            base_vowels += 1
-                        elif is_hyphen[a0]:
-                            base_hyphens += 1
-                        if prev >= 0 and adj_t[prev][a0]:
-                            adj_pairs += 1
-                        prev = a0
-                    tgt_dig_frac = base_digits / L
-                    tgt_adj_frac = adj_pairs / (L - 1) if L > 1 else 0.0
-                    safe_below = 0
-
-                posw = _position_weight_list(L)
-                decoded = _confirm_decoded(lidx, posw, reg_p, src_flats,
-                                           uv, base_digits, base_hyphens,
-                                           base_vowels)
-                if not decoded:
-                    continue
-                sfx = "com" if filler else head_parts[r - base_rank][1]
-                fast = filler and prefilter_ok
-
-                n = len(decoded)
-                wu = rank_wild.uniforms(r, 12 * n + 4).tolist()
-                wi = 0
-                rank_rows = 0
-
-                for pack_lex, vis, op, index, a in decoded:
-                    # the wild-state walk: stream consumption identical
-                    # to _iter_rank_records (the parity tests pin it) ---
-                    owner_u = wu[wi]
-                    wi += 1
-                    if owner_u < def_frac:
-                        packed = pack_defensive
-                    elif owner_u < legit_cut:
-                        wi += 1                     # nameserver pick
-                        private = wu[wi] < 0.25
-                        wi += 1
-                        if private:
-                            wi += 1                 # proxy pick
-                        policy = 1 if wu[wi] < 0.1 else 2
-                        wi += 1
-                        packed = (pack_legit | (policy << 42)
-                                  | ((1 << 38) if private else 0))
-                    else:
-                        squatter_u = wu[wi]
-                        wi += 1
-                        if squatter_u < bulk_share:
-                            bulk_index = min(
-                                bisect_right(bulk_cum, wu[wi] * bulk_total),
-                                n_bulk - 1)
-                            wi += 1
-                            reseller = bulk_index < 3
-                            cls4 = False
-                        elif squatter_u < medium_cut:
-                            medium_index = min(int(wu[wi] * n_medium),
-                                               n_medium - 1)
-                            wi += 1
-                            reseller = medium_index % 2 != 0
-                            cls4 = False
-                        else:
-                            reseller = False
-                            cls4 = True
-                        mix_names, mix_cum, mix_total = (
-                            mix_lt if cls4
-                            else (mix_rs if reseller else mix_sq))
-                        support = mix_names[min(
-                            bisect_right(mix_cum, wu[wi] * mix_total),
-                            len(mix_names) - 1)]
-                        wi += 1
-                        if cls4:
-                            cesspool = wu[wi] < small_cess
-                            wi += 1
-                        else:
-                            cesspool = True
-                        wi += 1                     # nameserver pick
-                        mx_code = 0
-                        addr = 0
-                        policy = 0
-                        if support != 0:
-                            if not cls4:
-                                if support == 1:
-                                    mx_code = 1
-                                    wi += 1
-                                elif support == 2:
-                                    mx_code = 2
-                                    wi += 1
-                                else:
-                                    pool_index = min(
-                                        bisect_right(pool_cum,
-                                                     wu[wi] * pool_total),
-                                        n_pool - 1)
-                                    wi += 1
-                                    mx_code = 3
-                                    if pool_broken[pool_index]:
-                                        support = 4
-                            else:
-                                addr = 1
-                                if wu[wi] < 0.1:
-                                    mx_code = 4
-                                wi += 1
-                                if support != 2 and support != 1:
-                                    roll = wu[wi]
-                                    wi += 1
-                                    if roll < catch_all:
-                                        policy = 1
-                                    elif roll < reject_cut:
-                                        policy = 2
-                                    else:
-                                        policy = 3
-                        if not cls4:
-                            privacy_rate = (0.05 if reseller
-                                            else bulk_privacy)
-                        elif policy == 1:
-                            privacy_rate = 0.75
-                        else:
-                            privacy_rate = small_privacy
-                        private = wu[wi] < privacy_rate
-                        wi += 1
-                        fields = 6
-                        if private:
-                            wi += 1                 # proxy pick
-                        elif wu[wi] >= 0.8:
-                            wi += 1
-                            fields = 2 + min(int(wu[wi] * 4), 3)
-                            wi += 1
-                        else:
-                            wi += 1
-                        packed = (squat_bit | (mx_code << 32) | (addr << 35)
-                                  | ((0 if cesspool else 1) << 36)
-                                  | ((1 << 38) if private else 0)
-                                  | (fields << 39) | (policy << 42)
-                                  | (support << 44))
-
-                    # wildness: drop candidates colliding with a target.
-                    # Fast path (fillers, digit-free head list): a typo
-                    # can only match a filler name if it still reads as
-                    # letters(4-9)+digits — edits confined to the digit
-                    # run keep the stem and just move the slot (compare
-                    # that slot's stem), letter/hyphen edits inside the
-                    # run break the shape, and boundary edits that keep
-                    # the shape decode to the target's own slot.  The
-                    # few stem-changing shapes fall back to the generic
-                    # membership walk, as do all head ranks.
-                    if index >= safe_below:
-                        if fast:
-                            digits2 = None
-                            generic = False
-                            if op == 0:
-                                if index < nstem:
-                                    generic = True
-                                else:
-                                    kk = index - nstem
-                                    d2 = dstr[:kk] + dstr[kk + 1:]
-                                    if not d2:
-                                        hit = head_com.get(stem)
-                                        if (hit is not None
-                                                and hit <= max_rank):
-                                            n_excluded += 1
-                                            continue
-                                    elif not (d2[0] == "0" and nd > 2):
-                                        digits2 = d2
-                            elif op == 1:
-                                if index >= nstem:
-                                    kk = index - nstem
-                                    d2 = (dstr[:kk] + dstr[kk + 1]
-                                          + dstr[kk] + dstr[kk + 2:])
-                                    if not (d2[0] == "0" and nd > 1):
-                                        digits2 = d2
-                            elif op == 2:
-                                if index >= nstem:
-                                    if is_digit[a]:
-                                        kk = index - nstem
-                                        d2 = (dstr[:kk] + alpha[a]
-                                              + dstr[kk + 1:])
-                                        if not (d2[0] == "0" and nd > 1):
-                                            digits2 = d2
-                                    elif index == nstem:
-                                        generic = True
-                                elif is_digit[a]:
-                                    generic = True
-                            else:
-                                if index >= nstem and is_digit[a]:
-                                    kk = index - nstem
-                                    d2 = (dstr[:kk] + alpha[a]
-                                          + dstr[kk:])
-                                    if d2[0] != "0":
-                                        digits2 = d2
-                            if digits2 is not None:
-                                index2 = int(digits2)
-                                if index2 < max_rank - head_n:
-                                    chunk2, off2 = divmod(
-                                        index2, _FILLER_CHUNK)
-                                    known = chunks_cache.get(chunk2)
-                                    if known is not None:
-                                        match = (known[0][off2]
-                                                 == stem + digits2
-                                                 + ".com")
-                                    else:
-                                        flat_i, third = \
-                                            self._stem_syllables(
-                                                stem_cache, chunk2)
-                                        s1, s2, s3 = flat_i[off2]
-                                        cand = (syl[s1] + syl[s2]
-                                                + syl[s3]
-                                                if third[off2]
-                                                else syl[s1] + syl[s2])
-                                        match = cand == stem
-                                    if match:
-                                        n_excluded += 1
-                                        continue
-                            if not generic:
-                                pack_append(packed | pack_lex)
-                                vis_append(vis)
-                                rank_rows += 1
-                                continue
-                        if op == 0:
-                            typo = label[:index] + label[index + 1:]
-                        elif op == 1:
-                            typo = (label[:index] + label[index + 1]
-                                    + label[index] + label[index + 2:])
-                        elif op == 2:
-                            typo = (label[:index] + alpha[a]
-                                    + label[index + 1:])
-                        else:
-                            typo = (label[:index] + alpha[a]
-                                    + label[index:])
-                        hit = head_rank.get(typo + "." + sfx)
-                        if hit is not None and hit <= max_rank:
-                            n_excluded += 1
-                            continue
-                        if sfx == "com":
-                            stem2 = typo.rstrip("0123456789")
-                            nstem2 = len(stem2)
-                            if 4 <= nstem2 <= 9 and nstem2 < len(typo):
-                                digits2 = typo[nstem2:]
-                                if not (digits2[0] == "0"
-                                        and len(digits2) > 1):
-                                    index2 = int(digits2)
-                                    if index2 < max_rank - head_n:
-                                        chunk2, off2 = divmod(
-                                            index2, _FILLER_CHUNK)
-                                        known = chunks_cache.get(chunk2)
-                                        if known is not None:
-                                            match = (known[0][off2]
-                                                     == typo + ".com")
-                                        else:
-                                            flat_i, third = \
-                                                self._stem_syllables(
-                                                    stem_cache, chunk2)
-                                            s1, s2, s3 = flat_i[off2]
-                                            cand = (syl[s1] + syl[s2]
-                                                    + syl[s3]
-                                                    if third[off2]
-                                                    else syl[s1] + syl[s2])
-                                            match = cand == stem2
-                                        if match:
-                                            n_excluded += 1
-                                            continue
-
-                    pack_append(packed | pack_lex)
-                    vis_append(vis)
-                    rank_rows += 1
-
-                if rank_rows:
-                    n_rows += rank_rows
-                    rank_l.append(r)
-                    nrows_l.append(rank_rows)
-                    len_l.append(L)
-                    tdigit_l.append(tgt_dig_frac)
-                    tadj_l.append(tgt_adj_frac)
-                    if len(packed_l) >= block_records and on_block is not None:
-                        on_block((rank_l, nrows_l, len_l, tdigit_l,
-                                  tadj_l, packed_l, vis_l))
-                        rank_l, nrows_l, len_l = [], [], []
-                        tdigit_l, tadj_l = [], []
-                        packed_l, vis_l = [], []
-                        pack_append = packed_l.append
-                        vis_append = vis_l.append
-            rank = block_stop
+                    word = lex + lex_bits[a]
+                pack_append(word | op | (i << 2) | (a << 8) | (mx << 32)
+                            | (addr << 35) | (ns << 36) | (private << 38)
+                            | (fields << 39) | (policy << 42)
+                            | (support << 44) | ((cls >= 2) << 47)
+                            | (ff << 48))
+                vis_append(vis)
+            L = len(lidx)
+            n_rows += len(rows)
+            rank_l.append(r)
+            nrows_l.append(len(rows))
+            len_l.append(L)
+            tdigit_l.append(((lex >> 14) & 63) / L)
+            tadj_l.append(sum([adj_t[x][y] for x, y in zip(lidx, lidx[1:])])
+                          / (L - 1) if L > 1 else 0.0)
+            if len(packed_l) >= block_records and on_block is not None:
+                on_block((rank_l, nrows_l, len_l, tdigit_l, tadj_l,
+                          packed_l, vis_l))
+                rank_l, nrows_l, len_l = [], [], []
+                tdigit_l, tadj_l = [], []
+                packed_l, vis_l = [], []
+                pack_append = packed_l.append
+                vis_append = vis_l.append
 
         if packed_l and on_block is not None:
             on_block((rank_l, nrows_l, len_l, tdigit_l, tadj_l,
@@ -2126,7 +1675,7 @@ class WorldModel:
                              perf_counter() - entry_t - setup_s)
             perf.count("featurize.ranks", stop_rank - start_rank)
             perf.count("featurize.rows", n_rows)
-        return n_rows, n_excluded, generated
+        return n_rows, n_excluded, tally[0]
 
 
 def _cumulative(weights: List[float]) -> Tuple[List[float], float]:

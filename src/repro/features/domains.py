@@ -1,8 +1,10 @@
 """Per-domain feature matrices from the scan pipeline (the domain lane).
 
-:meth:`WorldModel.featurize_ranks` walks the same registration + wild-state
-law as :meth:`scan_ranks` and emits one ``(packed int64, visual float)``
-pair per registered wild ctypo, batched into blocks.  This module is the
+The world has one walk — registration draw, wild-state codes, membership
+oracle — and two consumers: :meth:`WorldModel.scan_ranks` probes its
+rows, and :meth:`WorldModel.featurize_ranks` packs them into one
+``(packed int64, visual float)`` pair per registered wild ctypo, batched
+into blocks.  This module is the
 columnar half of that engine: it keeps blocks in a compact numpy form
 (~16 bytes/row, so a full 1M-rank universe stays resident), unpacks the
 49-bit words with vector shifts, and assembles the float64 feature matrix
