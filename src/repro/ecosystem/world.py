@@ -19,14 +19,18 @@ rank)`` on demand:
 One walk derives all of it, and each rule lives once inside it: the
 registration draw (:meth:`WorldModel._draws`, batched over head and
 filler-chunk blocks, confirmed by :func:`_confirm`), the wild-state law
-(:meth:`WorldModel._wild_codes`, small integer codes), and the
-membership oracle (:meth:`WorldModel.target_rank`, which drops a
-candidate that is itself a target).  Two consumers read it:
-:meth:`WorldModel.scan_ranks` probes and folds the codes into scan
-aggregates, and :meth:`WorldModel.featurize_ranks` packs them into
-feature words.  :meth:`WorldModel.iter_rank_states` maps the same codes
-to strings, the :class:`DomainState` form ``build_internet`` and the
-query service read.
+(:meth:`WorldModel._wild_words`, small integer codes packed into one
+int64 walk word per row), and the membership oracle
+(:meth:`WorldModel.target_rank`, which drops a candidate that is itself
+a target).  Two consumers read it: :meth:`WorldModel.scan_ranks` probes
+and folds the words into scan aggregates, and
+:meth:`WorldModel.featurize_ranks` masks them into feature words.  A
+world keeps the walk of the last window it walked (the per-rank tuples
+the walk yielded: a word and a visual cost per row, a few references per
+rank), so the second consumer of one window reads it instead of walking
+again.
+:meth:`WorldModel.iter_rank_states` maps the same words to strings, the
+:class:`DomainState` form ``build_internet`` and the query service read.
 
 Every stream is a pure function of ``(seed, purpose, rank)``: uniforms
 come from a Philox counter-based generator whose key is
@@ -110,11 +114,6 @@ _SUPPORT_VALUE_BY_CODE: Tuple[str, ...] = tuple(
 _OP_NAMES = ("deletion", "transposition", "substitution", "addition")
 _PROFILES = ("collector", "reseller")          # by reseller flag
 _POLICIES = (None, "catch_all", "reject_unknown", "domain")
-
-#: the wild-state codes of every defensive registration (see
-#: ``WorldModel._wild_codes``): mail and DNS at the target, full WHOIS
-_DEFENSIVE_CODES = (0, 0, 5, 5, 0, False, 2, 0, False, 0, 6, 0)
-
 
 @dataclass(frozen=True)
 class DomainState:
@@ -304,6 +303,90 @@ _IDX_LEX = [(c.isdigit() << FEATURE_PACK_SHIFTS["digits"])
             | ((c == "-") << FEATURE_PACK_SHIFTS["hyphens"])
             | ((c in "aeiou") << FEATURE_PACK_SHIFTS["vowels"])
             for c in DOMAIN_ALPHABET]
+
+# -- the walk word -------------------------------------------------------------
+#
+# The walk keeps each wild row as one int64 word plus its visual cost.
+# The word holds the slot (op, index, char, fat-finger bit) and all
+# twelve wild-state codes, at the offsets ``_WALK_FIELDS`` names.  Fields
+# the feature word carries too sit at their FEATURE_PACK_SHIFTS offsets,
+# so ``featurize_ranks`` derives its word with one mask plus the typo's
+# lexical counts; the walk-only codes fill the lexical-count bits (14-31)
+# and the bits above 48, 61 bits in all.  The owner pick is a registrant
+# index or the rank's running count of legitimate or small owners (a
+# rank has under 4k slots); the mx, ns and proxy picks index pools of at
+# most 8, 40 and 3 entries.  Every word is built by ``_word`` or from
+# the tables below, and read through ``_fields``.
+
+#: every walk-word field: name -> (shift, width)
+_WALK_FIELDS = {
+    **{name: (FEATURE_PACK_SHIFTS[name], width) for name, width in (
+        ("op", 2), ("index", 6), ("char", 6), ("mx", 3), ("addr", 1),
+        ("ns", 2), ("private", 1), ("fields", 3), ("policy", 2),
+        ("support", 3), ("squat", 1), ("adjacent", 1))},
+    "owner": (14, 3), "owner_pick": (17, 15),
+    "mx_pick": (49, 4), "ns_pick": (53, 6), "proxy": (59, 2),
+}
+
+
+def _word(**fields: int) -> int:
+    """The walk word with ``fields`` set and every other field zero."""
+    word = 0
+    for name, value in fields.items():
+        shift, width = _WALK_FIELDS[name]
+        if not 0 <= value < 1 << width:
+            raise ValueError(f"walk-word field {name}={value} does not fit "
+                             f"its {width} bits")
+        word |= value << shift
+    return word
+
+
+def _fields(*names: str) -> Tuple[int, ...]:
+    """``shift, mask`` per named walk-word field, flattened, for the
+    decoders' ``(word >> shift) & mask``."""
+    return tuple(x for name in names for x in (
+        _WALK_FIELDS[name][0], (1 << _WALK_FIELDS[name][1]) - 1))
+
+
+#: the walk-word bits the feature word shares: slot, state and squat bit
+_FEATURE_MASK = sum(_word(**{name: (1 << width) - 1})
+                    for name, (_, width) in _WALK_FIELDS.items()
+                    if name in FEATURE_PACK_SHIFTS)
+#: the walk-word state of every defensive registration (see
+#: ``WorldModel._wild_words``): mail and DNS at the target, full WHOIS
+_DEFENSIVE_WORD = _word(mx=5, ns=2, fields=6, support=5)
+#: ... the fixed part of every legitimate one: address, full WHOIS and
+#: STARTTLS mail
+_LEGIT_WORD = _word(owner=1, addr=1, fields=6, support=5)
+#: ... and of every small squatter's
+_SMALL_WORD = _word(owner=4, squat=1)
+#: pre-shifted walk-word parts the wild-state law ORs together: a table
+#: read costs less than a shift, and a shift of a code into the high
+#: bits allocates a fresh int
+_CESSPOOL_NS_WORDS = tuple(_word(ns=0, ns_pick=i)
+                           for i in range(len(_CESSPOOL_NAMESERVERS)))
+_NORMAL_NS_WORDS = tuple(_word(ns=1, ns_pick=i)
+                         for i in range(len(_NORMAL_NAMESERVERS)))
+#: parked (mx kind 1) and web (mx kind 2) hosts, by kind then host pick
+_HOST_WORDS = (None, *(tuple(_word(mx=kind, mx_pick=i) for i in range(3))
+                       for kind in (1, 2)))
+_POOL_WORDS = tuple(_word(mx=3, mx_pick=i)
+                    for i in range(len(SQUATTER_MX_POOL)))
+#: private WHOIS: the proxy pick, fields stay full
+_PROXY_WORDS = tuple(_word(private=1, fields=6, proxy=i)
+                     for i in range(len(PRIVACY_PROXIES)))
+_FIELDS_WORDS = tuple(_word(fields=f) for f in range(7))
+_POLICY_WORDS = tuple(_word(policy=p) for p in range(4))
+_SUPPORT_WORDS = tuple(_word(support=s) for s in range(6))
+_ADJACENT_BIT = _word(adjacent=1)
+_ADDR_BIT = _word(addr=1)
+_PRIVATE_BIT = _word(private=1)
+_SELF_MX_WORD = _word(mx=4)
+
+#: rows a walk keeps for a second consumer of its window (the default
+#: ``block_records``); a wider window streams without a memo.  The memo
+#: holds the walk's own row tuples, ~80 bytes a row, so at most ~5 MB
+_WALK_MEMO_ROWS = 1 << 16
 
 #: ranks per batched registration draw in the walk — large enough to
 #: amortize the per-slab numpy dispatch, small enough that the draw
@@ -599,14 +682,17 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
     any bound of the form ``u < reg_p * upper`` with per-section
     ``upper >= quality``; the scalar law then keeps exactly the slots the
     dense path would.  ``uvals is None`` skips the uniform test, for
-    slots the dense path already drew.  Each kept slot comes back
-    decoded as ``(flat, op, index, char, visual cost, fat-finger)``:
-    op codes 0 deletion, 1 transposition, 2 substitution, 3 addition;
-    ``char`` is an alphabet index (0 where the op inserts none); the
-    visual cost and fat-finger flag are the quality law's own terms, so
-    no consumer re-derives them.
+    slots the dense path already drew.  Each kept slot comes back as
+    ``(flat, slot word, visual cost)``: the slot word holds the op,
+    index, char and fat-finger bit at their walk-word offsets (op codes
+    0 deletion, 1 transposition, 2 substitution, 3 addition; the char an
+    alphabet index, 0 where the op inserts none).  The visual cost and
+    fat-finger bit are the quality law's own terms, so no consumer
+    re-derives them.
     """
     kept: List[tuple] = []
+    op_sh, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
+    adjacent = _ADJACENT_BIT
     if not cand_flats:
         return kept
     _char_tables()
@@ -678,8 +764,33 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
             op = 3
         if check and uvals[k] >= reg_p * q:
             continue
-        kept.append((flat, op, i, a, vis, ff))
+        slot = (op << op_sh) | (i << index_sh) | (a << char_sh)
+        kept.append((flat, slot | adjacent if ff else slot, vis))
     return kept
+
+
+#: the slot's fields, as :func:`_spell` and ``featurize_ranks`` read them
+_SLOT_FIELDS = _fields("op", "index", "char")
+#: every field ``WorldModel._state`` reads but the two bits
+_STATE_FIELDS = _SLOT_FIELDS + _fields(
+    "owner", "owner_pick", "mx", "mx_pick", "ns", "ns_pick", "proxy",
+    "fields", "policy", "support")
+
+
+def _spell(label: str, word: int) -> str:
+    """The typo label the edit in a walk (or slot) word makes of
+    ``label``."""
+    op_sh, op_m, index_sh, index_m, char_sh, char_m = _SLOT_FIELDS
+    op = (word >> op_sh) & op_m
+    i = (word >> index_sh) & index_m
+    if op == 0:
+        return label[:i] + label[i + 1:]
+    if op == 1:
+        return label[:i] + label[i + 1] + label[i] + label[i + 2:]
+    char = DOMAIN_ALPHABET[(word >> char_sh) & char_m]
+    if op == 2:
+        return label[:i] + char + label[i + 1:]
+    return label[:i] + char + label[i:]
 
 
 def _registration_grid(label: str, seed: int, rank: int,
@@ -822,6 +933,10 @@ class WorldModel:
         self._target_set_size = 0
         self._churn: Optional[Dict[int, int]] = dict(churn) if churn else None
         self._streams: Dict[str, _RankKeyedStream] = {}
+        #: the last window's walk, ``(key, generated count, row count,
+        #: row tuples)`` (see ``_walk``); never shared with an evolved
+        #: world, whose churn re-keys the streams
+        self._walk_memo: Optional[tuple] = None
         # hot-path tables: cumulative weights for bisect draws, interned
         # owner-id strings, owner profiles, and the MX host pick ->
         # host / registrable-domain maps by MX kind
@@ -835,6 +950,14 @@ class WorldModel:
             i < 3 for i in range(config.bulk_registrant_count))
         self._medium_reseller = tuple(
             i % 2 == 1 for i in range(config.medium_registrant_count))
+        #: each registrant's class, pick and squat bit as a walk word
+        #: (``_word`` rejects a count past the owner pick's width)
+        self._bulk_words = tuple(
+            _word(owner=2, owner_pick=i, squat=1)
+            for i in range(config.bulk_registrant_count))
+        self._medium_words = tuple(
+            _word(owner=3, owner_pick=i, squat=1)
+            for i in range(config.medium_registrant_count))
         self._support_mixes = {
             name: (tuple(_SUPPORT_CODE[s] for s in mix),
                    *_cumulative(list(mix.values())))
@@ -979,7 +1102,8 @@ class WorldModel:
         filler chunk and stem caches and any materialized target set
         transfer to the new world unchanged.  This is what lets a
         resident index apply a churn delta without re-deriving the
-        target universe.
+        target universe.  The walk memo stays behind: churn re-keys the
+        streams it was drawn from.
         """
         world = WorldModel(self.seed, self.config,
                            probe_attempts=self.probe_attempts, churn=churn)
@@ -1035,19 +1159,23 @@ class WorldModel:
         """Stream the rank's registered-domain states (never a list)."""
         target = self.target_domain(rank)
         label = grid.label
+        dot_suffix = target[len(label):]
         slots = _confirm(_label_indices(label), 0.0,
                          grid.registered.tolist(), None)
-        for row in self._rank_rows(rank, label, target[len(label) + 1:],
-                                   slots):
-            yield self._state(rank, target, row)
+        for word in self._wild_words(rank, slots):
+            yield self._state(rank, target, _spell(label, word) + dot_suffix,
+                              word)
 
     # -- the world walk ----------------------------------------------------
     #
-    # scan_ranks and featurize_ranks consume one walk: _draws (the
+    # scan_ranks and featurize_ranks consume one walk, _walk: _draws (the
     # registration draw over head and filler-chunk blocks), then per rank
-    # _wild_rows (decoded typos, the wild-state law's codes, and the
-    # membership oracle's collision rule).  iter_rank_states maps the
-    # same rows to strings through _state.
+    # _wild_words (the wild-state law) and the membership oracle's
+    # collision rule, each row kept as one walk word.  The walk keeps the
+    # row tuples it yields as a memo keyed by (start_rank, stop_rank,
+    # max_rank), so a sweep that scans and then featurizes a window walks
+    # it once.  iter_rank_states maps the same words to strings through
+    # _state.
 
     def _draws(self, start_rank: int, stop_rank: int,
                tally: List[int]) -> Iterator[tuple]:
@@ -1172,65 +1300,103 @@ class WorldModel:
             j0 = j1
         return buf, rows, cands
 
-    def _wild_rows(self, rank: int, label: str, suffix: str,
-                   slots: List[tuple], max_rank: int
-                   ) -> Tuple[List[tuple], int]:
-        """(rows, collisions): the rank's wild registrations.
+    def _walk(self, start_rank: int, stop_rank: int, max_rank: int,
+              tally: List[int],
+              perf: Optional["PerfRegistry"] = None) -> Iterator[tuple]:
+        """The walk of ranks ``[start_rank, stop_rank)`` in a ``max_rank``
+        universe.
 
-        Rows come from :meth:`_rank_rows`.  A row whose domain is itself
-        a target of the ``max_rank`` universe is no wild typo
-        registration and is dropped; :meth:`target_rank` decides.  One
-        pre-check is a fact of the law: a filler edit before the last
-        stem letter leaves the digit run, and so the addressed slot (the
-        rank's own), unchanged, and no head label ends in a digit, so
-        such a typo can hit no target.
+        Yields ``(rank, target, label, suffix, label indices, slots,
+        collided, words, vis)`` for every rank that registers a slot:
+        ``words`` holds one walk word per wild row, in grid order, and
+        ``vis`` each row's visual cost; ``slots`` counts the rank's
+        registered slots and ``collided`` those dropped because the typo
+        is itself a target of the universe (:meth:`target_rank`
+        decides).  One pre-check is a fact of the law: a filler edit
+        before the last stem letter leaves the digit run, and so the
+        addressed slot (the rank's own), unchanged, and no head label
+        ends in a digit, so such a typo can hit no target and is never
+        spelled.  Adds every rank's generated count to ``tally[0]``.
+
+        A live walk keeps a reference to every tuple it yields (no
+        copy: consumers only read them); when it runs to its end they
+        become the world's memo, so the next walk of the same
+        ``(start_rank, stop_rank, max_rank)`` yields them again instead
+        of drawing (``perf`` then counts ``walk.reused_ranks`` and
+        ``walk.reused_rows``).  A walk abandoned midway stores nothing,
+        and one past ``_WALK_MEMO_ROWS`` rows lets go of its memo and
+        streams on.
         """
-        rows = self._rank_rows(rank, label, suffix, slots)
+        key = (start_rank, stop_rank, max_rank)
+        memo = self._walk_memo
+        if memo is not None and memo[0] == key:
+            _, generated, n_rows, rows = memo
+            tally[0] += generated
+            if perf is not None:
+                perf.count("walk.reused_ranks", stop_rank - start_rank)
+                perf.count("walk.reused_rows", n_rows)
+            yield from rows
+            return
+
+        self._walk_memo = None
+        rows: Optional[List[tuple]] = []
+        n_rows = 0
+        generated0 = tally[0]
         head_n = len(self._head_names)
-        safe_below = (len(label) - len(str(rank - head_n - 1)) - 1
-                      if rank > head_n and self._letter_final_heads else 0)
+        letter_final = self._letter_final_heads
         target_rank = self.target_rank
-        wild = [row for row in rows if row[1][2] < safe_below
-                or target_rank(row[0], max_rank) is None]
-        return wild, len(rows) - len(wild)
+        _, _, index_sh, index_m, _, _ = _SLOT_FIELDS
+        index_field = index_m << index_sh
+        for r, target, label, suffix, lidx, slots in self._draws(
+                start_rank, stop_rank, tally):
+            words = self._wild_words(r, slots)
+            vis = [v for _, _, v in slots]
+            # rows whose edit index is at or past the last stem letter
+            # may spell a target
+            index_bits = ((len(label) - len(str(r - head_n - 1)) - 1)
+                          << index_sh if r > head_n and letter_final else 0)
+            dot_suffix = "." + suffix
+            collided = [k for k, w in enumerate(words)
+                        if w & index_field >= index_bits and target_rank(
+                            _spell(label, w) + dot_suffix,
+                            max_rank) is not None]
+            for k in reversed(collided):
+                del words[k]
+                del vis[k]
+            row = (r, target, label, suffix, lidx, len(slots), len(collided),
+                   words, vis)
+            if rows is not None:
+                rows.append(row)
+                n_rows += len(words)
+                if n_rows > _WALK_MEMO_ROWS:
+                    rows = None
+            yield row
+        if rows is not None:
+            self._walk_memo = (key, tally[0] - generated0, n_rows, rows)
 
-    def _rank_rows(self, rank: int, label: str, suffix: str,
-                   slots: List[tuple]) -> List[tuple]:
-        """``(domain, slot, codes)`` per registered slot: the typo
-        spelled out, the slot as :func:`_confirm` decodes it, and its
-        :meth:`_wild_codes`."""
-        dot_suffix = "." + suffix
-        alpha = DOMAIN_ALPHABET
-        domains = []
-        for _, op, i, a, _, _ in slots:
-            if op == 0:
-                typo = label[:i] + label[i + 1:]
-            elif op == 1:
-                typo = label[:i] + label[i + 1] + label[i] + label[i + 2:]
-            elif op == 2:
-                typo = label[:i] + alpha[a] + label[i + 1:]
-            else:
-                typo = label[:i] + alpha[a] + label[i:]
-            domains.append(typo + dot_suffix)
-        return list(zip(domains, slots, self._wild_codes(rank, len(slots))))
-
-    def _wild_codes(self, rank: int, n: int) -> List[tuple]:
+    def _wild_words(self, rank: int, slots: List[tuple]) -> List[int]:
         """The wild-state law: owner, support, MX, DNS and WHOIS codes.
 
         Reads the rank's "wild" stream (at its churn generation); each
         decision consumes exactly one uniform, so the derivation is
-        independent of how consumers iterate.  One tuple per registered
-        slot, in grid order: ``(class, owner pick, support, mx kind,
-        mx host pick, has address, ns kind, ns pick, private, proxy
-        pick, whois fields, policy)``.  Class codes index
-        ``_OWNER_BY_CODE`` and support codes ``_SUPPORT_BY_CODE``; the
-        owner pick is the bulk/medium registrant index, or the rank's
-        running count of legitimate or small owners; mx kinds are
-        0 none, 1 parked, 2 web, 3 pool, 4 self, 5 mx.<target>; ns kinds
-        0 cesspool, 1 normal, 2 ns.<target>; policies 0 none,
-        1 catch_all, 2 reject_unknown, 3 domain (``FEATURE_PACK_SHIFTS``
-        packs the same codes).
+        independent of how consumers iterate.  One walk word per slot of
+        :func:`_confirm`'s ``slots``, in grid order: the slot word plus
+        the codes at their walk-word offsets: class (indexes
+        ``_OWNER_BY_CODE``), owner pick, support (indexes
+        ``_SUPPORT_BY_CODE``), mx kind and host pick, has address, ns
+        kind and pick, private, proxy pick, whois fields and policy, plus
+        the squat bit.  The owner pick is the bulk/medium registrant
+        index, or the rank's running count of legitimate or small
+        owners; mx kinds are 0 none, 1 parked, 2 web, 3 pool, 4 self,
+        5 mx.<target>; ns kinds 0 cesspool, 1 normal, 2 ns.<target>;
+        policies 0 none, 1 catch_all, 2 reject_unknown, 3 domain.
+
+        No pick needs a clamp to its last index: a stream uniform is at
+        most ``1 - 2**-53``, so ``u * n`` rounds to below ``n``, and
+        ``u * total`` to below the last of the inclusive cumulative
+        weights ``bisect_right`` searches.
         """
+        n = len(slots)
         if not n:
             return []
         config = self.config
@@ -1244,42 +1410,46 @@ class WorldModel:
         bulk_cum, bulk_total = self._bulk_cum, self._bulk_total
         bulk_reseller, medium_reseller = (self._bulk_reseller,
                                           self._medium_reseller)
-        n_bulk, n_medium = len(bulk_reseller), len(medium_reseller)
+        bulk_words, medium_words = self._bulk_words, self._medium_words
+        n_medium = len(medium_reseller)
         mix_sq, mix_rs, mix_lt = (self._support_mixes["squatter"],
                                   self._support_mixes["reseller"],
                                   self._support_mixes["longtail"])
         pool_broken = self._pool_broken
         pool_cum, pool_total = self._pool_cum, self._pool_total
-        n_pool = len(pool_broken)
-        n_normal = len(_NORMAL_NAMESERVERS)
-        n_cesspool = len(_CESSPOOL_NAMESERVERS)
-        n_proxies = len(PRIVACY_PROXIES)
+        cess_words, normal_words = _CESSPOOL_NS_WORDS, _NORMAL_NS_WORDS
+        host_words, pool_words = _HOST_WORDS, _POOL_WORDS
+        proxy_words, fields_words = _PROXY_WORDS, _FIELDS_WORDS
+        policy_words, support_words = _POLICY_WORDS, _SUPPORT_WORDS
+        full_fields = fields_words[6]
+        pick_sh = _WALK_FIELDS["owner_pick"][0]
+        n_normal = len(normal_words)
+        n_cesspool = len(cess_words)
+        n_proxies = len(proxy_words)
         catch_all = config.longtail_catch_all_rate
         reject_cut = catch_all + config.longtail_reject_all_rate
         small_cess = config.small_cesspool_rate
         legit_count = 0
         small_count = 0
-        codes: List[tuple] = []
-        append = codes.append
-        for _ in range(n):
+        words: List[int] = []
+        append = words.append
+        for _, slot, _ in slots:
             owner_u = wu[wi]
             wi += 1
             if owner_u < def_frac:
-                append(_DEFENSIVE_CODES)
+                append(slot | _DEFENSIVE_WORD)
                 continue
-            proxy = 0
             if owner_u < legit_cut:
-                ns_pick = min(int(wu[wi] * n_normal), n_normal - 1)
+                word = (slot | _LEGIT_WORD | (legit_count << pick_sh)
+                        | normal_words[int(wu[wi] * n_normal)])
                 wi += 1
                 private = wu[wi] < 0.25
                 wi += 1
                 if private:
-                    proxy = min(int(wu[wi] * n_proxies), n_proxies - 1)
+                    word |= proxy_words[int(wu[wi] * n_proxies)]
                     wi += 1
-                policy = 1 if wu[wi] < 0.1 else 2
+                append(word | policy_words[1 if wu[wi] < 0.1 else 2])
                 wi += 1
-                append((1, legit_count, 5, 0, 0, True, 1, ns_pick, private,
-                        proxy, 6, policy))
                 legit_count += 1
                 continue
 
@@ -1287,57 +1457,52 @@ class WorldModel:
             squatter_u = wu[wi]
             wi += 1
             if squatter_u < bulk_share:
-                pick = min(bisect_right(bulk_cum, wu[wi] * bulk_total),
-                           n_bulk - 1)
+                pick = bisect_right(bulk_cum, wu[wi] * bulk_total)
                 wi += 1
                 cls, reseller = 2, bulk_reseller[pick]
+                word = slot | bulk_words[pick]
             elif squatter_u < medium_cut:
-                pick = min(int(wu[wi] * n_medium), n_medium - 1)
+                pick = int(wu[wi] * n_medium)
                 wi += 1
                 cls, reseller = 3, medium_reseller[pick]
+                word = slot | medium_words[pick]
             else:
-                pick = small_count
-                small_count += 1
                 cls, reseller = 4, False
+                word = slot | _SMALL_WORD | (small_count << pick_sh)
+                small_count += 1
 
             mix_names, mix_cum, mix_total = (
                 mix_lt if cls == 4 else (mix_rs if reseller else mix_sq))
-            support = mix_names[min(bisect_right(mix_cum, wu[wi] * mix_total),
-                                    len(mix_names) - 1)]
+            support = mix_names[bisect_right(mix_cum, wu[wi] * mix_total)]
             wi += 1
 
             if cls != 4:
-                ns = 0
+                cesspool = True
             else:
-                ns = 0 if wu[wi] < small_cess else 1
+                cesspool = wu[wi] < small_cess
                 wi += 1
-            if ns == 0:
-                ns_pick = min(int(wu[wi] * n_cesspool), n_cesspool - 1)
+            if cesspool:
+                word |= cess_words[int(wu[wi] * n_cesspool)]
             else:
-                ns_pick = min(int(wu[wi] * n_normal), n_normal - 1)
+                word |= normal_words[int(wu[wi] * n_normal)]
             wi += 1
 
-            mx = 0
-            mx_pick = 0
-            addr = False
             policy = 0
             if support != 0:
                 if cls != 4:
                     if support == 1 or support == 2:
-                        mx = support                # parked / web host
-                        mx_pick = min(int(wu[wi] * 3), 2)
+                        # parked / web host
+                        word |= host_words[support][int(wu[wi] * 3)]
                     else:
-                        mx = 3
-                        mx_pick = min(bisect_right(pool_cum,
-                                                   wu[wi] * pool_total),
-                                      n_pool - 1)
+                        mx_pick = bisect_right(pool_cum, wu[wi] * pool_total)
+                        word |= pool_words[mx_pick]
                         if pool_broken[mx_pick]:
                             support = 4
                     wi += 1
                 else:
-                    addr = True
+                    word |= _ADDR_BIT
                     if wu[wi] < 0.1:
-                        mx = 4
+                        word |= _SELF_MX_WORD
                     wi += 1
                     if support != 2 and support != 1:
                         roll = wu[wi]
@@ -1348,6 +1513,7 @@ class WorldModel:
                             policy = 2
                         else:
                             policy = 3
+                        word |= policy_words[policy]
 
             if cls != 4:
                 privacy_rate = (0.05 if reseller
@@ -1358,25 +1524,32 @@ class WorldModel:
                 privacy_rate = config.small_privacy_rate
             private = wu[wi] < privacy_rate
             wi += 1
-            fields = 6
             if private:
-                proxy = min(int(wu[wi] * n_proxies), n_proxies - 1)
+                word |= proxy_words[int(wu[wi] * n_proxies)]
                 wi += 1
             elif wu[wi] >= 0.8:
                 wi += 1
-                fields = 2 + min(int(wu[wi] * 4), 3)
+                word |= fields_words[2 + int(wu[wi] * 4)]
                 wi += 1
             else:
                 wi += 1
-            append((cls, pick, support, mx, mx_pick, addr, ns, ns_pick,
-                    private, proxy, fields, policy))
-        return codes
+                word |= full_fields
+            append(word | support_words[support])
+        return words
 
-    def _state(self, rank: int, target: str, row: tuple) -> DomainState:
-        """One walk row in string form: the wild-state codes mapped."""
-        domain, (_, op, index, a, _, _), codes = row
-        (cls, pick, support, mx, mx_pick, addr, ns, ns_pick, private,
-         proxy, fields, policy) = codes
+    def _state(self, rank: int, target: str, domain: str,
+               word: int) -> DomainState:
+        """One walk row in string form: the walk word's codes mapped."""
+        (op_sh, op_m, index_sh, index_m, char_sh, char_m, cls_sh, cls_m,
+         pick_sh, pick_m, mx_sh, mx_m, mxp_sh, mxp_m, ns_sh, ns_m, nsp_sh,
+         nsp_m, proxy_sh, proxy_m, fields_sh, fields_m, policy_sh, policy_m,
+         sup_sh, sup_m) = _STATE_FIELDS
+        op, index, a = ((word >> op_sh) & op_m, (word >> index_sh) & index_m,
+                        (word >> char_sh) & char_m)
+        cls, pick = (word >> cls_sh) & cls_m, (word >> pick_sh) & pick_m
+        mx, mx_pick = (word >> mx_sh) & mx_m, (word >> mxp_sh) & mxp_m
+        ns, ns_pick = (word >> ns_sh) & ns_m, (word >> nsp_sh) & nsp_m
+        private = bool(word & _PRIVATE_BIT)
         if cls == 0:
             owner_id, profile = f"owner-{target}", ""
         elif cls == 1:
@@ -1399,14 +1572,17 @@ class WorldModel:
             domain=domain, target=target, rank=rank, edit_op=_OP_NAMES[op],
             edit_index=index, edit_char=DOMAIN_ALPHABET[a] if op >= 2 else "",
             owner_id=owner_id, owner_type=_OWNER_BY_CODE[cls],
-            profile=profile, support=_SUPPORT_BY_CODE[support],
-            mx_domain=mx_domain, has_address=addr,
+            profile=profile,
+            support=_SUPPORT_BY_CODE[(word >> sup_sh) & sup_m],
+            mx_domain=mx_domain, has_address=bool(word & _ADDR_BIT),
             nameserver=(f"ns.{target}" if ns == 2 else
                         (_CESSPOOL_NAMESERVERS, _NORMAL_NAMESERVERS)[ns][
                             ns_pick]),
             private_whois=private,
-            privacy_proxy=PRIVACY_PROXIES[proxy] if private else None,
-            whois_fields_filled=fields, longtail_policy=_POLICIES[policy])
+            privacy_proxy=(PRIVACY_PROXIES[(word >> proxy_sh) & proxy_m]
+                           if private else None),
+            whois_fields_filled=(word >> fields_sh) & fields_m,
+            longtail_policy=_POLICIES[(word >> policy_sh) & policy_m])
 
     # -- the streaming scan ------------------------------------------------
 
@@ -1431,10 +1607,13 @@ class WorldModel:
         :meth:`target_rank` law, never a materialized universe, so a
         shard's cost depends on its own width — not on ``stop_rank`` or
         ``max_rank``.  ``perf`` (optional) accumulates
-        ``scan.setup_seconds`` / ``scan.draw_seconds`` (the registration
-        draw) / ``scan.probe_seconds`` (wild state, probe and fold)
-        phase timers; when omitted the loop pays only a dead branch per
-        rank.
+        ``scan.setup_seconds``, ``scan.draw_seconds`` (the walk:
+        registration draw, wild-state law and collision rule, or on a
+        reused walk the memo read alone) and ``scan.probe_seconds``
+        (probe and fold) phase timers; when omitted the loop pays only a
+        dead branch per rank.  The walk is shared: when the world's last
+        walk covered the same ``(start_rank, stop_rank, max_rank)`` the
+        scan reads it instead of walking again (see :meth:`_walk`).
 
         The probe emulation mirrors :meth:`EcosystemScanner._probe`
         against the host behaviours ``build_internet`` attaches: per
@@ -1449,13 +1628,16 @@ class WorldModel:
         aggregates = aggregates if aggregates is not None else ScanAggregates()
         max_rank = max_rank or (stop_rank - 1)
         excluded = {domain.lower() for domain in exclude}
-        check_exclude = bool(excluded)
+        spell_all = bool(excluded) or retain is not None
         attempts = self.probe_attempts
         small_timeout = self.config.longtail_timeout_probability
         small_neterr = self.config.longtail_network_error_probability
         support_by_code = _SUPPORT_BY_CODE
         mx_keys = self._mx_keys
         owner_ids = (None, None, self._bulk_ids, self._medium_ids)
+        (cls_sh, cls_m, pick_sh, pick_m, sup_sh, sup_m, mx_sh, mx_m, mxp_sh,
+         mxp_m) = _fields("owner", "owner_pick", "support", "mx", "mx_pick")
+        addr_bit, private_bit = _ADDR_BIT, _PRIVATE_BIT
         tally = [0]
         registered_n = 0
         # categorical folds are flat index lists; dict folds only where the
@@ -1473,21 +1655,25 @@ class WorldModel:
         setup_s = (perf_counter() - entry_t) if timing else 0.0
 
         mark = perf_counter() if timing else 0.0
-        for r, target, label, suffix, _, slots in self._draws(
-                start_rank, stop_rank, tally):
+        for r, target, label, suffix, _, n_slots, _, words, _ in self._walk(
+                start_rank, stop_rank, max_rank, tally, perf):
             if timing:
                 t1 = perf_counter()
                 draw_s += t1 - mark
-            rows, _ = self._wild_rows(r, label, suffix, slots, max_rank)
+            dot_suffix = "." + suffix
+            domain = ""
             pu: Optional[list] = None
             pi = 0
             scanned = 0
-            for row in rows:
-                domain, _, codes = row
-                if check_exclude and domain in excluded:
-                    continue
-                (cls, pick, support, mx, mx_pick, addr, _, _, private, _, _,
-                 _) = codes
+            for w in words:
+                # the walk word spells its domain only where a fold needs
+                # it: exclusion, retained states and self-hosted MX
+                if spell_all:
+                    domain = _spell(label, w) + dot_suffix
+                    if domain in excluded:
+                        continue
+                cls = (w >> cls_sh) & cls_m
+                support = (w >> sup_sh) & sup_m
                 # probe emulation (all codes: 0 NO_DNS, 1 NO_INFO,
                 # 2 NO_EMAIL, 3 PLAIN, 4 STARTTLS_ERRORS, 5 STARTTLS_OK)
                 if support == 0:
@@ -1517,7 +1703,7 @@ class WorldModel:
                     if pu is None:
                         pu = self._stream(self._rank_purpose(
                             "probe", r)).uniforms(
-                                r, 2 * attempts * len(slots) + 2).tolist()
+                                r, 2 * attempts * n_slots + 2).tolist()
                     observed = -1
                     refused = False
                     for _ in range(attempts):
@@ -1540,20 +1726,25 @@ class WorldModel:
                 scanned += 1
                 support_l[observed] += 1
                 truth_l[support] += 1
+                mx = (w >> mx_sh) & mx_m
                 if mx:
-                    key = (mx_keys[mx][mx_pick] if mx <= 3
-                           else (domain if mx == 4 else target))
+                    if mx <= 3:
+                        key = mx_keys[mx][(w >> mxp_sh) & mxp_m]
+                    elif mx == 5:
+                        key = target
+                    else:
+                        key = domain or _spell(label, w) + dot_suffix
                     mx_c[key] = mx_c.get(key, 0) + 1
-                elif addr:
+                elif w & addr_bit:
                     implicit_n += 1
                 if cls == 2 or cls == 3:
-                    owner_id = owner_ids[cls][pick]
+                    owner_id = owner_ids[cls][(w >> pick_sh) & pick_m]
                     owner_dom_c[owner_id] = owner_dom_c.get(owner_id, 0) + 1
                 owner_type_l[cls] += 1
-                if private:
+                if w & private_bit:
                     private_n += 1
                 if retain is not None:
-                    retain.append((self._state(r, target, row),
+                    retain.append((self._state(r, target, domain, w),
                                    support_by_code[observed]))
             if scanned:
                 registered_n += scanned
@@ -1587,8 +1778,9 @@ class WorldModel:
         The columnar consumer of the walk :meth:`scan_ranks` probes: the
         same registration draw, wild-state codes and collision rule, but
         instead of probing it packs one ``(int64 word, visual float)``
-        pair per wild registered ctypo (see ``FEATURE_PACK_SHIFTS``) plus
-        per-rank shared context, batched into blocks for vectorized
+        pair per wild registered ctypo (see ``FEATURE_PACK_SHIFTS``; the
+        word is the walk word masked, plus the typo's lexical counts)
+        plus per-rank shared context, batched into blocks for vectorized
         featurization downstream.  ``on_block`` receives ``(rank_l,
         nrows_l, len_l, tdigit_l, tadj_l, packed_l, vis_l)`` — the first
         five parallel per contributing rank, the last two per row —
@@ -1597,13 +1789,19 @@ class WorldModel:
         Returns ``(rows, excluded, generated)``; ``excluded`` counts
         registrations skipped because the candidate string collides with
         a target domain of the ``max_rank`` universe.  Bounded memory:
-        per-block lists, a capped stem cache, and the window's own
-        filler chunks only.
+        per-block lists, a capped stem cache, the window's own filler
+        chunks and a capped walk memo only.  ``perf`` (optional)
+        accumulates ``featurize.setup_seconds`` and
+        ``featurize.walk_seconds``: the walk and the packing, or on a
+        reused walk (the world's last walk covered the same window, see
+        :meth:`_walk`) the memo read and the packing alone.
         """
         timing = perf is not None
         entry_t = perf_counter() if timing else 0.0
         max_rank = max_rank or (stop_rank - 1)
         lex_bits = _IDX_LEX
+        feature_mask = _FEATURE_MASK
+        op_sh, op_m, index_sh, index_m, char_sh, char_m = _SLOT_FIELDS
         _char_tables()
         adj_t = _ADJ_LIST
         tally = [0]
@@ -1616,43 +1814,40 @@ class WorldModel:
         packed_l: List[int] = []
         vis_l: List[float] = []
         pack_append = packed_l.append
-        vis_append = vis_l.append
 
         n_rows = 0
         n_excluded = 0
         setup_s = (perf_counter() - entry_t) if timing else 0.0
 
-        for r, _, label, suffix, lidx, slots in self._draws(
-                start_rank, stop_rank, tally):
-            rows, collided = self._wild_rows(r, label, suffix, slots,
-                                             max_rank)
+        for r, _, _, _, lidx, _, collided, words, vis in self._walk(
+                start_rank, stop_rank, max_rank, tally, perf):
             n_excluded += collided
-            if not rows:
+            if not words:
                 continue
             # the target's lexical counts, packed at their word offsets;
             # each row adjusts them by the chars its edit removes/adds
             lex = sum(map(lex_bits.__getitem__, lidx))
-            for _, (_, op, i, a, vis, ff), codes in rows:
-                (cls, _, support, mx, _, addr, ns, _, private, _, fields,
-                 policy) = codes
-                if op == 0:
-                    word = lex - lex_bits[lidx[i]]
-                elif op == 1:
-                    word = lex
+            for w in words:
+                op = (w >> op_sh) & op_m
+                if op == 1:
+                    pack_append(lex | (w & feature_mask))
+                elif op == 0:
+                    pack_append((lex - lex_bits[lidx[(w >> index_sh)
+                                                     & index_m]])
+                                | (w & feature_mask))
                 elif op == 2:
-                    word = lex - lex_bits[lidx[i]] + lex_bits[a]
+                    pack_append((lex - lex_bits[lidx[(w >> index_sh)
+                                                     & index_m]]
+                                 + lex_bits[(w >> char_sh) & char_m])
+                                | (w & feature_mask))
                 else:
-                    word = lex + lex_bits[a]
-                pack_append(word | op | (i << 2) | (a << 8) | (mx << 32)
-                            | (addr << 35) | (ns << 36) | (private << 38)
-                            | (fields << 39) | (policy << 42)
-                            | (support << 44) | ((cls >= 2) << 47)
-                            | (ff << 48))
-                vis_append(vis)
+                    pack_append((lex + lex_bits[(w >> char_sh) & char_m])
+                                | (w & feature_mask))
+            vis_l.extend(vis)
             L = len(lidx)
-            n_rows += len(rows)
+            n_rows += len(words)
             rank_l.append(r)
-            nrows_l.append(len(rows))
+            nrows_l.append(len(words))
             len_l.append(L)
             tdigit_l.append(((lex >> 14) & 63) / L)
             tadj_l.append(sum([adj_t[x][y] for x, y in zip(lidx, lidx[1:])])
@@ -1664,7 +1859,6 @@ class WorldModel:
                 tdigit_l, tadj_l = [], []
                 packed_l, vis_l = [], []
                 pack_append = packed_l.append
-                vis_append = vis_l.append
 
         if packed_l and on_block is not None:
             on_block((rank_l, nrows_l, len_l, tdigit_l, tadj_l,

@@ -4,8 +4,9 @@ The world has one walk — registration draw, wild-state codes, membership
 oracle — and two consumers: :meth:`WorldModel.scan_ranks` probes its
 rows, and :meth:`WorldModel.featurize_ranks` packs them into one
 ``(packed int64, visual float)`` pair per registered wild ctypo, batched
-into blocks.  This module is the
-columnar half of that engine: it keeps blocks in a compact numpy form
+into blocks.  Passing the ``world`` a window was just scanned on lets
+the sweep read that walk instead of drawing it again.  This module is
+the columnar half of that engine: it keeps blocks in a compact numpy form
 (~16 bytes/row, so a full 1M-rank universe stays resident), unpacks the
 49-bit words with vector shifts, and assembles the float64 feature matrix
 of :data:`~repro.features.schema.DOMAIN_FEATURES` one block at a time —

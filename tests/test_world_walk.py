@@ -13,21 +13,42 @@ outside:
   cold and warm;
 * ``target_rank`` against a materialized ``target_names`` universe on
   filler-shaped queries, cold and warm;
-* the phase-timer keys the benchmark and ``repro scan`` read by name.
+* the phase-timer keys the benchmark and ``repro scan`` read by name;
+* the walk memo: any order of scans and sweeps over a world (the same
+  window twice, interleaved windows, a ``max_rank`` miss, an evolved
+  world, an interrupted walk) equals one call on a fresh world, and the
+  memo stays small and off wide windows;
+* the walk-word layout: disjoint fields inside an int64, the shared
+  ones at their feature-word offsets;
+* the wild-state law's unclamped picks stay in range at the largest
+  stream uniform.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import string
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.targets import EMAIL_TARGETS
-from repro.ecosystem.world import _FILLER_CHUNK, _STEM_CACHE_CAP, WorldModel
+from repro.ecosystem.internet import InternetConfig
+from repro.ecosystem.world import (
+    _FILLER_CHUNK,
+    _STEM_CACHE_CAP,
+    _WALK_FIELDS,
+    _WALK_MEMO_ROWS,
+    FEATURE_PACK_SHIFTS,
+    WorldModel,
+    _word,
+)
 from repro.features import featurize_domains
 from repro.util.perf import PerfRegistry
 
@@ -217,3 +238,224 @@ class TestPhaseTimerKeys:
         featurize_domains(17, 1, 40, perf=perf)
         for key in ("featurize.setup_seconds", "featurize.walk_seconds"):
             assert key in perf.timers, key
+
+
+# -- the walk memo -------------------------------------------------------------
+
+WALK_SEED = 909
+#: (start_rank, stop_rank, max_rank) windows; CHURN re-keys ranks 5 and 40
+WINDOW_A = (1, 61, 300)
+WINDOW_B = (61, 121, 300)
+
+
+def _scan(world, window, perf=None, **kwargs):
+    start, stop, max_rank = window
+    aggregates = world.scan_ranks(start, stop, max_rank=max_rank,
+                                  perf=perf, **kwargs)
+    return aggregates.digest(), aggregates.generated_count
+
+
+def _sweep(world, window, perf=None, **kwargs):
+    start, stop, max_rank = window
+    sweep = featurize_domains(world.seed, start, stop, max_rank=max_rank,
+                              world=world, perf=perf, **kwargs)
+    return sweep.digest(), sweep.generated, sweep.n_rows, sweep.n_excluded
+
+
+_CONSUMERS = {"scan": _scan, "sweep": _sweep}
+
+
+def _fresh(kind, window, churn=None, seed=WALK_SEED):
+    return _CONSUMERS[kind](WorldModel(seed, churn=churn), window)
+
+
+def _reused(perf: PerfRegistry) -> int:
+    return perf.counters.get("walk.reused_ranks", 0)
+
+
+#: each order's steps, and whether each step reads the memo
+ORDERS = {
+    "scan_then_sweep": [("scan", WINDOW_A, False), ("sweep", WINDOW_A, True)],
+    "sweep_then_scan": [("sweep", WINDOW_A, False), ("scan", WINDOW_A, True)],
+    "scan_twice": [("scan", WINDOW_A, False), ("scan", WINDOW_A, True)],
+    "sweep_twice": [("sweep", WINDOW_A, False), ("sweep", WINDOW_A, True)],
+    "interleaved": [("scan", WINDOW_A, False), ("scan", WINDOW_B, False),
+                    ("sweep", WINDOW_A, False), ("sweep", WINDOW_B, False),
+                    ("scan", WINDOW_B, True)],
+    "max_rank_miss": [("scan", WINDOW_A, False),
+                      ("sweep", (1, 61, 1000), False),
+                      ("scan", (1, 61, 1000), True)],
+}
+
+
+@pytest.mark.perfsmoke
+class TestWalkMemo:
+    @pytest.mark.parametrize("churn", [None, dict(CHURN)],
+                             ids=["plain", "churned"])
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_any_order_equals_a_fresh_world(self, order, churn):
+        world = WorldModel(WALK_SEED, churn=churn)
+        for kind, window, reads_memo in ORDERS[order]:
+            perf = PerfRegistry()
+            assert _CONSUMERS[kind](world, window, perf) == _fresh(
+                kind, window, churn), (kind, window)
+            assert (_reused(perf) > 0) == reads_memo, (kind, window)
+            if reads_memo:
+                assert _reused(perf) == window[1] - window[0]
+                assert perf.counters["walk.reused_rows"] > 0
+
+    def test_max_rank_keys_the_memo(self):
+        """A walk at one universe size never answers for another: the
+        colliding ctypo is wild below its target's rank, a target at
+        it."""
+        wide = (COLLIDING_RANK, COLLIDING_RANK + 1, 10**6)
+        narrow = (COLLIDING_RANK, COLLIDING_RANK + 1,
+                  COLLIDING_TARGET_RANK - 1)
+        assert _fresh("sweep", wide, seed=COLLIDING_SEED) != _fresh(
+            "sweep", narrow, seed=COLLIDING_SEED)
+        world = WorldModel(COLLIDING_SEED)
+        _scan(world, wide)
+        assert _sweep(world, narrow) == _fresh("sweep", narrow,
+                                               seed=COLLIDING_SEED)
+        assert _scan(world, narrow) == _fresh("scan", narrow,
+                                              seed=COLLIDING_SEED)
+
+    def test_exclude_and_retain_read_the_memo(self):
+        window = (1, 41, 300)
+        start, stop, max_rank = window
+        reference = WorldModel(WALK_SEED)
+        domains = [state.domain for rank in range(start, stop)
+                   for state in reference.rank_states(rank)]
+        exclude = domains[::3]
+
+        fresh_kept: list = []
+        fresh = WorldModel(WALK_SEED).scan_ranks(
+            start, stop, max_rank=max_rank, exclude=exclude,
+            retain=fresh_kept)
+
+        world = WorldModel(WALK_SEED)
+        _sweep(world, window)
+        perf = PerfRegistry()
+        kept: list = []
+        reused = world.scan_ranks(start, stop, max_rank=max_rank,
+                                  exclude=exclude, retain=kept, perf=perf)
+        assert _reused(perf) == stop - start
+        assert reused.digest() == fresh.digest()
+        assert kept == fresh_kept
+        assert len(kept) == len(domains) - len(exclude)
+        # self-hosted MX folds under the re-spelled domain
+        assert any(state.mx_domain == state.domain for state, _ in kept)
+
+    def test_evolved_world_walks_its_own_streams(self):
+        parent = WorldModel(WALK_SEED)
+        _scan(parent, WINDOW_A)
+        child = parent.evolved(dict(CHURN))
+        perf = PerfRegistry()
+        assert _sweep(child, WINDOW_A, perf) == _fresh("sweep", WINDOW_A,
+                                                       dict(CHURN))
+        assert _reused(perf) == 0
+        assert _scan(child, WINDOW_A) == _fresh("scan", WINDOW_A,
+                                                dict(CHURN))
+        assert _fresh("scan", WINDOW_A) != _fresh("scan", WINDOW_A,
+                                                  dict(CHURN))
+        # the parent keeps its own walk
+        perf = PerfRegistry()
+        assert _sweep(parent, WINDOW_A, perf) == _fresh("sweep", WINDOW_A)
+        assert _reused(perf) == WINDOW_A[1] - WINDOW_A[0]
+
+    def test_interrupted_walk_keeps_no_memo(self):
+        start, stop, max_rank = WINDOW_A
+        world = WorldModel(WALK_SEED)
+        blocks = []
+
+        def stop_after_first(raw):
+            blocks.append(raw)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            world.featurize_ranks(start, stop, max_rank=max_rank,
+                                  on_block=stop_after_first,
+                                  block_records=256)
+        assert len(blocks) == 1
+        perf = PerfRegistry()
+        assert _sweep(world, WINDOW_A, perf) == _fresh("sweep", WINDOW_A)
+        assert _reused(perf) == 0
+        assert _scan(world, WINDOW_A) == _fresh("scan", WINDOW_A)
+
+
+class TestWalkMemoMemory:
+    def test_a_window_past_the_row_cap_keeps_no_memo(self):
+        """The bounded-memory test's 3k-rank window streams memo-free."""
+        world = WorldModel(707)
+        sweep = featurize_domains(707, 1, 3_001, max_rank=3_000,
+                                  block_records=2_048, world=world)
+        assert sweep.n_rows > _WALK_MEMO_ROWS
+        assert world._walk_memo is None
+        perf = PerfRegistry()
+        world.scan_ranks(2_990, 3_001, max_rank=3_000, perf=perf)
+        assert _reused(perf) == 0
+
+    def test_the_head_window_memo_stays_small(self):
+        """The memo of the sweep's head window (ranks 1-500, the widest
+        one it reuses): the walk's own row tuples, under 96 bytes a row
+        (word and visual cost with their list slots, plus a tuple and a
+        few references per rank)."""
+        world = WorldModel(707)
+        tracemalloc.start()
+        try:
+            sweep = featurize_domains(707, 1, 501, max_rank=10**6,
+                                      world=world)
+            kept = tracemalloc.take_snapshot()
+            world._walk_memo = None
+            gc.collect()
+            dropped = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert 20_000 < sweep.n_rows <= _WALK_MEMO_ROWS
+        freed = -sum(stat.size_diff
+                     for stat in dropped.compare_to(kept, "filename"))
+        assert 16 * sweep.n_rows <= freed < 96 * sweep.n_rows, (
+            f"the head-window walk memo holds {freed / 1e6:.2f}MB")
+
+
+class TestUnclampedPicks:
+    def test_the_largest_uniform_picks_a_valid_index(self):
+        """The wild-state law's picks carry no clamp: a Philox ``random()``
+        uniform is at most ``1 - 2**-53``, and at that value every pick
+        still lands on a valid index."""
+        u_max = float(np.nextafter(1.0, 0.0))
+        assert u_max == 1 - 2**-53
+        for n in range(1, 4097):
+            assert int(u_max * n) < n
+        world = WorldModel(5)
+        tables = [(world._bulk_cum, world._bulk_total),
+                  (world._pool_cum, world._pool_total)]
+        tables += [(cum, total)
+                   for _, cum, total in world._support_mixes.values()]
+        for cum, total in tables:
+            assert cum[-1] == total
+            assert bisect_right(cum, u_max * total) < len(cum)
+
+
+class TestWalkWordLayout:
+    def test_fields_are_disjoint_and_fit_an_int64(self):
+        used = 0
+        for name, (shift, width) in _WALK_FIELDS.items():
+            bits = ((1 << width) - 1) << shift
+            assert not used & bits, name
+            used |= bits
+        assert used < 1 << 63
+
+    def test_shared_fields_sit_at_their_feature_offsets(self):
+        shared = set(_WALK_FIELDS) & set(FEATURE_PACK_SHIFTS)
+        assert shared >= {"op", "index", "char", "mx", "support", "squat",
+                          "adjacent"}
+        for name in shared:
+            assert _WALK_FIELDS[name][0] == FEATURE_PACK_SHIFTS[name]
+
+    def test_word_rejects_a_value_past_its_field(self):
+        assert _word(owner_pick=0x7FFF) == 0x7FFF << 17
+        with pytest.raises(ValueError):
+            _word(owner_pick=0x8000)
+        with pytest.raises(ValueError):
+            WorldModel(1, InternetConfig(bulk_registrant_count=0x8001))
