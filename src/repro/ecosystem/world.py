@@ -16,20 +16,22 @@ rank)`` on demand:
   from a rank-keyed uniform stream, and the zmap-style probe observation
   from another.
 
-One walk derives all of it, and each rule lives once inside it: the
-registration draw (:meth:`WorldModel._draws`, batched over head and
-filler-chunk blocks, confirmed by :func:`_confirm`), the wild-state law
-(:meth:`WorldModel._wild_words`, small integer codes packed into one
-int64 walk word per row), and the membership oracle
+One walk derives all of it, a batch of up to 256 ranks at a time as
+numpy columns (:meth:`WorldModel._walk`): the registration draw
+(:meth:`WorldModel._registered`, confirmed by :func:`_confirm_block`),
+the wild-state law (:meth:`WorldModel._wild_block`, small integer codes
+packed into one int64 walk word per row), and the membership oracle
 (:meth:`WorldModel.target_rank`, which drops a candidate that is itself
 a target).  Two consumers read it: :meth:`WorldModel.scan_ranks` probes
-and folds the words into scan aggregates, and
-:meth:`WorldModel.featurize_ranks` masks them into feature words.  A
-world keeps the walk of the last window it walked (the per-rank tuples
-the walk yielded: a word and a visual cost per row, a few references per
+the rows (:meth:`WorldModel._probe_block`) and folds them with
+``np.bincount``, and :meth:`WorldModel.featurize_ranks` masks them into
+feature words.  A world keeps the walk of the last window it walked
+(its blocks: a word and a visual cost per row, a few integers per
 rank), so the second consumer of one window reads it instead of walking
-again.
-:meth:`WorldModel.iter_rank_states` maps the same words to strings, the
+again.  The one-rank entry points keep the scalar law the kernels
+vectorise (:func:`_confirm`, :meth:`WorldModel._wild_words`):
+:meth:`WorldModel.rank_grid` draws one grid, and
+:meth:`WorldModel.iter_rank_states` maps its words to strings, the
 :class:`DomainState` form ``build_internet`` and the query service read.
 
 Every stream is a pure function of ``(seed, purpose, rank)``: uniforms
@@ -50,7 +52,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -214,17 +217,29 @@ class _RankKeyedStream:
         """Fill ``out`` (contiguous float64) with the rank's stream prefix.
 
         Byte-identical to :meth:`uniforms` of the same length; the
-        caller-owned destination lets the feature sweep draw many ranks
-        into one matrix and preselect with a single vector compare."""
+        caller-owned destination lets the walk draw many ranks into one
+        buffer and preselect with a single vector compare."""
+        self._seek(rank, 0)
+        return self._gen.random(out=out)
+
+    def uniforms_at(self, rank: int, start: int, count: int) -> np.ndarray:
+        """Uniforms ``start`` to ``start + count - 1`` of the rank's
+        stream, without drawing those before: Philox makes four per
+        counter step, so seek to step ``start // 4`` and drop the first
+        ``start % 4``."""
+        self._seek(rank, start // 4)
+        skip = start % 4
+        return self._gen.random(skip + count)[skip:]
+
+    def _seek(self, rank: int, step: int) -> None:
         counter = self._counter
-        counter[0] = 0
+        counter[0] = step
         counter[1] = 0
         counter[2] = 0
         counter[3] = rank
         self._state["buffer_pos"] = 4
         self._state["has_uint32"] = 0
         self._bitgen.state = self._state
-        return self._gen.random(out=out)
 
 
 # -- vectorised registration grid ---------------------------------------------
@@ -383,18 +398,41 @@ _ADDR_BIT = _word(addr=1)
 _PRIVATE_BIT = _word(private=1)
 _SELF_MX_WORD = _word(mx=4)
 
+#: the same parts as arrays, for the block kernel's gathers
+_NORMAL_NS_ARRAY = np.array(_NORMAL_NS_WORDS, dtype=np.int64)
+_CESSPOOL_NS_ARRAY = np.array(_CESSPOOL_NS_WORDS, dtype=np.int64)
+_HOST_ARRAY = np.array([(0, 0, 0), *_HOST_WORDS[1:]], dtype=np.int64)
+_POOL_ARRAY = np.array(_POOL_WORDS, dtype=np.int64)
+_PROXY_ARRAY = np.array(_PROXY_WORDS, dtype=np.int64)
+_FIELDS_ARRAY = np.array(_FIELDS_WORDS, dtype=np.int64)
+_POLICY_ARRAY = np.array(_POLICY_WORDS, dtype=np.int64)
+_SUPPORT_ARRAY = np.array(_SUPPORT_WORDS, dtype=np.int64)
+
 #: rows a walk keeps for a second consumer of its window (the default
 #: ``block_records``); a wider window streams without a memo.  The memo
-#: holds the walk's own row tuples, ~80 bytes a row, so at most ~5 MB
+#: holds the walk's blocks: 16 bytes a row (word and visual cost) plus
+#: about 60 a rank, so at most ~1.2 MB
 _WALK_MEMO_ROWS = 1 << 16
 
 #: ranks per batched registration draw in the walk — large enough to
-#: amortize the per-slab numpy dispatch, small enough that the draw
+#: amortize the per-batch numpy dispatch, small enough that the draw
 #: matrix stays a few MB
 _DRAW_BATCH = 256
 
-#: sentinel marking a rank whose registration draw needs the dense path
-_DENSE = ("dense",)
+
+class _WalkBlock(NamedTuple):
+    """One draw batch of the walk as numpy columns: per rank that
+    registers a slot (ascending), then per wild row (rank-major, each
+    rank's rows in grid order)."""
+
+    ranks: np.ndarray       # int64
+    slots: np.ndarray       # int64: registered slots
+    collided: np.ndarray    # int64: of those, typos that are targets
+    nrows: np.ndarray       # int64: wild rows, slots - collided
+    lengths: np.ndarray     # int64: target label length
+    codes: np.ndarray       # uint8: target label, as _label_codes
+    words: np.ndarray       # int64: one walk word per wild row
+    vis: np.ndarray         # float64: each row's visual cost
 
 
 def _position_weights(length: int) -> np.ndarray:
@@ -473,6 +511,16 @@ class RankGrid:
         flat -= n_sub
         return ("addition", flat // _ALPHA_SIZE,
                 DOMAIN_ALPHABET[flat % _ALPHA_SIZE])
+
+    def slot_words(self) -> List[int]:
+        """Each registered slot as a slot word (op, index and char at
+        their walk-word offsets, no fat-finger bit): what
+        :func:`_spell` and ``WorldModel._state`` read."""
+        _, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
+        return [_OP_NAMES.index(op) | index << index_sh
+                | (_CODE2IDX_LIST[ord(char)] << char_sh if char else 0)
+                for op, index, char in map(self.decode,
+                                           self.registered.tolist())]
 
 
 def _grid_masks(label: str) -> Tuple[np.ndarray, np.ndarray,
@@ -805,6 +853,278 @@ def _registration_grid(label: str, seed: int, rank: int,
                     section_sizes=_sections(len(label)))
 
 
+# -- the columnar kernels ------------------------------------------------------
+#
+# The walk evaluates the registration confirm, the wild-state law and the
+# probe over a block of ranks as numpy columns.  Each kernel is the scalar
+# law (``_confirm``, ``WorldModel._wild_words``, the probe attempts)
+# written over arrays in the scalar code's operation order, so every
+# float compares bit for bit; the property suite pins kernel == scalar.
+# One-rank calls (``rank_grid``, ``iter_rank_states``) keep the scalar
+# law: a kernel call costs tens of numpy dispatches, five to thirty
+# times one rank's scalar work.
+
+#: label alphabet indices are padded with this code, which matches no
+#: character; the kernels' tables carry an empty row and column for it
+_PAD = _ALPHA_SIZE
+#: byte -> alphabet index (``_PAD`` for the pad byte 0, -1 outside)
+_BYTE_CODES = np.full(256, -1, dtype=np.int16)
+_BYTE_CODES[0] = _PAD
+_BYTE_CODES[:128][_CODE2IDX >= 0] = _CODE2IDX[_CODE2IDX >= 0]
+
+#: most elements one kernel pass holds per array (candidate slots, or
+#: stream positions of the wild-state law and the probe): a dense batch
+#: splits into passes, so the temporaries stay near a megabyte each
+_PASS_CELLS = 1 << 14
+
+_KERNEL_TABLES: Dict[str, np.ndarray] = {}
+
+
+def _kernel_table(name: str) -> np.ndarray:
+    """The kernels' character tables, built once: ``adj`` and ``cost``
+    over the alphabet plus the pad code, and ``lex`` (the feature word's
+    lexical bits by code)."""
+    if not _KERNEL_TABLES:
+        adj, cost = _char_tables()
+        adj_x = np.zeros((_PAD + 1, _PAD + 1), dtype=bool)
+        adj_x[:_PAD, :_PAD] = adj
+        cost_x = np.zeros((_PAD + 1, _PAD + 1))
+        cost_x[:_PAD, :_PAD] = cost
+        _KERNEL_TABLES.update(adj=adj_x, cost=cost_x,
+                              lex=np.array(_IDX_LEX + [0], dtype=np.int64))
+    return _KERNEL_TABLES[name]
+
+
+def _label_codes(labels: List[str]) -> np.ndarray:
+    """``(len(labels), max length + 3)`` uint8 alphabet indices, label
+    ``j`` at columns ``1..L`` and ``_PAD`` around it, so a slot at index
+    ``i`` reads ``lidx[i - 1]``, ``lidx[i]`` and ``lidx[i + 1]`` at
+    columns ``i``, ``i + 1`` and ``i + 2`` without a bounds test."""
+    width = max(map(len, labels)) + 3
+    raw = "".join(("\0" + label).ljust(width, "\0") for label in labels)
+    codes = _BYTE_CODES[np.frombuffer(raw.encode("ascii", "replace"),
+                                      dtype=np.uint8)]
+    if codes.min() < 0:
+        for label in labels:
+            _label_indices(label)           # raises on the bad label
+    return codes.astype(np.uint8).reshape(len(labels), width)
+
+
+def _grid_totals(lengths: np.ndarray) -> np.ndarray:
+    """``_grid_total`` of each label length."""
+    return (lengths + np.maximum(lengths - 1, 0)
+            + (2 * lengths + 1) * _ALPHA_SIZE)
+
+
+_LENGTH_TABLES: List[np.ndarray] = []
+
+
+def _length_tables(max_length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(upper, posw)`` by label length ``L`` up to ``max_length``:
+    ``_section_upper(L)`` zero past the grid's end, and
+    ``_position_weights(L)``."""
+    if not _LENGTH_TABLES or _LENGTH_TABLES[1].shape[0] <= max_length:
+        size = max(max_length, 16) + 1
+        upper = np.zeros((size, _grid_total(size - 1)))
+        posw = np.zeros((size, size + 1))
+        for length in range(size):
+            upper[length, :_grid_total(length)] = _section_upper(length)
+            posw[length, :length + 1] = _position_weights(length)
+        _LENGTH_TABLES[:] = [upper, posw]
+    return _LENGTH_TABLES[0], _LENGTH_TABLES[1]
+
+
+def _confirm_block(codes: np.ndarray, lengths: np.ndarray,
+                   reg_p: np.ndarray, row: np.ndarray, flat: np.ndarray,
+                   u: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """:func:`_confirm` over candidate slots of many ranks at once.
+
+    ``codes`` are the ranks' :func:`_label_codes`, ``lengths`` and
+    ``reg_p`` per rank (``reg_p`` from the scalar ``peak / r ** decay``);
+    ``row``, ``flat`` and ``u`` per candidate: its rank's row, raw-grid
+    index and registration uniform.  A slot registers iff it is valid
+    and ``u < min(0.95, reg_p * quality)``: the dense path's cap, which
+    cannot bind in the sparse regime (there ``reg_p * quality <= reg_p
+    * _QUALITY_MAX < 0.95``), so one rule serves both.  Returns ``(kept,
+    slot words, visual costs)``, the last two for kept slots only.
+    """
+    A = _ALPHA_SIZE
+    hyphen = _HYPHEN_IDX
+    L = lengths[row]
+    n_trans = np.maximum(L - 1, 0)
+    sub_base = L + n_trans
+    add_base = sub_base + L * A
+    is_del = flat < L
+    is_trans = ~is_del & (flat < sub_base)
+    is_add = flat >= add_base
+    is_sub = ~is_add & (flat >= sub_base)
+
+    def by_op(deletion, transposition, substitution, addition):
+        return np.where(is_del, deletion, np.where(
+            is_trans, transposition,
+            np.where(is_sub, substitution, addition)))
+
+    i_edit, a = np.divmod(np.where(is_add, flat - add_base, flat - sub_base),
+                          A)
+    i = by_op(flat, flat - L, i_edit, i_edit)
+    a = by_op(0, 0, a, a)
+    prev = codes[row, i]                # lidx[i - 1]
+    cur = codes[row, i + 1]             # lidx[i]
+    nxt = codes[row, i + 2]             # lidx[i + 1]
+    first = i == 0
+    edge_hyphen = (a == hyphen) & (first | (i == L - 1 + is_add))
+    valid = by_op(
+        (L >= 2) & (L <= 64) & (cur != prev) & ~(first & (nxt == hyphen))
+        & ~((i == L - 1) & (prev == hyphen)),
+        (L <= 63) & (cur != nxt) & ~(first & (nxt == hyphen))
+        & ~((i == n_trans - 1) & (cur == hyphen)),
+        (L <= 63) & (a != cur) & ~edge_hyphen,
+        (L <= 62) & (a != prev) & ~edge_hyphen)
+    adj, cost = _kernel_table("adj"), _kernel_table("cost")
+    next_eq = a == cur
+    ff_sub = adj[cur, a]
+    ff = by_op(True, True, ff_sub, next_eq | adj[prev, a] | ff_sub)
+    posw = _length_tables(int(lengths.max()))[1][L, i]
+    vis = by_op(np.where(cur == nxt, 0.3, 0.9), 0.5, cost[cur, a],
+                np.where(next_eq, 0.3, 1.0)) * posw
+    base = by_op(6.0 * 1.6, 5.0 * 1.6, np.where(ff, 1.6, 1.0),
+                 0.45 * np.where(ff, 1.6, 1.0))
+    inv_len = 3.0 / np.maximum(1, lengths)
+    q = base * np.maximum(0.2, 1.5 - vis * inv_len[row])
+    kept = valid & (u < np.minimum(0.95, reg_p[row] * q))
+    op_sh, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
+    op = by_op(0, 1, 2, 3)
+    words = ((op << op_sh) | (i << index_sh) | (a << char_sh)
+             | np.where(ff, _ADJACENT_BIT, 0))
+    return kept, words[kept], vis[kept]
+
+
+_DIGIT_CODES = np.array([c.isdigit() for c in DOMAIN_ALPHABET])
+_LETTER_CODES = np.array([c.isalpha() for c in DOMAIN_ALPHABET])
+
+
+def _may_collide(words: np.ndarray, lengths: np.ndarray,
+                 digits: np.ndarray) -> np.ndarray:
+    """Which filler typos can be a target at all (a superset; the
+    membership oracle decides).
+
+    Filler label ``S + D``: ``S`` letters, ``D`` the index's ``d``
+    decimal digits; no head label ends in a digit.  A typo ending in a
+    digit can only be the filler ``S' + D'`` with ``S'`` letters, and
+    ``D' != D`` (``D`` addresses the rank's own slot, whose name the
+    typo is not).  That takes a digit deleted, two swapped, or one
+    inserted or substituted at or past the last stem letter, or a
+    letter replacing the first digit.  A typo ending in anything else
+    can only be a head: the last digit substituted, a character
+    appended, or, when ``d == 1``, the digit deleted or swapped with
+    the last letter.  No other edit can hit a target.
+    """
+    op_sh, op_m, index_sh, index_m, char_sh, char_m = _SLOT_FIELDS
+    op = (words >> op_sh) & op_m
+    i = (words >> index_sh) & index_m
+    a = (words >> char_sh) & char_m
+    stem = lengths - digits
+    digit = _DIGIT_CODES[a]
+    return np.where(op == 0, i >= stem, np.where(
+        op == 1, (i >= stem) | ((digits == 1) & (i == stem - 1)), np.where(
+            op == 2, (i >= stem - 1) & (digit | (i == lengths - 1)
+                                        | ((i == stem) & _LETTER_CODES[a])),
+            (i >= stem) & (digit | (i == lengths)))))
+
+
+def _pick(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``table[int(x * len(table))]`` per uniform ``x``."""
+    return table[(x * len(table)).astype(np.intp)]
+
+
+class _Bisect:
+    """``values[bisect_right(cum, x * total)]`` per uniform ``x``.
+
+    The index is the number of cumulative weights at or below ``x *
+    total``, so the value is ``values[0]`` plus one integer step per
+    weight passed where the value changes: a handful of vector compares
+    instead of a binary search per element.
+    """
+
+    def __init__(self, cum, total: float, values) -> None:
+        values = [int(v) for v in values]
+        self.total = total
+        self.base = values[0]
+        self.steps = [(c, b - a) for c, a, b in zip(cum, values, values[1:])
+                      if b != a]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        v = x * self.total
+        out = np.full(v.shape, self.base, dtype=np.int64)
+        for threshold, step in self.steps:
+            passed = v >= threshold
+            out += passed if step == 1 else passed * step
+        return out
+
+
+def _spans(sizes: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive ``[i0, i1)`` runs of ``sizes`` summing to at most
+    ``budget`` (an entry past it alone gets a run of its own)."""
+    ends = np.cumsum(sizes)
+    i0, done = 0, 0
+    while i0 < len(ends):
+        i1 = max(i0 + 1, int(np.searchsorted(ends, done + budget, "right")))
+        yield i0, i1
+        done = int(ends[i1 - 1])
+        i0 = i1
+
+
+def _hop(step: np.ndarray, bases: np.ndarray, counts: np.ndarray,
+         kinds: Optional[np.ndarray] = None) -> np.ndarray:
+    """Where each row starts in the stream its rank's rows read in turn.
+
+    A rank's first row starts at its base, and every later row where the
+    one before it stopped: ``step[start]`` uniforms on, or
+    ``step[kind, start]`` for rows of several kinds.  One vector hop per
+    row index, across every rank at once; starts come back rank-major.
+    """
+    starts = np.empty(int(counts.sum()), dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    cur = bases.astype(np.int64)
+    live = np.flatnonzero(counts)
+    k = 0
+    while live.size:
+        rows = first[live] + k
+        pos = cur[live]
+        starts[rows] = pos
+        cur[live] = pos + (step[pos] if kinds is None
+                           else step[kinds[rows], pos])
+        k += 1
+        live = live[counts[live] > k]
+    return starts
+
+
+def _probe_table(uniforms: np.ndarray, size: int, attempts: int,
+                 timeout_p: float, neterr_p: float, listener: bool
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """A probe's uniform count and outcome from each stream position.
+
+    The scan's attempt loop, started at every position ``< size`` of
+    ``uniforms`` at once: per attempt a timeout draw, then a
+    network-error draw; an attempt past both reaches the host, which
+    ends the probe when a server listens and is refused otherwise.
+    Returns ``(consumed, reached)``: ``reached`` is the listener's
+    success, or for a refusing host whether any attempt was refused.
+    """
+    start = np.arange(size)
+    pos = start.copy()
+    reached = np.zeros(size, dtype=bool)
+    for _ in range(attempts):
+        timeout = uniforms[pos] < timeout_p
+        step = 2 - timeout
+        if listener:
+            step *= ~reached
+        reached |= ~timeout & (uniforms[pos + 1] >= neterr_p)
+        pos += step
+    return pos - start, reached
+
+
 # -- filler targets ------------------------------------------------------------
 
 _FILLER_CHUNK = 1024
@@ -934,7 +1254,7 @@ class WorldModel:
         self._churn: Optional[Dict[int, int]] = dict(churn) if churn else None
         self._streams: Dict[str, _RankKeyedStream] = {}
         #: the last window's walk, ``(key, generated count, row count,
-        #: row tuples)`` (see ``_walk``); never shared with an evolved
+        #: blocks)`` (see ``_walk``); never shared with an evolved
         #: world, whose churn re-keys the streams
         self._walk_memo: Optional[tuple] = None
         # hot-path tables: cumulative weights for bisect draws, interned
@@ -973,6 +1293,20 @@ class WorldModel:
         self._mx_keys = (None, *(
             tuple(registrable_domain(host) for host in hosts)
             for hosts in self._mx_hosts[1:]))
+        #: the wild-state law's world tables as arrays, for _wild_law
+        self._law_arrays = {
+            "bulk_reseller": _Bisect(self._bulk_cum, self._bulk_total,
+                                     self._bulk_reseller),
+            "bulk_words": _Bisect(self._bulk_cum, self._bulk_total,
+                                  self._bulk_words),
+            "medium_reseller": np.array(self._medium_reseller),
+            "medium_words": np.array(self._medium_words, dtype=np.int64),
+            "pool": _Bisect(self._pool_cum, self._pool_total,
+                            range(len(self._pool_cum))),
+            "pool_broken": np.array(self._pool_broken),
+            **{name: _Bisect(cum, total, codes)
+               for name, (codes, cum, total) in self._support_mixes.items()},
+        }
 
     def _stream(self, purpose: str) -> _RankKeyedStream:
         stream = self._streams.get(purpose)
@@ -1003,14 +1337,29 @@ class WorldModel:
         return drawn
 
     def _filler_stem(self, index: int) -> str:
-        """The letter stem of filler ``index``, from its chunk's syllable
-        draws — without building the chunk's 1,024 names."""
+        """The letter stem of filler ``index``, without building its
+        chunk's 1,024 names: from the chunk's syllable draws when they
+        are cached, else from the index's own seven uniforms alone."""
         chunk, offset = divmod(index, _FILLER_CHUNK)
-        flat_i, third = self._syllables(chunk)
+        drawn = self._stems.get(chunk)
+        if drawn is not None:
+            flat_i, third = drawn
+            k = 3 * offset
+            picks = flat_i[k:k + 3]
+            has_third = third[offset]
+        else:
+            u = self._stream("fillers").uniforms_at(chunk, 7 * offset, 7)
+            n_onsets = len(_PRONOUNCEABLE_ONSETS)
+            n_vowels = len(_PRONOUNCEABLE_VOWELS)
+            # the scalar twin of _filler_syllables' columns
+            # (u0, o1, v1, o2, v2, o3, v3)
+            picks = [min(int(u[c] * n_onsets), n_onsets - 1) * n_vowels
+                     + min(int(u[c + 1] * n_vowels), n_vowels - 1)
+                     for c in (1, 3, 5)]
+            has_third = u[0] >= 0.5
         syl = _syllable_table()
-        k = 3 * offset
-        stem = syl[flat_i[k]] + syl[flat_i[k + 1]]
-        return stem + syl[flat_i[k + 2]] if third[offset] else stem
+        stem = syl[picks[0]] + syl[picks[1]]
+        return stem + syl[picks[2]] if has_third else stem
 
     def target_domain(self, rank: int) -> str:
         """The rank-``rank`` domain of the simulated Alexa list."""
@@ -1139,6 +1488,18 @@ class WorldModel:
         generation = self.rank_generation(rank)
         return base if generation == 0 else f"{base}@{generation}"
 
+    def _draw(self, base: str, ranks: List[int], out: np.ndarray,
+              starts: List[int], sizes: List[int]) -> None:
+        """Fill ``out[start:start + size]`` with each rank's ``base``
+        stream prefix, at the rank's churn generation."""
+        if self._churn is None:
+            streams = [self._stream(base)] * len(ranks)
+        else:
+            streams = [self._stream(self._rank_purpose(base, r))
+                       for r in ranks]
+        for r, stream, start, size in zip(ranks, streams, starts, sizes):
+            stream.uniforms_into(r, out[start:start + size])
+
     def rank_grid(self, rank: int) -> RankGrid:
         label, _ = self.target_parts(rank)
         reg_p = (self.config.peak_registration_probability
@@ -1160,228 +1521,312 @@ class WorldModel:
         target = self.target_domain(rank)
         label = grid.label
         dot_suffix = target[len(label):]
-        slots = _confirm(_label_indices(label), 0.0,
-                         grid.registered.tolist(), None)
-        for word in self._wild_words(rank, slots):
+        for word in self._wild_words(rank, grid.slot_words()):
             yield self._state(rank, target, _spell(label, word) + dot_suffix,
                               word)
 
     # -- the world walk ----------------------------------------------------
     #
-    # scan_ranks and featurize_ranks consume one walk, _walk: _draws (the
-    # registration draw over head and filler-chunk blocks), then per rank
-    # _wild_words (the wild-state law) and the membership oracle's
-    # collision rule, each row kept as one walk word.  The walk keeps the
-    # row tuples it yields as a memo keyed by (start_rank, stop_rank,
-    # max_rank), so a sweep that scans and then featurizes a window walks
-    # it once.  iter_rank_states maps the same words to strings through
-    # _state.
+    # scan_ranks and featurize_ranks consume one walk, _walk: per batch of
+    # up to 256 ranks inside a head or filler-chunk block, _walk_batch
+    # draws the registration grids, confirms them (_confirm_block), runs
+    # the wild-state law (_wild_block) and the membership oracle's
+    # collision rule, and returns the batch as one _WalkBlock of numpy
+    # columns.  The walk keeps its blocks as a memo keyed by (start_rank,
+    # stop_rank, max_rank), so a sweep that scans and then featurizes a
+    # window walks it once.  iter_rank_states maps the same words to
+    # strings through _state.
 
-    def _draws(self, start_rank: int, stop_rank: int,
-               tally: List[int]) -> Iterator[tuple]:
-        """The registration draw of ranks ``[start_rank, stop_rank)``.
+    def _walk(self, start_rank: int, stop_rank: int, max_rank: int,
+              tally: List[int],
+              perf: Optional["PerfRegistry"] = None
+              ) -> Iterator["_WalkBlock"]:
+        """The walk of ranks ``[start_rank, stop_rank)`` in a ``max_rank``
+        universe, one :class:`_WalkBlock` per draw batch that registers a
+        slot.  Adds every rank's generated count to ``tally[0]``.
 
         Walks one block at a time — the email-target head, or one filler
-        chunk's overlap with the window — so chunk lookups, generated
-        counts and label slicing amortize across the block.  Inside a
-        block, ranks draw in batches (:meth:`_preselect`), each from its
-        churn generation's "reg" stream.  Yields ``(rank, target, label,
-        suffix, label indices, slots)`` for every rank that registers a
-        slot, with slots as :func:`_confirm` decodes them, and adds every
-        rank's generated count to ``tally[0]``.
+        chunk's overlap with the window — so chunk lookups and generated
+        counts amortize across it, and draws each block in batches of
+        ``_DRAW_BATCH`` ranks (:meth:`_walk_batch`).
+
+        A live walk keeps every block it yields (no copy: consumers only
+        read them); when it runs to its end they become the world's
+        memo, so the next walk of the same ``(start_rank, stop_rank,
+        max_rank)`` yields them again instead of drawing (``perf`` then
+        counts ``walk.reused_ranks`` and ``walk.reused_rows``).  A walk
+        abandoned midway stores nothing, and one past
+        ``_WALK_MEMO_ROWS`` rows lets go of its memo and streams on.
         """
+        key = (start_rank, stop_rank, max_rank)
+        memo = self._walk_memo
+        if memo is not None and memo[0] == key:
+            _, generated, n_rows, blocks = memo
+            tally[0] += generated
+            if perf is not None:
+                perf.count("walk.reused_ranks", stop_rank - start_rank)
+                perf.count("walk.reused_rows", n_rows)
+            yield from blocks
+            return
+
+        self._walk_memo = None
+        kept: Optional[List[_WalkBlock]] = []
+        n_rows = 0
+        generated0 = tally[0]
         head_n = len(self._head_names)
-        peak = self.config.peak_registration_probability
-        decay = self.config.rank_decay
-        buf: Optional[np.ndarray] = None
+        head_labels = [label for label, _ in self._head_parts]
         rank = start_rank
         while rank < stop_rank:
             if rank <= head_n:
                 base_rank = 1
                 block_stop = min(stop_rank, head_n + 1)
-                names, counts = self._head_names, self._head_gen_counts
-                parts: Optional[List[Tuple[str, str]]] = self._head_parts
+                counts = self._head_gen_counts
+                filler = False
             else:
                 chunk = (rank - 1 - head_n) // _FILLER_CHUNK
                 names, counts = self._chunk(chunk)
                 base_rank = head_n + chunk * _FILLER_CHUNK + 1
                 block_stop = min(stop_rank, base_rank + _FILLER_CHUNK)
-                parts = None
+                filler = True
             tally[0] += sum(counts[rank - base_rank:block_stop - base_rank])
             for rb0 in range(rank, block_stop, _DRAW_BATCH):
                 rb1 = min(rb0 + _DRAW_BATCH, block_stop)
-                if parts is None:
-                    labels = [names[r - base_rank][:-4]
-                              for r in range(rb0, rb1)]
+                if filler:
+                    labels = [name[:-4] for name in
+                              names[rb0 - base_rank:rb1 - base_rank]]
                 else:
-                    labels = [parts[r - base_rank][0]
-                              for r in range(rb0, rb1)]
-                buf, row_of, cands = self._preselect(rb0, labels, buf)
-                for p, cand in enumerate(cands):
-                    if cand is None:
-                        continue
-                    r = rb0 + p
-                    label = labels[p]
-                    lidx = _label_indices(label)
-                    reg_p = peak / (r ** decay)
-                    if cand is _DENSE:
-                        cand = _candidates(
-                            label, reg_p,
-                            buf[row_of[p], :_grid_total(len(label))])
-                    slots = _confirm(lidx, reg_p, *cand)
-                    if slots:
-                        yield (r, names[r - base_rank], label,
-                               "com" if parts is None
-                               else parts[r - base_rank][1], lidx, slots)
+                    labels = head_labels[rb0 - 1:rb1 - 1]
+                block = self._walk_batch(rb0, labels, filler, max_rank)
+                if block is None:
+                    continue
+                if kept is not None:
+                    kept.append(block)
+                    n_rows += len(block.words)
+                    if n_rows > _WALK_MEMO_ROWS:
+                        kept = None
+                yield block
             rank = block_stop
+        if kept is not None:
+            self._walk_memo = (key, tally[0] - generated0, n_rows, kept)
 
-    def _preselect(self, rb0: int, labels: List[str],
-                   buf: Optional[np.ndarray]) -> tuple:
-        """Batched registration draws + preselect for ranks from ``rb0``.
+    def _walk_batch(self, rb0: int, labels: List[str], filler: bool,
+                    max_rank: int) -> Optional["_WalkBlock"]:
+        """The walk of ranks ``rb0 .. rb0 + len(labels) - 1`` (target
+        labels ``labels``; ``filler`` when they are filler targets).
 
-        Draws every rank's registration stream into one reused matrix
-        (rows grouped by label length) and preselects candidates with a
-        single vector compare per length slab, replacing ~5 small numpy
-        dispatches per rank with ~3 per batch.  Returns ``(buf, rows,
-        cands)``: the (possibly grown) draw matrix; each rank's matrix
-        row; and per rank ``None`` (no candidate), ``_DENSE`` (run
-        :func:`_candidates` on the stored draw row) or ``(flats,
-        uniforms)`` for :func:`_confirm`.
+        The registration draw (:meth:`_registered`), then the wild-state
+        law over the registered slots (:meth:`_wild_block`); then the
+        typos that are themselves targets of the ``max_rank`` universe
+        are dropped (:meth:`target_rank` decides).  Only a filler typo
+        that :func:`_may_collide` flags is spelled: that rule is a fact
+        of the law.  ``None`` when no rank registers a slot.
         """
         m = len(labels)
-        order = sorted(range(m), key=lambda p: len(labels[p]))
-        g_max = _grid_total(len(labels[order[-1]]))
-        if buf is None or buf.shape[1] < g_max:
-            buf = np.empty((_DRAW_BATCH, g_max))
-        rows = [0] * m
-        for j, p in enumerate(order):
-            rows[p] = j
-            r = rb0 + p
-            self._stream(self._rank_purpose("reg", r)).uniforms_into(
-                r, buf[j, :_grid_total(len(labels[p]))])
+        lengths = np.fromiter(map(len, labels), dtype=np.int64, count=m)
+        codes = _label_codes(labels)
+        row_rank, slot_words, vis = self._registered(rb0, codes, lengths)
+        n = np.bincount(row_rank, minlength=m)
+        registering = np.flatnonzero(n)
+        if not registering.size:
+            return None
+        n = n[registering]
+        words = self._wild_block(rb0 + registering, n) | slot_words
+
+        # the collision rule: rows whose typo may be a target
+        if filler and self._letter_final_heads:
+            head_n = len(self._head_names)
+            digits = np.array([len(str(r - head_n - 1))
+                               for r in range(rb0, rb0 + m)])
+            check = np.flatnonzero(_may_collide(
+                words, lengths[row_rank], digits[row_rank]))
+        else:
+            check = np.arange(len(words))
+        target_rank = self.target_rank
+        suffixes = [".com"] * m if filler else [
+            "." + suffix for _, suffix in self._head_parts[rb0 - 1:rb0 - 1 + m]]
+        collided = [k for k, p, w in zip(check.tolist(),
+                                         row_rank[check].tolist(),
+                                         words[check].tolist())
+                    if target_rank(_spell(labels[p], w) + suffixes[p],
+                                   max_rank) is not None]
+        hits = np.bincount(row_rank[collided], minlength=m)[registering]
+        if collided:
+            keep = np.ones(len(words), dtype=bool)
+            keep[collided] = False
+            words, vis = words[keep], vis[keep]
+        return _WalkBlock(
+            ranks=rb0 + registering, slots=n, collided=hits, nrows=n - hits,
+            lengths=lengths[registering], codes=codes[registering],
+            words=words, vis=vis)
+
+    def _registered(self, rb0: int, codes: np.ndarray, lengths: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The registration draw of ranks ``rb0 ..`` with target labels
+        ``codes`` (:func:`_label_codes`) of ``lengths``: ``(batch row,
+        slot word, visual cost)`` of every registered slot, rank-major
+        and in grid order.
+
+        Draws every rank's "reg" stream (at its churn generation) into
+        one matrix, preselects candidates with one padded vector compare
+        (``u < reg_p * section upper``, a superset of the registrations)
+        and confirms them with :func:`_confirm_block`.
+        """
+        m = len(lengths)
+        totals = _grid_totals(lengths)
+        upper, _ = _length_tables(int(lengths.max()))
+        width = int(totals.max())
+        draws = np.zeros((m, width))
+        self._draw("reg", list(range(rb0, rb0 + m)), draws.reshape(-1),
+                   list(range(0, m * width, width)), totals.tolist())
         peak = self.config.peak_registration_probability
         decay = self.config.rank_decay
+        reg_p = np.array([peak / (r ** decay) for r in range(rb0, rb0 + m)])
         # np.power can differ from the scalar ``peak / r ** decay`` law
-        # in the last ulp, so both derived tests are padded to stay
-        # conservative: the preselect must remain a superset (the exact
-        # scalar confirm decides), and a rank flagged dense merely runs
-        # the exact dense/sparse split inside _candidates
-        reg_all = (peak * (1.0 + 1e-9)) * np.power(
-            np.array(order, dtype=np.float64) + rb0, -decay)
-        dense_all = reg_all * _QUALITY_MAX >= 0.95 * (1.0 - 1e-9)
-        cands: List[Optional[tuple]] = [None] * m
-        j0 = 0
-        while j0 < m:
-            length = len(labels[order[j0]])
-            j1 = j0 + 1
-            while j1 < m and len(labels[order[j1]]) == length:
-                j1 += 1
-            slab = buf[j0:j1, :_grid_total(length)]
-            hits = slab < reg_all[j0:j1, None] * _section_upper(length)
-            dense = dense_all[j0:j1]
-            if dense.any():
-                hits[dense] = False
-                for jj in np.nonzero(dense)[0].tolist():
-                    cands[order[j0 + jj]] = _DENSE
-            rows_h, cols_h = np.nonzero(hits)
-            if rows_h.size:
-                uv = slab[rows_h, cols_h].tolist()
-                rlist = rows_h.tolist()
-                clist = cols_h.tolist()
-                nh = len(rlist)
-                k = 0
-                while k < nh:
-                    row = rlist[k]
-                    k2 = k + 1
-                    while k2 < nh and rlist[k2] == row:
-                        k2 += 1
-                    cands[order[j0 + row]] = (clist[k:k2], uv[k:k2])
-                    k = k2
-            j0 = j1
-        return buf, rows, cands
+        # in the last ulp, so the preselect bound is padded to stay a
+        # superset; the confirm compares against the scalar reg_p
+        reg_pad = (peak * (1.0 + 1e-9)) * np.power(
+            np.arange(rb0, rb0 + m, dtype=np.float64), -decay)
+        found = []
+        step = max(1, _PASS_CELLS // width)
+        for j0 in range(0, m, step):
+            cells = draws[j0:j0 + step]
+            row, flat = np.nonzero(
+                cells < reg_pad[j0:j0 + step, None]
+                * upper[lengths[j0:j0 + step], :width])
+            found.append((row + j0, flat, cells[row, flat]))
+        row, flat, u = (np.concatenate(x) for x in zip(*found))
+        out = []
+        for c0 in range(0, max(len(row), 1), _PASS_CELLS):
+            c = slice(c0, c0 + _PASS_CELLS)
+            kept, words, vis = _confirm_block(codes, lengths, reg_p, row[c],
+                                              flat[c], u[c])
+            out.append((row[c][kept], words, vis))
+        return tuple(np.concatenate(x) for x in zip(*out))
 
-    def _walk(self, start_rank: int, stop_rank: int, max_rank: int,
-              tally: List[int],
-              perf: Optional["PerfRegistry"] = None) -> Iterator[tuple]:
-        """The walk of ranks ``[start_rank, stop_rank)`` in a ``max_rank``
-        universe.
+    def _wild_block(self, ranks: np.ndarray, counts: np.ndarray
+                    ) -> np.ndarray:
+        """:meth:`_wild_words` of many ranks at once: the state part of
+        each row's walk word (no slot bits), rank-major.
 
-        Yields ``(rank, target, label, suffix, label indices, slots,
-        collided, words, vis)`` for every rank that registers a slot:
-        ``words`` holds one walk word per wild row, in grid order, and
-        ``vis`` each row's visual cost; ``slots`` counts the rank's
-        registered slots and ``collided`` those dropped because the typo
-        is itself a target of the universe (:meth:`target_rank`
-        decides).  One pre-check is a fact of the law: a filler edit
-        before the last stem letter leaves the digit run, and so the
-        addressed slot (the rank's own), unchanged, and no head label
-        ends in a digit, so such a typo can hit no target and is never
-        spelled.  Adds every rank's generated count to ``tally[0]``.
-
-        A live walk keeps a reference to every tuple it yields (no
-        copy: consumers only read them); when it runs to its end they
-        become the world's memo, so the next walk of the same
-        ``(start_rank, stop_rank, max_rank)`` yields them again instead
-        of drawing (``perf`` then counts ``walk.reused_ranks`` and
-        ``walk.reused_rows``).  A walk abandoned midway stores nothing,
-        and one past ``_WALK_MEMO_ROWS`` rows lets go of its memo and
-        streams on.
+        Rank ``ranks[j]`` has ``counts[j]`` registered slots and reads
+        ``12 n + 4`` uniforms of its "wild" stream.  A slot uses a number
+        of them that depends on the values drawn, so :meth:`_wild_law`
+        first computes that count from every stream position at once,
+        :func:`_hop` follows each rank's rows from its stream's start,
+        and the law then runs in full at the rows' starts.  The running
+        legitimate and small owner counts are a cumulative sum per rank.
+        Ranks go in passes of about ``_PASS_CELLS`` stream positions.
         """
-        key = (start_rank, stop_rank, max_rank)
-        memo = self._walk_memo
-        if memo is not None and memo[0] == key:
-            _, generated, n_rows, rows = memo
-            tally[0] += generated
-            if perf is not None:
-                perf.count("walk.reused_ranks", stop_rank - start_rank)
-                perf.count("walk.reused_rows", n_rows)
-            yield from rows
-            return
+        sizes = 12 * counts + 4
+        pick_sh = _WALK_FIELDS["owner_pick"][0]
+        out = []
+        for i0, i1 in _spans(sizes, _PASS_CELLS):
+            size = sizes[i0:i1]
+            bases = np.cumsum(size) - size
+            total = int(size.sum())
+            u = np.zeros(total + 16)
+            self._draw("wild", ranks[i0:i1].tolist(), u, bases.tolist(),
+                       size.tolist())
+            n = counts[i0:i1]
+            starts = _hop(self._wild_law(u, None), bases, n)
+            word, owner = self._wild_law(u, starts, words=True)
+            first = np.cumsum(n) - n
+            for cls in (1, 4):           # legitimate, small squatter
+                mine = owner == cls
+                before = np.cumsum(mine) - mine
+                before -= np.repeat(before[first], n)
+                word |= np.where(mine, before << pick_sh, 0)
+            out.append(word)
+        return np.concatenate(out)
 
-        self._walk_memo = None
-        rows: Optional[List[tuple]] = []
-        n_rows = 0
-        generated0 = tally[0]
-        head_n = len(self._head_names)
-        letter_final = self._letter_final_heads
-        target_rank = self.target_rank
-        _, _, index_sh, index_m, _, _ = _SLOT_FIELDS
-        index_field = index_m << index_sh
-        for r, target, label, suffix, lidx, slots in self._draws(
-                start_rank, stop_rank, tally):
-            words = self._wild_words(r, slots)
-            vis = [v for _, _, v in slots]
-            # rows whose edit index is at or past the last stem letter
-            # may spell a target
-            index_bits = ((len(label) - len(str(r - head_n - 1)) - 1)
-                          << index_sh if r > head_n and letter_final else 0)
-            dot_suffix = "." + suffix
-            collided = [k for k, w in enumerate(words)
-                        if w & index_field >= index_bits and target_rank(
-                            _spell(label, w) + dot_suffix,
-                            max_rank) is not None]
-            for k in reversed(collided):
-                del words[k]
-                del vis[k]
-            row = (r, target, label, suffix, lidx, len(slots), len(collided),
-                   words, vis)
-            if rows is not None:
-                rows.append(row)
-                n_rows += len(words)
-                if n_rows > _WALK_MEMO_ROWS:
-                    rows = None
-            yield row
-        if rows is not None:
-            self._walk_memo = (key, tally[0] - generated0, n_rows, rows)
+    def _wild_law(self, u: np.ndarray, at: Optional[np.ndarray],
+                  words: bool = False):
+        """The wild-state law of one slot started at each stream position
+        in ``at`` (``None``: every position but the last 16 of ``u``,
+        which must run on 10 positions past any start), in the draw
+        order of :meth:`_wild_words`.
 
-    def _wild_words(self, rank: int, slots: List[tuple]) -> List[int]:
+        Returns how many uniforms each slot uses; with ``words``
+        instead ``(walk word less the running owner count, owner
+        class)``.  Selects between floats are table gathers, never
+        arithmetic, so every threshold is the scalar law's own value.
+        """
+        config = self.config
+        law = self._law_arrays
+        if at is None:
+            size = len(u) - 16
+            at = np.arange(size)
+            u0, u1, u2, u3, u4, u5, u6 = (u[k:k + size] for k in range(7))
+        else:
+            u0, u1, u2, u3, u4, u5, u6 = (u[at + k] for k in range(7))
+        squat = u0 >= config.defensive_fraction + config.legitimate_fraction
+        legit = ~squat & (u0 >= config.defensive_fraction)
+        # legitimate: ns pick, private roll, [proxy pick], policy roll
+        legit_private = u2 < 0.25
+        # squatters: class, [registrant pick], support, [cesspool roll],
+        # ns pick, [mx roll, [policy roll]], private roll, whois picks
+        bulk = u1 < config.bulk_share
+        small = u1 >= config.bulk_share + config.medium_share
+        medium_pick = (u2 * len(law["medium_reseller"])).astype(np.intp)
+        reseller = ((bulk & law["bulk_reseller"](u2).astype(bool))
+                    | (~bulk & ~small & law["medium_reseller"][medium_pick]))
+        # support: the longtail mix reads u2, the others u3
+        squatter = law["squatter"](u3)
+        support = (squatter + reseller * (law["reseller"](u3) - squatter)
+                   + small * (law["longtail"](u2) - squatter))
+        has_mx = support != 0
+        rolled = small & (support >= 3)          # support not 0, 1 or 2
+        policy = rolled * (1 + (u6 >= config.longtail_catch_all_rate) + (
+            u6 >= config.longtail_catch_all_rate
+            + config.longtail_reject_all_rate))
+        rate = np.array((config.bulk_privacy_rate, 0.05,
+                         config.small_privacy_rate, 0.75))[
+            2 * small + reseller + (policy == 1)]
+        off = 5 + has_mx + rolled        # the private roll's offset
+        private = u[at + off] < rate
+        roll = u[at + off + 1]
+        partial = ~private & (roll >= 0.8)
+        if not words:
+            return 1 + legit * (3 + legit_private) + squat * (
+                off + 1 + partial)
+
+        legit_word = (_LEGIT_WORD | _pick(_NORMAL_NS_ARRAY, u1)
+                      | np.where(legit_private, _pick(_PROXY_ARRAY, u3), 0)
+                      | _POLICY_ARRAY[np.where(
+                          np.where(legit_private, u4, u3) < 0.1, 1, 2)])
+        owner_word = np.where(bulk, law["bulk_words"](u2), np.where(
+            small, _SMALL_WORD, law["medium_words"][medium_pick]))
+        ns_word = np.where(~small | (u3 < config.small_cesspool_rate),
+                           _pick(_CESSPOOL_NS_ARRAY, u4),
+                           _pick(_NORMAL_NS_ARRAY, u4))
+        parked = ~small & ((support == 1) | (support == 2))
+        pooled = ~small & has_mx & ~parked
+        pool_pick = law["pool"](u5)
+        mx_word = np.where(parked, _HOST_ARRAY[np.minimum(support, 2),
+                                               (u5 * 3).astype(np.intp)],
+                           np.where(pooled, _POOL_ARRAY[pool_pick], np.where(
+                               small & has_mx, _ADDR_BIT | np.where(
+                                   u5 < 0.1, _SELF_MX_WORD, 0), 0)))
+        support = np.where(pooled & law["pool_broken"][pool_pick], 4,
+                           support)
+        whois_word = np.where(private, _pick(_PROXY_ARRAY, roll), np.where(
+            partial, _FIELDS_ARRAY[2 + (u[at + off + 2] * 4).astype(np.intp)],
+            _FIELDS_WORDS[6]))
+        squat_word = (owner_word | _SUPPORT_ARRAY[support] | ns_word
+                      | mx_word | _POLICY_ARRAY[policy] | whois_word)
+        word = np.where(squat, squat_word, np.where(legit, legit_word,
+                                                    _DEFENSIVE_WORD))
+        owner = np.where(legit, 1, np.where(squat & small, 4, 0))
+        return word, owner
+
+    def _wild_words(self, rank: int, slots: List[int]) -> List[int]:
         """The wild-state law: owner, support, MX, DNS and WHOIS codes.
 
         Reads the rank's "wild" stream (at its churn generation); each
         decision consumes exactly one uniform, so the derivation is
-        independent of how consumers iterate.  One walk word per slot of
-        :func:`_confirm`'s ``slots``, in grid order: the slot word plus
-        the codes at their walk-word offsets: class (indexes
+        independent of how consumers iterate.  One walk word per slot
+        word in ``slots``, in grid order: the slot word plus the codes
+        at their walk-word offsets: class (indexes
         ``_OWNER_BY_CODE``), owner pick, support (indexes
         ``_SUPPORT_BY_CODE``), mx kind and host pick, has address, ns
         kind and pick, private, proxy pick, whois fields and policy, plus
@@ -1433,7 +1878,7 @@ class WorldModel:
         small_count = 0
         words: List[int] = []
         append = words.append
-        for _, slot, _ in slots:
+        for slot in slots:
             owner_u = wu[wi]
             wi += 1
             if owner_u < def_frac:
@@ -1610,18 +2055,15 @@ class WorldModel:
         ``scan.setup_seconds``, ``scan.draw_seconds`` (the walk:
         registration draw, wild-state law and collision rule, or on a
         reused walk the memo read alone) and ``scan.probe_seconds``
-        (probe and fold) phase timers; when omitted the loop pays only a
-        dead branch per rank.  The walk is shared: when the world's last
-        walk covered the same ``(start_rank, stop_rank, max_rank)`` the
-        scan reads it instead of walking again (see :meth:`_walk`).
+        (probe and fold) phase timers.  The walk is shared: when the
+        world's last walk covered the same ``(start_rank, stop_rank,
+        max_rank)`` the scan reads it instead of walking again (see
+        :meth:`_walk`).
 
-        The probe emulation mirrors :meth:`EcosystemScanner._probe`
-        against the host behaviours ``build_internet`` attaches: per
-        attempt a timeout draw, then a network-error draw, then either a
-        deterministic refusal (no listener) or the listening server's
-        STARTTLS classification.  Hosts whose behaviour is deterministic
-        (defensive mail, parked or web-only hosts) resolve without
-        consuming probe uniforms.
+        The probe emulation (:meth:`_probe_block`) mirrors
+        :meth:`EcosystemScanner._probe` against the host behaviours
+        ``build_internet`` attaches, and the fold is one ``np.bincount``
+        per categorical field.
         """
         timing = perf is not None
         entry_t = perf_counter() if timing else 0.0
@@ -1629,22 +2071,20 @@ class WorldModel:
         max_rank = max_rank or (stop_rank - 1)
         excluded = {domain.lower() for domain in exclude}
         spell_all = bool(excluded) or retain is not None
-        attempts = self.probe_attempts
-        small_timeout = self.config.longtail_timeout_probability
-        small_neterr = self.config.longtail_network_error_probability
-        support_by_code = _SUPPORT_BY_CODE
-        mx_keys = self._mx_keys
-        owner_ids = (None, None, self._bulk_ids, self._medium_ids)
+        #: registrable MX domain by ``mx kind << 4 | host pick``
+        mx_keys = [self._mx_keys[code >> 4][code & 15]
+                   if 1 <= code >> 4 <= 3
+                   and code & 15 < len(self._mx_keys[code >> 4]) else None
+                   for code in range(64)]
         (cls_sh, cls_m, pick_sh, pick_m, sup_sh, sup_m, mx_sh, mx_m, mxp_sh,
          mxp_m) = _fields("owner", "owner_pick", "support", "mx", "mx_pick")
-        addr_bit, private_bit = _ADDR_BIT, _PRIVATE_BIT
         tally = [0]
         registered_n = 0
-        # categorical folds are flat index lists; dict folds only where the
-        # key space is open-ended (MX domains, owners, targets)
-        support_l = [0] * 6
-        truth_l = [0] * 6
-        owner_type_l = [0] * 5
+        support_l = np.zeros(6, dtype=np.int64)
+        truth_l = np.zeros(6, dtype=np.int64)
+        owner_type_l = np.zeros(5, dtype=np.int64)
+        # dict folds where the key space is open-ended (MX domains,
+        # owners, targets)
         mx_c: Dict[str, int] = {}
         owner_dom_c: Dict[str, int] = {}
         per_target_c: Dict[str, int] = {}
@@ -1654,101 +2094,67 @@ class WorldModel:
         probe_s = 0.0
         setup_s = (perf_counter() - entry_t) if timing else 0.0
 
+        def fold(counts: Dict[str, int], keys, codes: np.ndarray) -> None:
+            # count each code's key, codes indexing ``keys``
+            for code, n in enumerate(np.bincount(codes).tolist()):
+                if n:
+                    counts[keys[code]] = counts.get(keys[code], 0) + n
+
         mark = perf_counter() if timing else 0.0
-        for r, target, label, suffix, _, n_slots, _, words, _ in self._walk(
-                start_rank, stop_rank, max_rank, tally, perf):
+        for block in self._walk(start_rank, stop_rank, max_rank, tally,
+                                perf):
             if timing:
                 t1 = perf_counter()
                 draw_s += t1 - mark
-            dot_suffix = "." + suffix
-            domain = ""
-            pu: Optional[list] = None
-            pi = 0
-            scanned = 0
-            for w in words:
-                # the walk word spells its domain only where a fold needs
-                # it: exclusion, retained states and self-hosted MX
-                if spell_all:
-                    domain = _spell(label, w) + dot_suffix
-                    if domain in excluded:
-                        continue
-                cls = (w >> cls_sh) & cls_m
-                support = (w >> sup_sh) & sup_m
-                # probe emulation (all codes: 0 NO_DNS, 1 NO_INFO,
-                # 2 NO_EMAIL, 3 PLAIN, 4 STARTTLS_ERRORS, 5 STARTTLS_OK)
-                if support == 0:
-                    observed = 0
-                elif cls == 0:
-                    observed = 5
-                elif support == 2 or (cls != 4 and cls != 1
-                                      and support == 1):
-                    # web-parked or refused hosts answer deterministically
-                    observed = support
-                else:
-                    if cls == 1:
-                        timeout_p, neterr_p = 0.05, 0.03
-                        starttls, broken = True, False
-                        listener = True
-                    elif cls != 4:
-                        timeout_p, neterr_p = 0.03, 0.02
-                        starttls, broken = True, support == 4
-                        listener = True
-                    elif support == 1:
-                        timeout_p, neterr_p = 0.97, 0.03
-                        listener = False
-                    else:
-                        timeout_p, neterr_p = small_timeout, small_neterr
-                        starttls, broken = support != 3, support == 4
-                        listener = True
-                    if pu is None:
-                        pu = self._stream(self._rank_purpose(
-                            "probe", r)).uniforms(
-                                r, 2 * attempts * n_slots + 2).tolist()
-                    observed = -1
-                    refused = False
-                    for _ in range(attempts):
-                        if pu[pi] < timeout_p:
-                            pi += 1
-                            continue
-                        pi += 1
-                        if pu[pi] < neterr_p:
-                            pi += 1
-                            continue
-                        pi += 1
-                        if not listener:
-                            refused = True
-                            continue
-                        observed = 4 if broken else (5 if starttls else 3)
-                        break
-                    if observed < 0:
-                        observed = 2 if refused else 1
-                # fold ----------------------------------------------------
-                scanned += 1
-                support_l[observed] += 1
-                truth_l[support] += 1
-                mx = (w >> mx_sh) & mx_m
-                if mx:
-                    if mx <= 3:
-                        key = mx_keys[mx][(w >> mxp_sh) & mxp_m]
-                    elif mx == 5:
-                        key = target
-                    else:
-                        key = domain or _spell(label, w) + dot_suffix
-                    mx_c[key] = mx_c.get(key, 0) + 1
-                elif w & addr_bit:
-                    implicit_n += 1
-                if cls == 2 or cls == 3:
-                    owner_id = owner_ids[cls][(w >> pick_sh) & pick_m]
-                    owner_dom_c[owner_id] = owner_dom_c.get(owner_id, 0) + 1
-                owner_type_l[cls] += 1
-                if w & private_bit:
-                    private_n += 1
-                if retain is not None:
-                    retain.append((self._state(r, target, domain, w),
-                                   support_by_code[observed]))
-            if scanned:
-                registered_n += scanned
-                per_target_c[target] = per_target_c.get(target, 0) + scanned
+            words = block.words
+            row_rank = np.repeat(np.arange(len(block.ranks)), block.nrows)
+            ranks = block.ranks.tolist()
+            targets = [self.target_domain(r) for r in ranks]
+            domains: List[str] = []
+            if spell_all:
+                # the walk word spells its domain only where a fold
+                # needs it: exclusion, retained states and self-hosted MX
+                domains = [self._typo(targets[p], block.lengths[p], w)
+                           for p, w in zip(row_rank.tolist(),
+                                           words.tolist())]
+                if excluded:
+                    keep = [d not in excluded for d in domains]
+                    domains = [d for d, k in zip(domains, keep) if k]
+                    words, row_rank = words[keep], row_rank[keep]
+            cls = (words >> cls_sh) & cls_m
+            support = (words >> sup_sh) & sup_m
+            observed = self._probe_block(block.ranks, block.slots, row_rank,
+                                         cls, support)
+            # fold ----------------------------------------------------------
+            support_l += np.bincount(observed, minlength=6)
+            truth_l += np.bincount(support, minlength=6)
+            owner_type_l += np.bincount(cls, minlength=5)
+            mx = (words >> mx_sh) & mx_m
+            hosted = (mx >= 1) & (mx <= 3)
+            fold(mx_c, mx_keys, (mx[hosted] << 4)
+                 | ((words[hosted] >> mxp_sh) & mxp_m))
+            fold(mx_c, targets, row_rank[mx == 5])
+            for k in np.flatnonzero(mx == 4).tolist():    # self-hosted
+                p = int(row_rank[k])
+                key = domains[k] if domains else self._typo(
+                    targets[p], block.lengths[p], int(words[k]))
+                mx_c[key] = mx_c.get(key, 0) + 1
+            implicit_n += int(np.count_nonzero(
+                (mx == 0) & (words & _ADDR_BIT != 0)))
+            for owner_cls, ids in ((2, self._bulk_ids),
+                                   (3, self._medium_ids)):
+                fold(owner_dom_c, ids,
+                     (words[cls == owner_cls] >> pick_sh) & pick_m)
+            private_n += int(np.count_nonzero(words & _PRIVATE_BIT))
+            registered_n += len(words)
+            fold(per_target_c, targets, row_rank)
+            if retain is not None:
+                for k, (p, w, seen) in enumerate(zip(
+                        row_rank.tolist(), words.tolist(),
+                        observed.tolist())):
+                    retain.append((self._state(ranks[p], targets[p],
+                                               domains[k], w),
+                                   _SUPPORT_BY_CODE[seen]))
             if timing:
                 mark = perf_counter()
                 probe_s += mark - t1
@@ -1756,15 +2162,81 @@ class WorldModel:
             draw_s += perf_counter() - mark
 
         aggregates.fold_flat(
-            tally[0], registered_n, support_l, truth_l, owner_type_l,
-            _SUPPORT_VALUE_BY_CODE, _OWNER_VALUE_BY_CODE,
-            mx_c, owner_dom_c, per_target_c, private_n, implicit_n)
+            tally[0], registered_n, support_l.tolist(), truth_l.tolist(),
+            owner_type_l.tolist(), _SUPPORT_VALUE_BY_CODE,
+            _OWNER_VALUE_BY_CODE, mx_c, owner_dom_c, per_target_c,
+            private_n, implicit_n)
         if timing:
             perf.add_seconds("scan.setup_seconds", setup_s)
             perf.add_seconds("scan.draw_seconds", draw_s)
             perf.add_seconds("scan.probe_seconds", probe_s)
             perf.count("scan.ranks", stop_rank - start_rank)
         return aggregates
+
+    @staticmethod
+    def _typo(target: str, length: int, word: int) -> str:
+        """The domain the walk word's edit makes of ``target``, whose
+        label is its first ``length`` characters."""
+        return _spell(target[:length], word) + target[length:]
+
+    def _probe_block(self, ranks: np.ndarray, slots: np.ndarray,
+                     row_rank: np.ndarray, cls: np.ndarray,
+                     support: np.ndarray) -> np.ndarray:
+        """The observed support code of each scanned row (codes 0 NO_DNS,
+        1 NO_INFO, 2 NO_EMAIL, 3 PLAIN, 4 STARTTLS_ERRORS, 5
+        STARTTLS_OK).
+
+        Hosts whose behaviour is deterministic (no DNS, defensive mail,
+        parked or web-only hosts) resolve without consuming probe
+        uniforms.  Every other row probes: per attempt a timeout draw,
+        then a network-error draw, then either a deterministic refusal
+        (no listener) or the listening server's STARTTLS class.  Rank
+        ``ranks[j]``'s probing rows read its "probe" stream in turn from
+        a ``2 * attempts * slots[j] + 2`` prefix; each row kind's attempt
+        loop runs from every stream position (:func:`_probe_table`) and
+        :func:`_hop` follows the rows.
+        """
+        observed = np.where(support == 0, 0, np.where(cls == 0, 5, support))
+        probing = ((support != 0) & (cls != 0) & (support != 2)
+                   & ~((cls != 4) & (cls != 1) & (support == 1)))
+        if not probing.any():
+            return observed
+        p_cls, p_support = cls[probing], support[probing]
+        kind = np.where(p_cls == 1, 0, np.where(
+            p_cls != 4, 1, np.where(p_support == 1, 2, 3)))
+        # what an attempt that reaches the host observes
+        reach = np.where(kind == 2, 2, np.where(
+            (kind != 0) & (p_support == 4), 4,
+            np.where((kind == 3) & (p_support == 3), 3, 5)))
+        counts = np.bincount(row_rank[probing], minlength=len(ranks))
+        probed = np.flatnonzero(counts)
+        counts = counts[probed]
+        attempts = self.probe_attempts
+        sizes = 2 * attempts * slots[probed] + 2
+        config = self.config
+        kinds = ((0.05, 0.03, True), (0.03, 0.02, True), (0.97, 0.03, False),
+                 (config.longtail_timeout_probability,
+                  config.longtail_network_error_probability, True))
+        seen = []
+        row0 = 0
+        for i0, i1 in _spans(sizes, _PASS_CELLS):
+            size = sizes[i0:i1]
+            bases = np.cumsum(size) - size
+            total = int(size.sum())
+            u = np.zeros(total + 2 * attempts + 2)
+            self._draw("probe", ranks[probed[i0:i1]].tolist(), u,
+                       bases.tolist(), size.tolist())
+            tables = [_probe_table(u, total, attempts, *params)
+                      for params in kinds]
+            n = counts[i0:i1]
+            row1 = row0 + int(n.sum())
+            k = kind[row0:row1]
+            starts = _hop(np.stack([t[0] for t in tables]), bases, n, k)
+            got = np.stack([t[1] for t in tables])[k, starts]
+            seen.append(np.where(got, reach[row0:row1], 1))
+            row0 = row1
+        observed[probing] = np.concatenate(seen)
+        return observed
 
     # -- the feature sweep -------------------------------------------------
 
@@ -1782,87 +2254,80 @@ class WorldModel:
         word is the walk word masked, plus the typo's lexical counts)
         plus per-rank shared context, batched into blocks for vectorized
         featurization downstream.  ``on_block`` receives ``(rank_l,
-        nrows_l, len_l, tdigit_l, tadj_l, packed_l, vis_l)`` — the first
-        five parallel per contributing rank, the last two per row —
-        whenever ``block_records`` rows accumulate.
+        nrows_l, len_l, tdigit_l, tadj_l, packed_l, vis_l)`` numpy
+        arrays — the first five parallel per contributing rank, the last
+        two per row — whenever ``block_records`` rows accumulate (a
+        rank's rows never straddle two blocks).
 
         Returns ``(rows, excluded, generated)``; ``excluded`` counts
         registrations skipped because the candidate string collides with
         a target domain of the ``max_rank`` universe.  Bounded memory:
-        per-block lists, a capped stem cache, the window's own filler
-        chunks and a capped walk memo only.  ``perf`` (optional)
-        accumulates ``featurize.setup_seconds`` and
-        ``featurize.walk_seconds``: the walk and the packing, or on a
-        reused walk (the world's last walk covered the same window, see
-        :meth:`_walk`) the memo read and the packing alone.
+        per-block arrays, the window's own filler chunks and a capped
+        walk memo only.  ``perf`` (optional) accumulates
+        ``featurize.setup_seconds`` and ``featurize.walk_seconds``: the
+        walk and the packing, or on a reused walk (the world's last walk
+        covered the same window, see :meth:`_walk`) the memo read and
+        the packing alone.
         """
         timing = perf is not None
         entry_t = perf_counter() if timing else 0.0
         max_rank = max_rank or (stop_rank - 1)
-        lex_bits = _IDX_LEX
-        feature_mask = _FEATURE_MASK
+        lex_bits = _kernel_table("lex")
+        adj = _kernel_table("adj")
         op_sh, op_m, index_sh, index_m, char_sh, char_m = _SLOT_FIELDS
-        _char_tables()
-        adj_t = _ADJ_LIST
         tally = [0]
-
-        rank_l: List[int] = []
-        nrows_l: List[int] = []
-        len_l: List[int] = []
-        tdigit_l: List[float] = []
-        tadj_l: List[float] = []
-        packed_l: List[int] = []
-        vis_l: List[float] = []
-        pack_append = packed_l.append
-
+        pending: List[tuple] = []
+        pending_rows = 0
         n_rows = 0
         n_excluded = 0
         setup_s = (perf_counter() - entry_t) if timing else 0.0
 
-        for r, _, _, _, lidx, _, collided, words, vis in self._walk(
-                start_rank, stop_rank, max_rank, tally, perf):
-            n_excluded += collided
-            if not words:
+        for block in self._walk(start_rank, stop_rank, max_rank, tally,
+                                perf):
+            n_excluded += int(block.collided.sum())
+            n_rows += len(block.words)
+            if on_block is None or not len(block.words):
                 continue
+            has = block.nrows > 0
+            nrows, lengths = block.nrows[has], block.lengths[has]
+            codes = block.codes[has]
+            words = block.words
             # the target's lexical counts, packed at their word offsets;
             # each row adjusts them by the chars its edit removes/adds
-            lex = sum(map(lex_bits.__getitem__, lidx))
-            for w in words:
-                op = (w >> op_sh) & op_m
-                if op == 1:
-                    pack_append(lex | (w & feature_mask))
-                elif op == 0:
-                    pack_append((lex - lex_bits[lidx[(w >> index_sh)
-                                                     & index_m]])
-                                | (w & feature_mask))
-                elif op == 2:
-                    pack_append((lex - lex_bits[lidx[(w >> index_sh)
-                                                     & index_m]]
-                                 + lex_bits[(w >> char_sh) & char_m])
-                                | (w & feature_mask))
-                else:
-                    pack_append((lex + lex_bits[(w >> char_sh) & char_m])
-                                | (w & feature_mask))
-            vis_l.extend(vis)
-            L = len(lidx)
-            n_rows += len(words)
-            rank_l.append(r)
-            nrows_l.append(len(words))
-            len_l.append(L)
-            tdigit_l.append(((lex >> 14) & 63) / L)
-            tadj_l.append(sum([adj_t[x][y] for x, y in zip(lidx, lidx[1:])])
-                          / (L - 1) if L > 1 else 0.0)
-            if len(packed_l) >= block_records and on_block is not None:
-                on_block((rank_l, nrows_l, len_l, tdigit_l, tadj_l,
-                          packed_l, vis_l))
-                rank_l, nrows_l, len_l = [], [], []
-                tdigit_l, tadj_l = [], []
-                packed_l, vis_l = [], []
-                pack_append = packed_l.append
+            lex = lex_bits[codes].sum(axis=1)
+            pairs = adj[codes[:, 1:-1], codes[:, 2:]].sum(axis=1)
+            per_rank = (block.ranks[has], nrows, lengths,
+                        ((lex >> 14) & 63) / lengths,
+                        np.where(lengths > 1,
+                                 pairs / np.maximum(lengths - 1, 1), 0.0))
+            row_rank = np.repeat(np.arange(len(nrows)), nrows)
+            op = (words >> op_sh) & op_m
+            removed = lex_bits[codes[row_rank,
+                                     ((words >> index_sh) & index_m) + 1]]
+            added = lex_bits[(words >> char_sh) & char_m]
+            packed = (lex[row_rank] + np.where(op >= 2, added, 0)
+                      - np.where(op % 2 == 0, removed, 0)) | (
+                          words & _FEATURE_MASK)
+            # a block ends with the rank whose rows bring it to
+            # block_records, so a rank's rows never straddle two blocks
+            ends = np.cumsum(nrows)
+            j0 = 0
+            while j0 < len(ends):
+                row0 = int(ends[j0 - 1]) if j0 else 0
+                j = int(np.searchsorted(
+                    ends, row0 + block_records - pending_rows, "left"))
+                j1 = min(max(j, j0), len(ends) - 1) + 1
+                row1 = int(ends[j1 - 1])
+                pending.append(tuple(x[j0:j1] for x in per_rank)
+                               + (packed[row0:row1], block.vis[row0:row1]))
+                pending_rows += row1 - row0
+                if pending_rows >= block_records:
+                    on_block(tuple(np.concatenate(x) for x in zip(*pending)))
+                    pending, pending_rows = [], 0
+                j0 = j1
 
-        if packed_l and on_block is not None:
-            on_block((rank_l, nrows_l, len_l, tdigit_l, tadj_l,
-                      packed_l, vis_l))
+        if pending:
+            on_block(tuple(np.concatenate(x) for x in zip(*pending)))
         if timing:
             perf.add_seconds("featurize.setup_seconds", setup_s)
             perf.add_seconds("featurize.walk_seconds",
