@@ -9,15 +9,17 @@ reports problems through the :mod:`repro.util.errors` taxonomy instead
 of raw tracebacks.
 
 The six enveloped formats (:mod:`repro.util.artifact`) are identified by
-their ``format`` tag alone — for the study journal, the tag on its first
-line — and validated by the *same* loader the runtime uses, so a file
-the doctor passes is a file the engine will accept — there is no second,
-drifting schema.  A journal whose last line is torn is such a file: the
-engine drops the tail and resumes from the segment before it, so the
-doctor reports it healthy with a note.  A tag of a known format but
-another version (or the single-snapshot study checkpoint the journal
-replaced) goes to that format's loader too, which refuses it as a
-foreign format (exit 3) with the format's remedy.  Only the two untagged
+their ``format`` tag alone — for the study and scan checkpoints, which
+are journals, the tag on the first line — and validated by the *same*
+loader the runtime uses, so a file the doctor passes is a file the
+engine will accept — there is no second, drifting schema.  A journal
+whose last line is torn is such a file: the engine drops the tail and
+resumes from the segment before it, so the doctor reports it healthy
+with a note.  A tag of a known format but another version (the
+single-snapshot study checkpoint the journal replaced, or a
+``repro-scan-checkpoint@1`` file keyed by jobs-dependent shards) goes
+to that format's loader too, which refuses it as a foreign format
+(exit 3) with the format's remedy.  Only the two untagged
 inputs, user-authored fault plans and ``BENCH_perf.json``, are
 recognized by shape, and a file with no readable tag (torn, or from
 before the envelope) falls back to its name.
@@ -130,7 +132,8 @@ def _enveloped_formats() -> Dict[str, _Entry]:
                                               data.get("max_rank")),
             lambda checkpoint: {"seed": checkpoint.seed,
                                 "max_rank": checkpoint.max_rank,
-                                "shards_done": checkpoint.completed_count}),
+                                "shards_done": checkpoint.completed_count,
+                                "torn_tail": checkpoint.torn_tail}),
         SCAN_BASELINE_FORMAT: (
             KIND_SCAN_BASELINE,
             lambda path, data: ScanBaseline.load(path),

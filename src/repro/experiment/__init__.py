@@ -8,23 +8,20 @@ from repro.experiment.classify import (
 )
 from repro.experiment.config import ExperimentConfig
 from repro.experiment.parallel import (
+    RangeRun,
     RecordDigestSink,
-    ResilientScanResult,
     ScanCheckpoint,
-    ScanShard,
-    ScanShardTask,
     ShardOutcome,
     ShardRetryPolicy,
     StudySample,
     derive_child_seeds,
     parallel_map,
-    partition_ranks,
     pool_fallback_count,
     record_content_digest,
     record_multiset_digest,
     record_stream_digest,
+    run_ranges,
     run_resilient_scan,
-    run_scan_shard,
     run_sharded_scan,
     run_study_sample,
     run_study_samples,
@@ -74,15 +71,12 @@ __all__ = [
     "derive_child_seeds",
     "parallel_map",
     "record_stream_digest",
-    "ScanShardTask",
-    "ScanShard",
-    "run_scan_shard",
-    "partition_ranks",
+    "run_ranges",
     "run_sharded_scan",
     "pool_fallback_count",
     "ShardRetryPolicy",
     "ShardOutcome",
-    "ResilientScanResult",
+    "RangeRun",
     "ScanCheckpoint",
     "run_resilient_scan",
     "STUDY_JOURNAL_FORMAT",

@@ -16,7 +16,6 @@ meaning and order on both lanes.
 from repro.features.domains import (
     DomainBlock,
     DomainSweep,
-    FeaturizeShardTask,
     block_matrix,
     block_ranks,
     domain_feature_row,
@@ -40,7 +39,6 @@ __all__ = [
     "FEATURE_SCHEMA_VERSION",
     "DomainBlock",
     "DomainSweep",
-    "FeaturizeShardTask",
     "block_matrix",
     "block_ranks",
     "domain_feature_row",

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from repro.util.perf import PerfRegistry
 
-__all__ = ["parallel_map", "pool_fallback_count"]
+__all__ = ["parallel_imap", "parallel_map", "pool_fallback_count"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -71,16 +72,47 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T],
     breakage shows up in perf snapshots rather than masquerading as a
     slow parallel run.
     """
+    return list(parallel_imap(fn, items, jobs=jobs, perf=perf))
+
+
+def parallel_imap(fn: Callable[[T], R], items: Iterable[T],
+                  jobs: Optional[int] = None,
+                  perf: Optional[PerfRegistry] = None,
+                  timeout: Optional[float] = None
+                  ) -> Iterator[Union[R, str]]:
+    """:func:`parallel_map`, yielding each result as soon as it is in order.
+
+    A caller can act on (and durably record) each result while later
+    items still run.  With a ``timeout``, an item whose pooled result
+    takes longer to arrive is cancelled and yields the message
+    ``"timed out after <timeout>s"`` instead.  After a pool fallback only
+    the items not yet yielded run serially.
+    """
     work = list(items)
-    if jobs is None or jobs <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
+    done = 0
+    if jobs is not None and jobs > 1 and len(work) > 1:
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(work))) as pool:
+                futures = [pool.submit(fn, item) for item in work]
+                for future in futures:
+                    result = _result(future, timeout)
+                    done += 1
+                    yield result
+            return
+        except (pickle.PicklingError, AttributeError, BrokenProcessPool,
+                OSError) as error:
+            # AttributeError is how lambdas/closures fail to pickle; a
+            # real AttributeError from ``fn`` re-raises identically on
+            # the serial retry, so nothing is masked.
+            _note_pool_fallback(error, perf)
+    for item in work[done:]:
+        yield fn(item)
+
+
+def _result(future: Future, timeout: Optional[float]):
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            return list(pool.map(fn, work))
-    except (pickle.PicklingError, AttributeError, BrokenProcessPool,
-            OSError) as error:
-        # AttributeError is how lambdas/closures fail to pickle; a real
-        # AttributeError from ``fn`` re-raises identically on the serial
-        # retry, so nothing is masked.
-        _note_pool_fallback(error, perf)
-        return [fn(item) for item in work]
+        return future.result(timeout=timeout)
+    except FutureTimeoutError:
+        future.cancel()
+        return f"timed out after {timeout}s"

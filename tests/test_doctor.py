@@ -24,6 +24,7 @@ from repro.doctor import (
     diagnose_paths,
     exit_code_for,
 )
+from repro.ecosystem.delta import RangeRecord, world_range_digest
 from repro.experiment import ScanCheckpoint, StudyCheckpoint, run_sharded_scan
 from repro.faultsim.plan import FaultPlan, ShardCrashSpec, StudyCrashSpec
 from repro.util.errors import (
@@ -47,11 +48,16 @@ def scan_aggregates():
     return run_sharded_scan(9, 12, jobs=1)
 
 
+def _scan_record(start, stop, aggregates):
+    return RangeRecord(start, stop, world_range_digest(9, start, stop, {}),
+                       aggregates)
+
+
 @pytest.fixture()
 def scan_ckpt(tmp_path, scan_aggregates):
     path = tmp_path / "scan.ckpt"
-    ScanCheckpoint(path, seed=9, max_rank=12).record(1, 13,
-                                                     scan_aggregates)
+    ScanCheckpoint(path, seed=9, max_rank=12).record(
+        _scan_record(1, 13, scan_aggregates))
     return path
 
 
@@ -150,7 +156,7 @@ class TestCorruptionDetection:
 
     def test_scan_checkpoint_with_mangled_shard_payload(self, scan_ckpt):
         data = json.loads(scan_ckpt.read_text())
-        data["shards"]["1-13"] = {"nonsense": True}
+        data["ranges"][0] = {"nonsense": True}
         scan_ckpt.write_text(json.dumps(data))
         diagnosis = diagnose_file(scan_ckpt)
         assert not diagnosis.ok
@@ -320,13 +326,15 @@ class TestEnvelopeEdges:
         """A well-formed envelope whose shard key lies past max_rank + 1:
         the engine's loader and the doctor must agree it is corrupt."""
         from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT
-        from repro.util.artifact import save_artifact
+        from repro.util.artifact import write_segment
 
         path = tmp_path / "scan.ckpt"
-        save_artifact(path, {
-            "format": SCAN_CHECKPOINT_FORMAT, "seed": 9, "max_rank": 12,
-            "shards": {"1-13": scan_aggregates.canonical_dict(),
-                       "13-40": scan_aggregates.canonical_dict()}})
+        write_segment(path, {
+            "format": SCAN_CHECKPOINT_FORMAT, "prev": None, "seed": 9,
+            "max_rank": 12,
+            "ranges": [_scan_record(1, 13, scan_aggregates).canonical_dict(),
+                       _scan_record(13, 40,
+                                    scan_aggregates).canonical_dict()]})
         with pytest.raises(CheckpointCorruptError, match="13-40"):
             ScanCheckpoint(path, seed=9, max_rank=12)
         diagnosis = diagnose_file(path)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.ecosystem import ScanAggregates, WorldModel
 from repro.ecosystem.internet import OwnerType, SmtpSupport
-from repro.experiment import partition_ranks, run_sharded_scan
+from repro.ecosystem.delta import _width_ranges
+from repro.experiment import run_sharded_scan
 
 SUPPORTS = list(SmtpSupport)
 OWNERS = list(OwnerType)
@@ -149,10 +150,10 @@ class TestScanDigestRegression:
         assert run_sharded_scan(606, 100_000).digest() == DIGEST_100K
 
     def test_shard_partition_invariance(self):
-        """Serial and every shard count merge to the pinned digest."""
+        """Every range width merges to the pinned digest."""
         world = WorldModel(606)
-        for shards in (2, 3, 7):
+        for width in (143, 334, 500):
             merged = ScanAggregates()
-            for start, stop in partition_ranks(1_000, shards):
+            for start, stop in _width_ranges(1_000, width):
                 merged.merge(world.scan_ranks(start, stop, max_rank=1_000))
             assert merged.digest() == DIGEST_1K

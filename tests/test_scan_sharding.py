@@ -27,12 +27,9 @@ from repro.ecosystem.world import (
     _RankKeyedStream,
     _registration_grid,
 )
-from repro.experiment import (
-    partition_ranks,
-    run_scan_shard,
-    run_sharded_scan,
-    ScanShardTask,
-)
+from repro.ecosystem.delta import _width_ranges
+from repro.experiment import run_sharded_scan
+from repro.experiment.parallel import RangeTask, run_range, scan_range
 from repro.util.rand import SeededRng
 
 GRID_LABELS = ["gmail", "hotmail", "aa", "abba", "zz-top", "a-b-c", "q",
@@ -132,36 +129,39 @@ class TestGridFastPaths:
 
 
 class TestPartitionRanks:
+    """The runner's fixed-width partition; ``jobs`` never enters it."""
+
     def test_covers_every_rank_exactly_once(self):
         for max_rank in (1, 2, 7, 100, 101):
-            for shards in (1, 2, 3, 8, 200):
-                ranges = partition_ranks(max_rank, shards)
+            for width in (1, 2, 3, 8, 200):
+                ranges = _width_ranges(max_rank, width)
                 covered = [rank for start, stop in ranges
                            for rank in range(start, stop)]
                 assert covered == list(range(1, max_rank + 1)), (
-                    max_rank, shards)
+                    max_rank, width)
 
     def test_ranges_are_contiguous_and_balanced(self):
-        ranges = partition_ranks(103, 4)
+        ranges = _width_ranges(103, 25)
         assert ranges[0][0] == 1 and ranges[-1][1] == 104
         sizes = [stop - start for start, stop in ranges]
-        assert max(sizes) - min(sizes) <= 1
+        # every range but the last is exactly the width
+        assert sizes == [25, 25, 25, 25, 3]
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            partition_ranks(0, 2)
+            _width_ranges(0, 2)
         with pytest.raises(ValueError):
-            partition_ranks(10, 0)
+            _width_ranges(10, 0)
 
 
 class TestShardDeterminism:
     @pytest.mark.parametrize("seed", [7, 99])
     def test_serial_and_sharded_digests_identical(self, seed):
         serial = run_sharded_scan(seed, 300, jobs=1)
-        two = run_sharded_scan(seed, 300, jobs=2)
-        four = run_sharded_scan(seed, 300, jobs=4)
+        two = run_sharded_scan(seed, 300, jobs=2, range_width=64)
+        four = run_sharded_scan(seed, 300, jobs=4, range_width=40)
         assert serial.digest() == two.digest() == four.digest()
         assert serial.registered_count > 0
 
@@ -172,10 +172,10 @@ class TestShardDeterminism:
                                             max_rank=max_rank)
         merged = ScanAggregates()
         for start, stop in ((1, 60), (60, 170), (170, max_rank + 1)):
-            shard = run_scan_shard(ScanShardTask(
+            aggregates, _ = run_range(RangeTask(
                 seed=seed, start_rank=start, stop_rank=stop,
-                max_rank=max_rank))
-            merged.merge(shard.aggregates)
+                max_rank=max_rank, consume=scan_range))
+            merged.merge(aggregates)
         assert merged.digest() == whole.digest()
 
     def test_different_seeds_differ(self):

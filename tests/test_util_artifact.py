@@ -20,7 +20,12 @@ import pytest
 
 from repro.doctor import KIND_STUDY_CHECKPOINT, diagnose_file
 from repro.ecosystem.aggregates import ScanAggregates
-from repro.ecosystem.delta import ScanBaseline, build_scan_baseline
+from repro.ecosystem.delta import (
+    RangeRecord,
+    ScanBaseline,
+    build_scan_baseline,
+    world_range_digest,
+)
 from repro.experiment import ScanCheckpoint, StudyCheckpoint, run_sharded_scan
 from repro.features.schema import (
     DOMAIN_FEATURES,
@@ -137,17 +142,18 @@ def _scan_build(i):
 
 
 def _scan_save(aggregates, path):
-    ScanCheckpoint(path, seed=9, max_rank=12).record(1, 13, aggregates)
+    ScanCheckpoint(path, seed=9, max_rank=12).record(RangeRecord(
+        1, 13, world_range_digest(9, 1, 13, {}), aggregates))
 
 
 def _scan_tamper(data):
     # the hole the envelope closes: a shard count edited by hand used to
     # load silently and shift the merged totals
-    data["shards"]["1-13"]["registered_count"] += 5
+    data["ranges"][0]["aggregates"]["registered_count"] += 5
 
 
 def _scan_legacy(data):
-    return {key: data[key] for key in ("seed", "max_rank", "shards")}
+    return {key: data[key] for key in ("seed", "max_rank", "ranges")}
 
 
 def _baseline_tamper(data):
@@ -192,7 +198,8 @@ FORMATS = [
     FormatCase(
         "scan-checkpoint", "scan-checkpoint", build=_scan_build,
         save=_scan_save,
-        load=lambda path: ScanCheckpoint(path, seed=9, max_rank=12).get(1, 13),
+        load=lambda path: ScanCheckpoint(
+            path, seed=9, max_rank=12).records[(1, 13)].aggregates,
         view=lambda aggregates: aggregates.canonical_dict(),
         tamper=_scan_tamper, legacy=_scan_legacy),
     FormatCase(
