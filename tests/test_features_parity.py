@@ -221,11 +221,12 @@ class TestDomainWindowParity:
         assert diff == 0.0, f"max row divergence {diff}"
 
     def test_sweep_digest_serial_equals_sharded(self):
-        serial = run_sharded_featurize(909, 600, jobs=1)
-        sharded = run_sharded_featurize(909, 600, jobs=3)
+        # 1,100 ranks are two 1,024-wide ranges, so the workers split
+        serial = run_sharded_featurize(909, 1_100, jobs=1)
+        sharded = run_sharded_featurize(909, 1_100, jobs=3)
         assert serial.n_rows == sharded.n_rows > 0
         assert serial.digest() == sharded.digest()
-        assert run_sharded_featurize(910, 600, jobs=1).digest() != \
+        assert run_sharded_featurize(910, 1_100, jobs=1).digest() != \
             serial.digest()
 
     def test_digest_invariant_to_block_size(self):

@@ -150,8 +150,9 @@ class TestArtifact:
 
 class TestTrainingDeterminism:
     def test_same_seed_any_jobs_byte_identical(self):
-        one, _ = train_typo_model(808, ranks=600, dataset_size=50, jobs=1)
-        two, _ = train_typo_model(808, ranks=600, dataset_size=50, jobs=2)
+        # 1,100 ranks are two 1,024-wide ranges, so jobs 2 really splits
+        one, _ = train_typo_model(808, ranks=1_100, dataset_size=50, jobs=1)
+        two, _ = train_typo_model(808, ranks=1_100, dataset_size=50, jobs=2)
         assert one.digest() == two.digest()
         assert json.dumps(one.to_payload(), sort_keys=True) == \
             json.dumps(two.to_payload(), sort_keys=True)
