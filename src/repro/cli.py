@@ -8,7 +8,7 @@ Commands mirror the paper's experiments:
 * ``project``  — the regression projection (§6)
 * ``typos``    — enumerate DL-1 typo candidates of a domain, with features
 * ``check``    — the §8 defense: is this address a likely typo?
-* ``doctor``   — validate on-disk artifacts (checkpoints, plans, baselines)
+* ``doctor``   — validate on-disk artifacts (checkpoints, plans, perf baselines)
 * ``serve-bench`` — benchmark the resident typo-risk query service
 * ``train``    — fit the learned detector (both lanes) from the seed
 * ``evaluate`` — Table-3-style learned vs. funnel comparison
@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "from --seed (--ranks scans only)")
     scan.add_argument("--checkpoint", metavar="PATH",
                       help="persist completed rank ranges to PATH and "
-                           "resume from it on re-runs, at any --jobs "
-                           "(--ranks scans only)")
+                           "reuse them on re-runs, at any --jobs; a "
+                           "re-run at a later --days rescans only the "
+                           "ranges churn touched (--ranks scans only)")
     scan.add_argument("--days", type=int, default=0, metavar="D",
                       help="evolve the world by D days of registration/"
                            "expiration churn before scanning "
@@ -129,19 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="RATE",
                       help="fraction of ranks that churn per day "
                            "(default: 0.004)")
-    scan.add_argument("--baseline", metavar="PATH",
-                      help="persist the scan as a delta baseline at PATH "
-                           "(per-rank-range sub-aggregates); with --delta, "
-                           "load it and re-scan only churned ranges")
-    scan.add_argument("--delta", action="store_true",
-                      help="incremental re-scan against --baseline: reuse "
-                           "every rank range whose world digest is "
-                           "unchanged, rescan the rest, and rewrite the "
-                           "baseline (byte-identical to a full scan)")
     scan.add_argument("--range-width", type=int, default=1024,
                       metavar="W",
                       help="ranks per scan range: the unit of work, "
-                           "retry, checkpoint and baseline reuse; "
+                           "retry and checkpoint reuse; "
                            "independent of --jobs (default: 1024)")
 
     honey = commands.add_parser("honey", help="run the honey experiments")
@@ -580,71 +572,29 @@ def _print_scan_perf(perf) -> None:
 
 def _cmd_scan_streaming(args: argparse.Namespace) -> int:
     """``repro scan --ranks N [--jobs J]``: the paper-scale lazy scan."""
-    from repro.ecosystem import (
-        ChurnSchedule,
-        ScanBaseline,
-        build_scan_baseline,
-        delta_scan,
-    )
+    from repro.ecosystem import ChurnSchedule
     from repro.experiment import run_resilient_scan
     from repro.util.perf import PerfRegistry
 
     jobs = args.jobs or 1
     plan = _load_fault_plan(args)
-    if args.delta and not args.baseline:
-        print("error: --delta requires --baseline PATH", file=sys.stderr)
-        return 2
-    if args.baseline and (plan is not None or args.checkpoint):
-        print("error: --baseline/--delta cannot be combined with "
-              "--fault-plan/--chaos/--checkpoint", file=sys.stderr)
-        return 2
     perf = PerfRegistry()
-    result = None
-    if args.delta:
-        baseline = ScanBaseline.load(args.baseline)
-        if baseline.max_rank != args.ranks:
-            print(f"error: baseline {args.baseline} covers ranks "
-                  f"1..{baseline.max_rank}, not 1..{args.ranks}",
-                  file=sys.stderr)
-            return 2
-        print(f"delta re-scan of ranks 1..{args.ranks} at churn day "
-              f"{args.days} (baseline day {baseline.day}, {jobs} "
-              f"job{'s' if jobs != 1 else ''})...", file=sys.stderr)
-        delta = delta_scan(baseline, args.days, jobs=args.jobs, perf=perf)
-        aggregates = delta.aggregates
-        delta.baseline.save(args.baseline)
-        print(f"reused {delta.ranges_reused} rank ranges, rescanned "
-              f"{delta.ranges_rescanned}; baseline updated: "
-              f"{args.baseline}", file=sys.stderr)
-    elif args.baseline:
-        print(f"streaming scan of ranks 1..{args.ranks} at churn day "
-              f"{args.days} ({jobs} job{'s' if jobs != 1 else ''}), "
-              f"building baseline...", file=sys.stderr)
-        baseline = build_scan_baseline(
-            args.seed, args.ranks, range_width=args.range_width,
-            day=args.days, churn_rate=args.churn_rate, jobs=args.jobs,
-            perf=perf)
-        baseline.save(args.baseline)
-        aggregates = baseline.total()
-        print(f"baseline written: {args.baseline} "
-              f"({len(baseline.ranges)} rank ranges)", file=sys.stderr)
-    else:
-        print(f"streaming scan of ranks 1..{args.ranks} "
-              f"({jobs} job{'s' if jobs != 1 else ''})...", file=sys.stderr)
-        churn = ()
-        if args.days:
-            churn = tuple(sorted(ChurnSchedule(
-                args.seed, args.ranks, args.churn_rate).generations(
-                    args.days).items()))
-        result = run_resilient_scan(args.seed, args.ranks, jobs=args.jobs,
-                                    fault_plan=plan,
-                                    checkpoint_path=args.checkpoint,
-                                    churn=churn,
-                                    range_width=args.range_width, perf=perf)
-        aggregates = result.aggregates
-        if plan is not None or args.checkpoint:
-            for line in result.summary_lines():
-                print(line, file=sys.stderr)
+    print(f"streaming scan of ranks 1..{args.ranks} "
+          f"({jobs} job{'s' if jobs != 1 else ''})...", file=sys.stderr)
+    churn = ()
+    if args.days:
+        churn = tuple(sorted(ChurnSchedule(
+            args.seed, args.ranks, args.churn_rate).generations(
+                args.days).items()))
+    result = run_resilient_scan(args.seed, args.ranks, jobs=args.jobs,
+                                fault_plan=plan,
+                                checkpoint_path=args.checkpoint,
+                                churn=churn,
+                                range_width=args.range_width, perf=perf)
+    aggregates = result.aggregates
+    if plan is not None or args.checkpoint:
+        for line in result.summary_lines():
+            print(line, file=sys.stderr)
     print(f"{aggregates.generated_count} gtypos enumerated; "
           f"{aggregates.registered_count} registered ctypos")
     print("Table 4 — observed SMTP support:")
@@ -657,8 +607,7 @@ def _cmd_scan_streaming(args: argparse.Namespace) -> int:
             print(f"  {host:25s} {count:8d}  {100.0 * count / mx_total:5.1f}%")
     print(f"aggregate digest: sha256:{aggregates.digest()}")
     _print_scan_perf(perf)
-    if result is not None:
-        result.raise_if_degraded()
+    result.raise_if_degraded()
     return 0
 
 

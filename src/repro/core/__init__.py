@@ -8,7 +8,6 @@ from repro.core.distances import (
     fat_finger_distance,
     is_dl1,
     is_ff1,
-    set_distance_caches_enabled,
     visual_distance,
     within_one_edit,
 )
@@ -31,16 +30,9 @@ from repro.core.typogen import (
     TypoCandidate,
     TypoGenerator,
     clear_typogen_cache,
-    set_typogen_cache_enabled,
     split_domain,
     typogen_cache_stats,
 )
-
-
-def set_kernel_caches_enabled(enabled: bool) -> None:
-    """Toggle every pure-kernel memoization layer (distances + typogen)."""
-    set_distance_caches_enabled(enabled)
-    set_typogen_cache_enabled(enabled)
 
 
 def clear_kernel_caches() -> None:
@@ -80,13 +72,10 @@ __all__ = [
     "StudyCorpus",
     "EMAIL_TARGETS",
     "build_study_corpus",
-    "set_kernel_caches_enabled",
     "clear_kernel_caches",
     "kernel_cache_stats",
-    "set_distance_caches_enabled",
     "clear_distance_caches",
     "distance_cache_stats",
-    "set_typogen_cache_enabled",
     "clear_typogen_cache",
     "typogen_cache_stats",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "position_weight",
     "classify_edit",
     "EditOperation",
-    "set_distance_caches_enabled",
     "clear_distance_caches",
     "distance_cache_stats",
 ]
@@ -66,16 +65,8 @@ _ALL_CACHES = {
     "damerau_levenshtein": _DL_CACHE,
 }
 
-_CACHES_ENABLED = True
 _CACHE_HITS: Dict[str, int] = {name: 0 for name in _ALL_CACHES}
 _CACHE_MISSES: Dict[str, int] = {name: 0 for name in _ALL_CACHES}
-
-
-def set_distance_caches_enabled(enabled: bool) -> None:
-    """Enable/disable the kernel caches (cleared on any toggle)."""
-    global _CACHES_ENABLED
-    _CACHES_ENABLED = bool(enabled)
-    clear_distance_caches()
 
 
 def clear_distance_caches() -> None:
@@ -114,16 +105,14 @@ def damerau_levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
-    if _CACHES_ENABLED:
-        cached = _DL_CACHE.get((a, b))
-        if cached is not None:
-            _CACHE_HITS["damerau_levenshtein"] += 1
-            return cached
-        _CACHE_MISSES["damerau_levenshtein"] += 1
-        result = _damerau_levenshtein_uncached(a, b)
-        _bounded_store(_DL_CACHE, (a, b), result)
-        return result
-    return _damerau_levenshtein_uncached(a, b)
+    cached = _DL_CACHE.get((a, b))
+    if cached is not None:
+        _CACHE_HITS["damerau_levenshtein"] += 1
+        return cached
+    _CACHE_MISSES["damerau_levenshtein"] += 1
+    result = _damerau_levenshtein_uncached(a, b)
+    _bounded_store(_DL_CACHE, (a, b), result)
+    return result
 
 
 def _damerau_levenshtein_uncached(a: str, b: str) -> int:
@@ -247,17 +236,15 @@ def fat_finger_distance(a: str, b: str, max_interesting: int = 3) -> int:
     """
     if a == b:
         return 0
-    if _CACHES_ENABLED:
-        key = (a, b, max_interesting)
-        cached = _FF_DISTANCE_CACHE.get(key)
-        if cached is not None:
-            _CACHE_HITS["ff_distance"] += 1
-            return cached
-        _CACHE_MISSES["ff_distance"] += 1
-        result = _fat_finger_distance_uncached(a, b, max_interesting)
-        _bounded_store(_FF_DISTANCE_CACHE, key, result)
-        return result
-    return _fat_finger_distance_uncached(a, b, max_interesting)
+    key = (a, b, max_interesting)
+    cached = _FF_DISTANCE_CACHE.get(key)
+    if cached is not None:
+        _CACHE_HITS["ff_distance"] += 1
+        return cached
+    _CACHE_MISSES["ff_distance"] += 1
+    result = _fat_finger_distance_uncached(a, b, max_interesting)
+    _bounded_store(_FF_DISTANCE_CACHE, key, result)
+    return result
 
 
 def _fat_finger_distance_uncached(a: str, b: str, max_interesting: int) -> int:
@@ -290,27 +277,23 @@ def _ff_neighbours(s: str):
     :func:`fat_finger_distance` re-visits the same strings constantly, and
     the typo generator probes one root label per candidate batch.
     """
-    if _CACHES_ENABLED:
-        cached = _FF_NEIGHBOURS_CACHE.get(s)
-        if cached is not None:
-            _CACHE_HITS["ff_neighbours"] += 1
-            return cached
-        _CACHE_MISSES["ff_neighbours"] += 1
-        result = tuple(_ff_neighbours_uncached(s))
-        _bounded_store(_FF_NEIGHBOURS_CACHE, s, result)
-        return result
-    return _ff_neighbours_uncached(s)
+    cached = _FF_NEIGHBOURS_CACHE.get(s)
+    if cached is not None:
+        _CACHE_HITS["ff_neighbours"] += 1
+        return cached
+    _CACHE_MISSES["ff_neighbours"] += 1
+    result = tuple(_ff_neighbours_uncached(s))
+    _bounded_store(_FF_NEIGHBOURS_CACHE, s, result)
+    return result
 
 
 def _ff_neighbour_set(s: str) -> frozenset:
     """The fat-finger neighbourhood of ``s`` as a set, for membership tests."""
-    if _CACHES_ENABLED:
-        cached = _FF_NEIGHBOUR_SET_CACHE.get(s)
-        if cached is None:
-            cached = frozenset(_ff_neighbours(s))
-            _bounded_store(_FF_NEIGHBOUR_SET_CACHE, s, cached)
-        return cached
-    return frozenset(_ff_neighbours(s))
+    cached = _FF_NEIGHBOUR_SET_CACHE.get(s)
+    if cached is None:
+        cached = frozenset(_ff_neighbours(s))
+        _bounded_store(_FF_NEIGHBOUR_SET_CACHE, s, cached)
+    return cached
 
 
 def _ff_neighbours_uncached(s: str) -> List[str]:
@@ -404,17 +387,15 @@ def visual_distance(original: str, typo: str) -> float:
     """
     if original == typo:
         return 0.0
-    if _CACHES_ENABLED:
-        key = (original, typo)
-        cached = _VISUAL_CACHE.get(key)
-        if cached is not None:
-            _CACHE_HITS["visual"] += 1
-            return cached
-        _CACHE_MISSES["visual"] += 1
-        result = _visual_distance_uncached(original, typo)
-        _bounded_store(_VISUAL_CACHE, key, result)
-        return result
-    return _visual_distance_uncached(original, typo)
+    key = (original, typo)
+    cached = _VISUAL_CACHE.get(key)
+    if cached is not None:
+        _CACHE_HITS["visual"] += 1
+        return cached
+    _CACHE_MISSES["visual"] += 1
+    result = _visual_distance_uncached(original, typo)
+    _bounded_store(_VISUAL_CACHE, key, result)
+    return result
 
 
 def _visual_distance_uncached(original: str, typo: str) -> float:

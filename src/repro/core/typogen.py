@@ -30,7 +30,6 @@ __all__ = [
     "EditOp",
     "enumerate_edit_ops",
     "apply_edit",
-    "set_typogen_cache_enabled",
     "clear_typogen_cache",
     "typogen_cache_stats",
 ]
@@ -106,16 +105,8 @@ def split_domain(domain: str) -> tuple:
 
 _CANDIDATE_CACHE: dict = {}
 _CANDIDATE_CACHE_MAX = 4096
-_CANDIDATE_CACHE_ENABLED = True
 _CANDIDATE_CACHE_HITS = 0
 _CANDIDATE_CACHE_MISSES = 0
-
-
-def set_typogen_cache_enabled(enabled: bool) -> None:
-    """Enable/disable the shared candidate cache (cleared on any toggle)."""
-    global _CANDIDATE_CACHE_ENABLED
-    _CANDIDATE_CACHE_ENABLED = bool(enabled)
-    clear_typogen_cache()
 
 
 def clear_typogen_cache() -> None:
@@ -338,8 +329,6 @@ class TypoGenerator:
 
     def generate(self, target: str) -> List[TypoCandidate]:
         """All distinct DL-1 typo candidates of ``target`` (same TLD)."""
-        if not _CANDIDATE_CACHE_ENABLED:
-            return self._generate_uncached(target)
         global _CANDIDATE_CACHE_HITS, _CANDIDATE_CACHE_MISSES
         key = (self.alphabet, self.fat_finger_only, target)
         cached = _CANDIDATE_CACHE.get(key)

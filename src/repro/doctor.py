@@ -1,14 +1,14 @@
 """Artifact integrity doctor: validate on-disk run artifacts.
 
 A long campaign leaves a trail of durable files — study checkpoints,
-scan checkpoints, delta-scan baselines, persisted typo-risk indexes,
-typo models, scenarios, fault plans and the performance baseline — and
+scan checkpoints, persisted typo-risk indexes, typo models, scenarios,
+fault plans and the performance baseline — and
 each of them can rot: torn writes from a crash mid-save, manual edits,
 copies from a different run.  ``repro doctor`` examines each file and
 reports problems through the :mod:`repro.util.errors` taxonomy instead
 of raw tracebacks.
 
-The six enveloped formats (:mod:`repro.util.artifact`) are identified by
+The five enveloped formats (:mod:`repro.util.artifact`) are identified by
 their ``format`` tag alone — for the study and scan checkpoints, which
 are journals, the tag on the first line — and validated by the *same*
 loader the runtime uses, so a file the doctor passes is a file the
@@ -16,10 +16,11 @@ engine will accept — there is no second, drifting schema.  A journal
 whose last line is torn is such a file: the engine drops the tail and
 resumes from the segment before it, so the doctor reports it healthy
 with a note.  A tag of a known format but another version (the
-single-snapshot study checkpoint the journal replaced, or a
-``repro-scan-checkpoint@1`` file keyed by jobs-dependent shards) goes
-to that format's loader too, which refuses it as a foreign format
-(exit 3) with the format's remedy.  Only the two untagged
+single-snapshot study checkpoint the journal replaced, or a scan
+checkpoint of an older layout) goes to that format's loader too, which
+refuses it as a foreign format (exit 3) with the format's remedy; so
+does a ``repro-scan-baseline`` file, the store the scan checkpoint
+replaced.  Only the two untagged
 inputs, user-authored fault plans and ``BENCH_perf.json``, are
 recognized by shape, and a file with no readable tag (torn, or from
 before the envelope) falls back to its name.
@@ -45,7 +46,6 @@ __all__ = ["Diagnosis", "diagnose_file", "diagnose_paths", "exit_code_for"]
 #: artifact kinds :func:`diagnose_file` can identify
 KIND_STUDY_CHECKPOINT = "study-checkpoint"
 KIND_SCAN_CHECKPOINT = "scan-checkpoint"
-KIND_SCAN_BASELINE = "scan-baseline"
 KIND_FAULT_PLAN = "fault-plan"
 KIND_PERF_BASELINE = "perf-baseline"
 KIND_RISK_INDEX = "risk-index"
@@ -108,7 +108,6 @@ def _study_journal_details(loaded) -> Dict[str, object]:
 
 def _enveloped_formats() -> Dict[str, _Entry]:
     """Every enveloped format, keyed by its tag without the ``@version``."""
-    from repro.ecosystem.delta import SCAN_BASELINE_FORMAT, ScanBaseline
     from repro.experiment.checkpoint import STUDY_JOURNAL_FORMAT
     from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT, ScanCheckpoint
     from repro.learned.model import LEARNED_MODEL_FORMAT, load_model
@@ -119,28 +118,24 @@ def _enveloped_formats() -> Dict[str, _Entry]:
         KIND_STUDY_CHECKPOINT,
         lambda path, data: _load_study_journal(path),
         _study_journal_details)
+    scan_checkpoint: _Entry = (
+        KIND_SCAN_CHECKPOINT,
+        # the identity comes from the file itself, so only a corrupt
+        # file can fail here
+        lambda path, data: ScanCheckpoint.open(path),
+        lambda checkpoint: {"seed": checkpoint.identity["seed"],
+                            "max_rank": checkpoint.max_rank,
+                            "shards_done": checkpoint.completed_count,
+                            "torn_tail": checkpoint.torn_tail})
     table: Dict[str, _Entry] = {
         STUDY_JOURNAL_FORMAT: study_journal,
         # the single-snapshot study checkpoint the journal replaced: its
         # files reach the journal loader, which refuses them (exit 3)
         "repro-study-checkpoint": study_journal,
-        SCAN_CHECKPOINT_FORMAT: (
-            KIND_SCAN_CHECKPOINT,
-            # seed/max_rank come from the file itself, so only a
-            # corrupt file can fail here
-            lambda path, data: ScanCheckpoint(path, data.get("seed"),
-                                              data.get("max_rank")),
-            lambda checkpoint: {"seed": checkpoint.seed,
-                                "max_rank": checkpoint.max_rank,
-                                "shards_done": checkpoint.completed_count,
-                                "torn_tail": checkpoint.torn_tail}),
-        SCAN_BASELINE_FORMAT: (
-            KIND_SCAN_BASELINE,
-            lambda path, data: ScanBaseline.load(path),
-            lambda baseline: {"seed": baseline.seed,
-                              "max_rank": baseline.max_rank,
-                              "day": baseline.day,
-                              "ranges": len(baseline.ranges)}),
+        SCAN_CHECKPOINT_FORMAT: scan_checkpoint,
+        # the delta-scan baseline the scan checkpoint replaced: its files
+        # reach the checkpoint loader, which refuses them (exit 3)
+        "repro-scan-baseline": scan_checkpoint,
         RISK_INDEX_FORMAT: (
             KIND_RISK_INDEX,
             lambda path, data: TypoRiskIndex.load(path),
@@ -248,10 +243,6 @@ def _kind_from_name(path: Path) -> tuple:
         # can't tell study from scan without content; either way the
         # remedy (and exit code) is the same
         return KIND_STUDY_CHECKPOINT, EXIT_CORRUPT_CHECKPOINT
-    if "baseline" in name:
-        # a torn scan baseline is corrupt durable state, like a torn
-        # checkpoint: the remedy is a rebuild, the exit code is 3
-        return KIND_SCAN_BASELINE, EXIT_CORRUPT_CHECKPOINT
     if "index" in name:
         # same story for a torn persisted risk index: durable state
         # the service would refuse, so exit 3

@@ -2,15 +2,10 @@
 
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.delta import (
-    SCAN_BASELINE_FORMAT,
     ChurnSchedule,
-    DeltaScanResult,
     RangeRecord,
-    ScanBaseline,
     WorldEvent,
     WorldEvolution,
-    build_scan_baseline,
-    delta_scan,
     world_range_digest,
 )
 from repro.ecosystem.clustering import (
@@ -70,15 +65,10 @@ __all__ = [
     "ScanAggregates",
     "WorldModel",
     "DomainState",
-    "SCAN_BASELINE_FORMAT",
     "ChurnSchedule",
     "WorldEvent",
     "WorldEvolution",
-    "DeltaScanResult",
     "RangeRecord",
-    "ScanBaseline",
-    "build_scan_baseline",
-    "delta_scan",
     "world_range_digest",
     "cluster_registrants",
     "RegistrantCluster",

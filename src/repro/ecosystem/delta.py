@@ -3,8 +3,8 @@
 A monitoring service re-scans the DL-1 typo space daily (the framing in
 Spaulding et al.'s typosquatting-landscape survey); a full Alexa-1M
 re-scan every day costs the whole universe even though registrations and
-expirations touch a tiny fraction of ranks.  This module makes a re-scan
-cost proportional to what *changed*:
+expirations touch a tiny fraction of ranks.  This module holds the laws
+that make a re-scan cost proportional to what *changed*:
 
 * :class:`ChurnSchedule` derives each day's registration/expiration
   churn deterministically from ``(seed, day)`` — rank ``r`` churns on
@@ -14,54 +14,36 @@ cost proportional to what *changed*:
   registration/wild/probe streams by generation, so its DL-1 grid
   re-rolls (some ctypos expire, others register) while every untouched
   rank stays byte-identical to day 0.
-* :class:`ScanBaseline` persists a completed scan as the rank-range
-  runner's (:func:`repro.experiment.parallel.run_ranges`) per-range
-  records, each stamped with the *world digest* of its range (a hash of
-  the churn generations inside it); a scan checkpoint stores the same.
-* :func:`delta_scan` is the runner with the baseline's records as its
-  store: a range whose world digest still matches is reused, the rest
-  are scanned in the day-``N`` world.  The delta tests pin it
-  byte-identical to a full scan of that world.
+* :func:`world_range_digest` stamps a rank range with the churn
+  generations inside it, and :class:`RangeRecord` is one scanned range
+  with that stamp — the encoding of the scan checkpoint
+  (:class:`repro.experiment.parallel.ScanCheckpoint`).
+
+A delta re-scan is a checkpointed scan re-run at a later churn day
+(``repro scan --ranks N --checkpoint P``, then ``--days D`` on the same
+``P``): the rank-range runner reuses every stored range whose world
+digest still matches and scans the rest in the day-``D`` world, so the
+merged aggregates are byte-identical to a full scan of that world.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.internet import InternetConfig
-from repro.util.artifact import (
-    ArtifactFormat,
-    json_digest,
-    load_artifact,
-    save_artifact,
-)
-from repro.util.errors import CheckpointMismatchError
-from repro.util.perf import PerfRegistry
+from repro.util.artifact import json_digest
 
 __all__ = [
-    "SCAN_BASELINE_FORMAT",
     "ChurnSchedule",
     "WorldEvent",
     "WorldEvolution",
     "RangeRecord",
-    "ScanBaseline",
-    "DeltaScanResult",
-    "build_scan_baseline",
-    "delta_scan",
     "world_range_digest",
 ]
-
-#: artifact format tag; bump when the on-disk schema changes (``@2``
-#: added the envelope digest over the whole file)
-SCAN_BASELINE_FORMAT = "repro-scan-baseline@2"
-
-_ARTIFACT = ArtifactFormat(SCAN_BASELINE_FORMAT, "scan baseline",
-                           "rebuild it with a full scan")
 
 _DEFAULT_RANGE_WIDTH = 1024
 
@@ -249,7 +231,7 @@ def _jsonable(value):
 
 
 def _config_digest(config: Optional[InternetConfig]) -> str:
-    """Fingerprint of the world config baked into a baseline."""
+    """Fingerprint of the world config a scan checkpoint was written in."""
     return json_digest(_jsonable(asdict(config or InternetConfig())))
 
 
@@ -294,153 +276,3 @@ class RangeRecord:
                    stop_rank=int(payload["stop"]),
                    world_digest=str(payload["world_digest"]),
                    aggregates=aggregates)
-
-
-@dataclass(frozen=True)
-class ScanBaseline:
-    """A completed scan persisted as per-range sub-digests + aggregates.
-
-    ``day`` is the churn day the baseline captures (0 = the pristine
-    world); ``churn_rate`` rides along so a delta re-scan evolves the
-    same world law the baseline was built against.  ``save``/``load`` go
-    through the artifact envelope: atomic writes, and loading validates
-    the format tag, the envelope digest over the whole file, every
-    per-range digest, and the merged total digest — corruption is a loud
-    :class:`~repro.util.errors.CheckpointCorruptError`, never a silently
-    wrong count.
-    """
-
-    seed: int
-    max_rank: int
-    range_width: int
-    day: int
-    churn_rate: float
-    config_digest: str
-    ranges: Tuple[RangeRecord, ...]
-
-    def total(self) -> ScanAggregates:
-        """The merged aggregates over every range (exact addition)."""
-        merged = ScanAggregates()
-        for record in self.ranges:
-            merged.merge(record.aggregates)
-        return merged
-
-    def total_digest(self) -> str:
-        return self.total().digest()
-
-    def canonical_dict(self) -> Dict:
-        return {
-            "format": SCAN_BASELINE_FORMAT,
-            "seed": self.seed,
-            "max_rank": self.max_rank,
-            "range_width": self.range_width,
-            "day": self.day,
-            "churn_rate": self.churn_rate,
-            "config_digest": self.config_digest,
-            "total_digest": self.total_digest(),
-            "ranges": [record.canonical_dict() for record in self.ranges],
-        }
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Atomically persist the baseline."""
-        save_artifact(path, self.canonical_dict())
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ScanBaseline":
-        """Load and validate a baseline written by :meth:`save`.
-
-        Unreadable JSON, a missing or wrong envelope digest, malformed
-        ranges, or a per-range or total digest mismatch raises
-        :class:`~repro.util.errors.CheckpointCorruptError`; a wrong or
-        older format tag raises :class:`CheckpointMismatchError`.
-        """
-        def decode(data: Dict) -> "ScanBaseline":
-            baseline = cls(
-                seed=int(data["seed"]),
-                max_rank=int(data["max_rank"]),
-                range_width=int(data["range_width"]),
-                day=int(data["day"]),
-                churn_rate=float(data["churn_rate"]),
-                config_digest=str(data["config_digest"]),
-                ranges=tuple(RangeRecord.from_canonical_dict(payload)
-                             for payload in data["ranges"]))
-            if baseline.total_digest() != data["total_digest"]:
-                raise ValueError("merged ranges do not match total_digest")
-            return baseline
-
-        return load_artifact(path, _ARTIFACT, decode)
-
-
-@dataclass(frozen=True)
-class DeltaScanResult:
-    """One incremental re-scan: merged totals + the evolved baseline."""
-
-    aggregates: ScanAggregates
-    baseline: ScanBaseline
-    ranges_reused: int
-    ranges_rescanned: int
-
-
-def build_scan_baseline(seed: int, max_rank: int, *,
-                        range_width: int = _DEFAULT_RANGE_WIDTH,
-                        day: int = 0, churn_rate: float = 0.004,
-                        config: Optional[InternetConfig] = None,
-                        jobs: Optional[int] = None,
-                        perf: Optional[PerfRegistry] = None) -> ScanBaseline:
-    """Full scan of the day-``day`` world, persisted range by range.
-
-    A delta re-scan of an empty baseline: every range is scanned, so the
-    merged total is byte-identical to ``run_sharded_scan`` /
-    ``WorldModel.scan_ranks`` over the same world (the delta tests pin
-    this), and every later re-scan pays only for churned ranges.
-    """
-    empty = ScanBaseline(seed=seed, max_rank=max_rank,
-                         range_width=range_width, day=day,
-                         churn_rate=churn_rate,
-                         config_digest=_config_digest(config), ranges=())
-    return delta_scan(empty, day, config=config, jobs=jobs,
-                      perf=perf).baseline
-
-
-def delta_scan(baseline: ScanBaseline, day: int, *,
-               config: Optional[InternetConfig] = None,
-               jobs: Optional[int] = None,
-               perf: Optional[PerfRegistry] = None) -> DeltaScanResult:
-    """Re-scan only the rank ranges that churned since ``baseline``.
-
-    Evolves the baseline's world to churn day ``day``, compares each
-    range's world digest against the persisted one, recomputes only the
-    mismatches against the day-``day`` world, and merges with the
-    retained ranges.  The merged aggregates are byte-identical to a
-    from-scratch full scan of the day-``day`` world.
-    """
-    if _config_digest(config) != baseline.config_digest:
-        raise CheckpointMismatchError(
-            "baseline was built for a different world config")
-    from repro.experiment.parallel import run_ranges, scan_range
-
-    churn_map = ChurnSchedule(baseline.seed, baseline.max_rank,
-                              baseline.churn_rate).generations(day)
-    records: List[RangeRecord] = []
-    run = run_ranges(
-        baseline.seed, baseline.max_rank, scan_range,
-        lambda *fields: records.append(RangeRecord(*fields)), jobs=jobs,
-        config=config, churn=churn_map, range_width=baseline.range_width,
-        reuse={(record.start_rank, record.stop_rank): record
-               for record in baseline.ranges},
-        perf=perf)
-    run.raise_if_degraded()
-    evolved = ScanBaseline(
-        seed=baseline.seed, max_rank=baseline.max_rank,
-        range_width=baseline.range_width, day=day,
-        churn_rate=baseline.churn_rate,
-        config_digest=baseline.config_digest, ranges=tuple(records))
-    reused = sum(1 for outcome in run.outcomes
-                 if outcome.status == "resumed")
-    rescanned = len(run.outcomes) - reused
-    if perf is not None:
-        perf.count("delta.ranges_reused", reused)
-        perf.count("delta.ranges_rescanned", rescanned)
-    return DeltaScanResult(
-        aggregates=evolved.total(), baseline=evolved,
-        ranges_reused=reused, ranges_rescanned=rescanned)

@@ -1,8 +1,8 @@
 """Parallel engines: the multi-seed study fan-out and the rank-range runner.
 
 :func:`run_ranges` is the one fan-out over Alexa ranks: the plain and
-resilient scans, the delta baseline and re-scan and the featurize sweep
-are thin calls into it (see the section below).
+resilient scans (a checkpointed one is also the delta re-scan) and the
+featurize sweep are thin calls into it (see the section below).
 
 One simulated seven-month study is a single draw from the generative
 world; the robustness sweeps, the ablation benches, and the calibration
@@ -50,6 +50,7 @@ from repro.ecosystem.aggregates import ScanAggregates
 from repro.ecosystem.delta import (
     _DEFAULT_RANGE_WIDTH,
     RangeRecord,
+    _config_digest,
     _width_ranges,
     world_range_digest,
 )
@@ -485,32 +486,51 @@ def run_sharded_scan(seed: int, max_rank: int, jobs: Optional[int] = None,
     return run.aggregates
 
 
-#: scan-checkpoint journal tag; ``@2`` holds the baseline's range records
-#: with their world digests (``@1`` keyed jobs-dependent shard ranges)
-SCAN_CHECKPOINT_FORMAT = "repro-scan-checkpoint@2"
+#: scan-checkpoint journal tag; ``@3`` records the world config and the
+#: exclude set in its identity (``@2`` reused a range of another world)
+SCAN_CHECKPOINT_FORMAT = "repro-scan-checkpoint@3"
 
 _ARTIFACT = ArtifactFormat(SCAN_CHECKPOINT_FORMAT, "scan checkpoint",
                            "delete it and rescan")
 
+#: the base-segment fields a resuming run must match
+_IDENTITY = ("seed", "max_rank", "config_digest", "exclude")
+
 
 class ScanCheckpoint:
-    """Durable range records of one ``(seed, max_rank)`` scan.
+    """Durable range records of one scan: the one store of a scan's ranges.
 
-    A journal of envelopes, one per line: the base segment holds
-    ``seed``, ``max_rank`` and the records held when it was written; each
+    A journal of envelopes, one per line: the base segment holds the
+    scan's identity — ``seed``, ``max_rank``, the world config's digest
+    and the exclude set — and the records held when it was written; each
     later segment appends one completed range, so a save costs one range
-    however long the scan.  Records use the scan baseline's encoding,
-    world digest included, and a newer record drops every stored range
-    it overlaps.  Another seed or universe size is a mismatch, a range
-    outside ``1..max_rank + 1`` is corrupt, and a torn last line is
-    dropped.
+    however long the scan.  The churn day is not part of the identity:
+    each record carries the world digest of its range, so a re-run at a
+    later ``days`` reuses exactly the ranges churn did not touch (the
+    delta re-scan), and a newer record drops every stored range it
+    overlaps.  A run of another identity is a mismatch naming the field,
+    a range outside ``1..max_rank + 1`` is corrupt, and a torn last line
+    is dropped.
     """
 
-    def __init__(self, path: Union[str, Path], seed: int,
-                 max_rank: int) -> None:
+    def __init__(self, path: Union[str, Path], seed: int, max_rank: int,
+                 config: Optional[InternetConfig] = None,
+                 exclude: Sequence[str] = ()) -> None:
+        self._open(path, {"seed": seed, "max_rank": max_rank,
+                          "config_digest": _config_digest(config),
+                          "exclude": sorted(set(exclude))})
+
+    @classmethod
+    def open(cls, path: Union[str, Path]) -> "ScanCheckpoint":
+        """The checkpoint at ``path`` under the identity it was written
+        with (what the doctor validates)."""
+        checkpoint = cls.__new__(cls)
+        checkpoint._open(path, None)
+        return checkpoint
+
+    def _open(self, path: Union[str, Path], identity: Optional[Dict]) -> None:
         self.path = Path(path)
-        self.seed = seed
-        self.max_rank = max_rank
+        self.identity = identity
         self.records: Dict[Tuple[int, int], RangeRecord] = {}
         self.torn_tail = False
         #: digest and end offset of this object's last segment; its first
@@ -521,14 +541,21 @@ class ScanCheckpoint:
             self.torn_tail = read_journal(self.path, _ARTIFACT,
                                           self._fold).torn_tail
 
+    @property
+    def max_rank(self) -> int:
+        return self.identity["max_rank"]
+
     def _fold(self, segment: Dict) -> None:
-        if segment["prev"] is None and (
-                (segment["seed"], segment["max_rank"])
-                != (self.seed, self.max_rank)):
-            raise CheckpointMismatchError(
-                f"checkpoint {self.path} was written for "
-                f"seed={segment['seed']} max_rank={segment['max_rank']}, "
-                f"not seed={self.seed} max_rank={self.max_rank}")
+        if segment["prev"] is None:
+            written = {key: segment[key] for key in _IDENTITY}
+            if self.identity is None:
+                self.identity = written
+            for key in _IDENTITY:
+                if written[key] != self.identity[key]:
+                    raise CheckpointMismatchError(
+                        f"checkpoint {self.path} was written for "
+                        f"{key}={written[key]!r}, not "
+                        f"{key}={self.identity[key]!r}")
         for payload in segment["ranges"]:
             self._hold(RangeRecord.from_canonical_dict(payload))
 
@@ -547,7 +574,7 @@ class ScanCheckpoint:
         self._hold(record)
         segment = {"format": SCAN_CHECKPOINT_FORMAT, "prev": self._head}
         if self._head is None:
-            segment.update(seed=self.seed, max_rank=self.max_rank,
+            segment.update(self.identity,
                            ranges=[held.canonical_dict() for _, held
                                    in sorted(self.records.items())])
             at = None
@@ -578,9 +605,12 @@ def run_resilient_scan(seed: int, max_rank: int, jobs: Optional[int] = None,
     unscanned, and ``aggregates`` merges the rest (``perf`` times that
     as ``scan.merge_seconds``).  With ``checkpoint_path`` every completed
     range goes to a :class:`ScanCheckpoint`, and a re-run at any
-    ``jobs`` reuses each stored range whose world digest matches.
+    ``jobs`` and any ``churn`` reuses each stored range whose world
+    digest matches: a checkpoint re-run at a later churn day is the
+    delta re-scan.
     """
-    store = (ScanCheckpoint(checkpoint_path, seed, max_rank)
+    store = (ScanCheckpoint(checkpoint_path, seed, max_rank, config,
+                            exclude)
              if checkpoint_path is not None else None)
     merged = ScanAggregates()
 

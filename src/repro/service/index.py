@@ -43,7 +43,7 @@ world actually *registered* (the ctypos), which the risk scorer uses to
 escalate live squats over merely-possible typos; churn deltas
 (:meth:`apply_delta`) invalidate only the ranks whose generation
 changed.  A built index persists as a ``repro-risk-index@1`` artifact
-through the same envelope as the scan baseline, and ``repro doctor``
+through the same envelope as every other artifact, and ``repro doctor``
 validates it through the same loader.
 """
 

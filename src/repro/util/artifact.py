@@ -1,8 +1,8 @@
 """Persisted artifacts: one encoding, one envelope, one load taxonomy.
 
 Every durable file the reproduction writes — study and scan
-checkpoints, scan baselines, risk indexes, typo models, scenarios — is
-a flat JSON object carrying a ``format`` tag and a ``digest``, the
+checkpoints, risk indexes, typo models, scenarios — is a flat JSON
+object carrying a ``format`` tag and a ``digest``, the
 SHA-256 of the canonical JSON of every other key.  This module is the
 only code that encodes, digests, writes and reads those files; a
 format contributes just its :class:`ArtifactFormat` and a decode step.
@@ -96,7 +96,7 @@ def write_atomic(path: Union[str, Path], *chunks: Chunk) -> None:
 class ArtifactFormat:
     """One persisted format: its tag and how a failed load reads.
 
-    ``noun`` names the artifact in messages ("scan baseline") and
+    ``noun`` names the artifact in messages ("scan checkpoint") and
     ``remedy`` tells the operator what to do with a refused file.
     ``digest_optional`` admits hand-written files that carry no digest
     (a digest that *is* present must still match).

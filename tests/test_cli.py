@@ -104,6 +104,38 @@ class TestCommands:
         assert "completed 1, resumed 2" in resumed.err
         assert digest(resumed.out) == plain
 
+    def test_checkpoint_rerun_at_a_later_day_is_the_delta_rescan(
+            self, tmp_path, capsys):
+        """Day 0, then ``--days 3`` on the same checkpoint: only the
+        ranges churn touched are rescanned, and the digest is the plain
+        day-3 scan's."""
+        import re
+
+        scan = ["--seed", "5", "scan", "--ranks", "3000",
+                "--range-width", "64"]
+        checkpoint = ["--checkpoint", str(tmp_path / "scan.ckpt")]
+
+        def digest(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("aggregate digest:")]
+
+        assert main(scan + checkpoint) == 0
+        capsys.readouterr()
+        assert main(scan + checkpoint + ["--days", "3"]) == 0
+        delta = capsys.readouterr()
+        resumed = int(re.search(r"resumed (\d+)", delta.err).group(1))
+        assert 0 < resumed < 47          # ceil(3000 / 64) ranges
+        assert main(scan + ["--days", "3"]) == 0
+        assert digest(delta.out) == digest(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flag", [["--baseline", "scan.json"],
+                                      ["--delta"]])
+    def test_baseline_and_delta_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["scan", "--ranks", "60"] + flag)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_streaming_with_jobs_is_a_usage_error(self, capsys):
         assert main(["study", "--streaming", "--jobs", "2"]) == 2
         err = capsys.readouterr().err

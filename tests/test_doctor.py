@@ -325,13 +325,15 @@ class TestEnvelopeEdges:
             self, tmp_path, scan_aggregates):
         """A well-formed envelope whose shard key lies past max_rank + 1:
         the engine's loader and the doctor must agree it is corrupt."""
+        from repro.ecosystem.delta import _config_digest
         from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT
         from repro.util.artifact import write_segment
 
         path = tmp_path / "scan.ckpt"
         write_segment(path, {
             "format": SCAN_CHECKPOINT_FORMAT, "prev": None, "seed": 9,
-            "max_rank": 12,
+            "max_rank": 12, "config_digest": _config_digest(None),
+            "exclude": [],
             "ranges": [_scan_record(1, 13, scan_aggregates).canonical_dict(),
                        _scan_record(13, 40,
                                     scan_aggregates).canonical_dict()]})

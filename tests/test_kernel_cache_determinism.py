@@ -1,10 +1,10 @@
 """Cache transparency: the kernel memos must never change an answer.
 
 The distance/typo caches exist purely for speed; every cached kernel is
-a pure function of its string arguments, so answers with caching on and
-off must agree exactly, and the per-target candidate cache must hand
-back equal candidate lists.  These tests flip the switch both ways on
-identical inputs.
+a pure function of its string arguments, so its answers, from a cold
+cache and from a warm one, must equal the ``_*_uncached`` reference it
+memoizes, and the per-target candidate cache must hand back the lists
+the uncached generator builds.
 """
 
 from __future__ import annotations
@@ -17,8 +17,12 @@ from repro.core import (
     damerau_levenshtein,
     fat_finger_distance,
     kernel_cache_stats,
-    set_kernel_caches_enabled,
     visual_distance,
+)
+from repro.core.distances import (
+    _damerau_levenshtein_uncached,
+    _fat_finger_distance_uncached,
+    _visual_distance_uncached,
 )
 
 TARGETS = ("gmail.com", "yahoo.com", "aol.com", "hotmail.com")
@@ -34,10 +38,10 @@ PAIRS = [
 
 
 @pytest.fixture(autouse=True)
-def _caches_restored():
-    """Leave the process-wide cache switch the way we found it."""
+def _caches_cleared():
+    """Start and leave every test with empty caches."""
+    clear_kernel_caches()
     yield
-    set_kernel_caches_enabled(True)
     clear_kernel_caches()
 
 
@@ -47,36 +51,31 @@ def _distance_answers():
              visual_distance(a, b)) for a, b in PAIRS]
 
 
+def _reference_answers():
+    # the public kernels short-circuit equal strings before the memo
+    return [(0, 0, 0.0) if a == b else
+            (_damerau_levenshtein_uncached(a, b),
+             _fat_finger_distance_uncached(a, b, 3),
+             _visual_distance_uncached(a, b)) for a, b in PAIRS]
+
+
 def test_distances_agree_with_caches_on_and_off():
-    set_kernel_caches_enabled(True)
-    clear_kernel_caches()
+    """Cache on: the public kernels; off: the references they memoize."""
     cached_cold = _distance_answers()
     cached_warm = _distance_answers()   # every lookup now hits the cache
-
-    set_kernel_caches_enabled(False)
-    clear_kernel_caches()
-    uncached = _distance_answers()
-
-    assert cached_cold == cached_warm == uncached
+    assert cached_cold == cached_warm == _reference_answers()
 
 
 def test_candidates_agree_with_caches_on_and_off():
     generator = TypoGenerator()
-    set_kernel_caches_enabled(True)
-    clear_kernel_caches()
-    cached = {t: generator.generate(t) for t in TARGETS}
-    rerun = {t: generator.generate(t) for t in TARGETS}
-
-    set_kernel_caches_enabled(False)
-    clear_kernel_caches()
-    uncached = {t: generator.generate(t) for t in TARGETS}
-
-    assert cached == rerun == uncached
+    cold = {t: generator.generate(t) for t in TARGETS}
+    warm = {t: generator.generate(t) for t in TARGETS}
+    reference = {t: generator._generate_uncached(t) for t in TARGETS}
+    assert cold == warm == reference
+    assert kernel_cache_stats()["typogen_candidates"]["hits"] == len(TARGETS)
 
 
 def test_warm_lookups_actually_hit_the_cache():
-    set_kernel_caches_enabled(True)
-    clear_kernel_caches()
     _distance_answers()
     cold = kernel_cache_stats()
     _distance_answers()
@@ -94,8 +93,6 @@ def test_clear_resets_hit_and_miss_counters():
     the run since the last clear; stale counters silently inflated the
     serving benchmark's reported rates.
     """
-    set_kernel_caches_enabled(True)
-    clear_kernel_caches()
     _distance_answers()
     _distance_answers()
     dirty = kernel_cache_stats()
@@ -115,11 +112,3 @@ def test_clear_resets_hit_and_miss_counters():
     dl = cold["damerau_levenshtein"]
     assert dl["hits"] == 0
     assert dl["misses"] == dl["size"] > 0
-
-
-def test_disabled_caches_stay_empty():
-    set_kernel_caches_enabled(False)
-    clear_kernel_caches()
-    _distance_answers()
-    stats = kernel_cache_stats()
-    assert all(s["size"] == 0 for s in stats.values())

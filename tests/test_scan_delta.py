@@ -1,29 +1,26 @@
 """Incremental (delta) re-scans and the churned world model.
 
-Pins the contract the delta engine is built on: churn is a pure
+Pins the contract the delta re-scan is built on: churn is a pure
 function of ``(seed, day)``, unchurned ranks stay byte-identical to the
-pristine world, a delta re-scan merges to exactly the digest of a
-from-scratch full scan of the evolved world, and the persisted baseline
-survives save/load round-trips while rejecting corruption loudly.
+pristine world, and a scan checkpoint re-run at a later churn day merges
+to exactly the digest of a from-scratch full scan of the evolved world.
+The checkpoint's persistence contract lives with the other artifacts in
+``tests/test_util_artifact.py`` and ``tests/test_scan_resilience.py``.
 """
 
-import json
+import shutil
 
 import pytest
 
-from repro.doctor import KIND_SCAN_BASELINE, diagnose_file
 from repro.ecosystem import (
     ChurnSchedule,
-    ScanBaseline,
+    ScanAggregates,
     WorldModel,
-    build_scan_baseline,
-    delta_scan,
     world_range_digest,
 )
-from repro.ecosystem.delta import SCAN_BASELINE_FORMAT, _width_ranges
 from repro.ecosystem.world import _generated_count
-from repro.experiment import run_sharded_scan
-from repro.util.errors import CheckpointCorruptError, CheckpointMismatchError
+from repro.experiment import ScanCheckpoint, run_resilient_scan, run_sharded_scan
+from repro.util.errors import CheckpointMismatchError
 
 SEED = 606
 MAX_RANK = 600
@@ -104,146 +101,77 @@ class TestWorldRangeDigest:
                 != world_range_digest(SEED, 1, 101, {}))
 
 
-class TestDeltaScan:
-    def test_baseline_total_equals_full_scan(self):
-        baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50,
-                                       churn_rate=RATE)
-        full = run_sharded_scan(SEED, MAX_RANK)
-        assert baseline.total_digest() == full.digest()
+def _rescan(path, days=0, **kwargs):
+    """A scan of the day-``days`` world on the checkpoint at ``path``: a
+    delta re-scan when ``path`` already holds an earlier day's ranges."""
+    return run_resilient_scan(SEED, MAX_RANK, range_width=50,
+                              churn=tuple(sorted(_churn(days).items())),
+                              checkpoint_path=path, **kwargs)
 
-    def test_delta_equals_full_scan_of_evolved_world(self):
-        """The headline property: delta(baseline@0, day) is
-        byte-identical to a from-scratch scan of the day-N world."""
-        baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50,
-                                       churn_rate=RATE)
-        delta = delta_scan(baseline, 3)
+
+def _reused(run):
+    return sum(1 for outcome in run.outcomes if outcome.status == "resumed")
+
+
+class TestDeltaScan:
+    """A delta re-scan is a checkpointed scan re-run at a later day."""
+
+    def test_baseline_total_equals_full_scan(self, tmp_path):
+        """The day-0 checkpoint's stored ranges merge to the full scan."""
+        path = tmp_path / "scan.ckpt"
+        _rescan(path)
+        stored = ScanAggregates()
+        for _, record in sorted(ScanCheckpoint(path, SEED,
+                                               MAX_RANK).records.items()):
+            stored.merge(record.aggregates)
+        assert stored.digest() == run_sharded_scan(SEED, MAX_RANK).digest()
+
+    def test_delta_equals_full_scan_of_evolved_world(self, tmp_path):
+        """The headline property: the day-0 checkpoint re-run at day N
+        is byte-identical to a from-scratch scan of the day-N world."""
+        path = tmp_path / "scan.ckpt"
+        _rescan(path)
+        delta = _rescan(path, 3)
         full = run_sharded_scan(SEED, MAX_RANK,
                                 churn=tuple(sorted(_churn(3).items())))
         assert delta.aggregates.digest() == full.digest()
-        assert delta.ranges_reused + delta.ranges_rescanned == len(
-            baseline.ranges)
-        assert delta.ranges_reused > 0, (
-            "at this rate some ranges must be clean — the delta "
-            "otherwise degenerates to a full scan")
-        assert delta.ranges_rescanned > 0
+        assert 0 < _reused(delta) < len(delta.outcomes), (
+            "at this rate some ranges must be clean and some churned — "
+            "the delta otherwise degenerates to a full scan or a no-op")
 
-    def test_delta_chains_across_days(self):
-        """Evolving day 0 -> 2 -> 5 equals evolving 0 -> 5 directly."""
-        baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50,
-                                       churn_rate=RATE)
-        stepped = delta_scan(delta_scan(baseline, 2).baseline, 5)
-        direct = delta_scan(baseline, 5)
-        assert stepped.aggregates.digest() == direct.aggregates.digest()
-        assert (stepped.baseline.canonical_dict()
-                == direct.baseline.canonical_dict())
+    def test_delta_chains_across_days(self, tmp_path):
+        """Evolving day 0 -> 2 -> 5 equals evolving 0 -> 5 directly, in
+        the digest and in every stored range."""
+        def chain(path, days):
+            run = [_rescan(path, day) for day in days][-1]
+            return run.aggregates.digest(), {
+                key: record.canonical_dict() for key, record in
+                ScanCheckpoint(path, SEED, MAX_RANK).records.items()}
 
-    def test_no_churn_reuses_everything(self):
-        baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50,
-                                       churn_rate=RATE)
-        delta = delta_scan(baseline, 0)
-        assert delta.ranges_rescanned == 0
-        assert delta.aggregates.digest() == baseline.total_digest()
+        assert (chain(tmp_path / "stepped.ckpt", (0, 2, 5))
+                == chain(tmp_path / "direct.ckpt", (0, 5)))
 
-    def test_config_mismatch_is_loud(self):
+    def test_no_churn_reuses_everything(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        first = _rescan(path)
+        again = _rescan(path)
+        assert _reused(again) == len(again.outcomes)
+        assert again.aggregates.digest() == first.aggregates.digest()
+
+    def test_config_mismatch_is_loud(self, tmp_path):
         from repro.ecosystem import InternetConfig
 
-        baseline = build_scan_baseline(SEED, 100, range_width=50)
-        with pytest.raises(CheckpointMismatchError):
-            delta_scan(baseline, 1,
-                       config=InternetConfig(num_filler_targets=7))
+        path = tmp_path / "scan.ckpt"
+        _rescan(path)
+        with pytest.raises(CheckpointMismatchError, match="config_digest"):
+            _rescan(path, 1, config=InternetConfig(num_filler_targets=7))
 
-    def test_parallel_delta_matches_serial(self):
-        baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50,
-                                       churn_rate=RATE)
-        serial = delta_scan(baseline, 3)
-        parallel = delta_scan(baseline, 3, jobs=2)
-        assert serial.aggregates.digest() == parallel.aggregates.digest()
-
-
-class TestScanBaselinePersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline = build_scan_baseline(SEED, 200, range_width=64)
-        baseline.save(path)
-        loaded = ScanBaseline.load(path)
-        assert loaded == baseline
-        assert loaded.total_digest() == baseline.total_digest()
-
-    def test_torn_file_is_corrupt_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        baseline = build_scan_baseline(SEED, 200, range_width=64)
-        baseline.save(path)
-        path.write_text(path.read_text()[:80])
-        with pytest.raises(CheckpointCorruptError):
-            ScanBaseline.load(path)
-
-    def test_wrong_format_tag_is_mismatch_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"format": "something-else@9"}))
-        with pytest.raises(CheckpointMismatchError):
-            ScanBaseline.load(path)
-
-    def test_tampered_range_fails_its_digest(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        build_scan_baseline(SEED, 200, range_width=64).save(path)
-        data = json.loads(path.read_text())
-        data["ranges"][0]["aggregates"]["registered_count"] += 1
-        path.write_text(json.dumps(data))
-        with pytest.raises(CheckpointCorruptError):
-            ScanBaseline.load(path)
-
-    def test_tampered_total_fails_the_merged_digest(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        build_scan_baseline(SEED, 200, range_width=64).save(path)
-        data = json.loads(path.read_text())
-        data["total_digest"] = "0" * 64
-        path.write_text(json.dumps(data))
-        with pytest.raises(CheckpointCorruptError):
-            ScanBaseline.load(path)
-
-    def test_no_tmp_file_left_behind(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        build_scan_baseline(SEED, 100, range_width=50).save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["baseline.json"]
-
-
-class TestDoctorScanBaseline:
-    def test_healthy_baseline(self, tmp_path):
-        path = tmp_path / "scan_baseline.json"
-        build_scan_baseline(SEED, 200, range_width=64).save(path)
-        diagnosis = diagnose_file(path)
-        assert diagnosis.ok
-        assert diagnosis.kind == KIND_SCAN_BASELINE
-        assert diagnosis.details["ranges"] == len(_width_ranges(200, 64))
-
-    def test_detection_beats_scan_checkpoint_heuristic(self, tmp_path):
-        """The baseline has seed/max_rank too; the format tag must win
-        over the scan-checkpoint shape test."""
-        path = tmp_path / "ambiguous.json"
-        baseline = build_scan_baseline(SEED, 100, range_width=50)
-        data = baseline.canonical_dict()
-        data["shards"] = {}  # adversarial: also matches the checkpoint shape
-        path.write_text(json.dumps(data))
-        assert diagnose_file(path).kind == KIND_SCAN_BASELINE
-
-    def test_corrupt_baseline_exits_three(self, tmp_path):
-        from repro.doctor import exit_code_for
-        from repro.util.errors import EXIT_CORRUPT_CHECKPOINT
-
-        path = tmp_path / "scan_baseline.json"
-        build_scan_baseline(SEED, 100, range_width=50).save(path)
-        data = json.loads(path.read_text())
-        data["ranges"][0]["world_digest"] = data["ranges"][0]["world_digest"]
-        data["total_digest"] = "f" * 64
-        path.write_text(json.dumps(data))
-        diagnosis = diagnose_file(path)
-        assert not diagnosis.ok
-        assert exit_code_for([diagnosis]) == EXIT_CORRUPT_CHECKPOINT
-
-    def test_format_constant_matches_artifact(self, tmp_path):
-        path = tmp_path / "scan_baseline.json"
-        build_scan_baseline(SEED, 100, range_width=50).save(path)
-        assert json.loads(path.read_text())["format"] == SCAN_BASELINE_FORMAT
+    def test_parallel_delta_matches_serial(self, tmp_path):
+        serial, parallel = tmp_path / "serial.ckpt", tmp_path / "pool.ckpt"
+        _rescan(serial)
+        shutil.copyfile(serial, parallel)
+        assert (_rescan(serial, 3).aggregates.digest()
+                == _rescan(parallel, 3, jobs=2).aggregates.digest())
 
 
 class TestFastPathsMatchReference:

@@ -4,21 +4,17 @@ The scan family's equivalence contract, stated once: the one-call
 ``WorldModel.scan_ranks``, the sharded scan at any jobs count and range
 width, the resilient scan with no plan, with the empty plan and with
 crashes the retries absorb, a degraded checkpointed run and its resume
-at another jobs count, the delta baseline's total, and a delta chain
-across churn days all give the same digest as the one-call scan of the
-same world.  The featurize sweep is held to the same bar for its
+at another jobs count, a checkpoint's stored ranges, and a delta chain
+(one checkpoint re-run across churn days) all give the same digest as
+the one-call scan of the same world.  The featurize sweep is held to the same bar for its
 row-stream digest, over a universe of three default-width ranges.
 """
 
 import pytest
 
-from repro.ecosystem import (
-    ChurnSchedule,
-    WorldModel,
-    build_scan_baseline,
-    delta_scan,
-)
+from repro.ecosystem import ChurnSchedule, ScanAggregates, WorldModel
 from repro.experiment import (
+    ScanCheckpoint,
     ShardRetryPolicy,
     run_ranges,
     run_resilient_scan,
@@ -70,15 +66,34 @@ def _degraded_then_resumed(tmp_path):
     return resumed.aggregates.digest()
 
 
-def _day5_churn():
-    return ChurnSchedule(SEED, MAX_RANK).generations(DAY)
+def _churned(day):
+    return tuple(sorted(ChurnSchedule(SEED, MAX_RANK).generations(
+        day).items()))
 
 
-def _delta_chain():
-    baseline = build_scan_baseline(SEED, MAX_RANK, range_width=50)
-    stepped = delta_scan(delta_scan(baseline, 2).baseline, DAY)
+def _stored_total(tmp_path, day=0):
+    """The merged stored ranges of a checkpoint of the day-``day`` world
+    (the baseline a later day's re-run reuses)."""
+    path = tmp_path / "scan.ckpt"
+    run_resilient_scan(SEED, MAX_RANK, range_width=WIDTH,
+                       churn=_churned(day), checkpoint_path=path)
+    total = ScanAggregates()
+    for _, record in sorted(ScanCheckpoint(path, SEED,
+                                           MAX_RANK).records.items()):
+        total.merge(record.aggregates)
+    return total.digest()
+
+
+def _delta_chain(tmp_path, jobs):
+    """One checkpoint file re-run at churn days 0, 2 and 5."""
+    path = tmp_path / "scan.ckpt"
+    for day in (0, 2, DAY):
+        stepped = run_resilient_scan(SEED, MAX_RANK, jobs=jobs,
+                                     range_width=50, churn=_churned(day),
+                                     checkpoint_path=path)
     # some ranges are reused, some rescanned: both halves of the rule run
-    assert 0 < stepped.ranges_rescanned < len(baseline.ranges)
+    reused = sum(1 for o in stepped.outcomes if o.status == "resumed")
+    assert 0 < reused < len(stepped.outcomes)
     return stepped.aggregates.digest()
 
 
@@ -103,21 +118,20 @@ SCAN_RUNS = {
     "resilient_crash_retried_jobs2": lambda tmp: _resilient(
         jobs=2, fault_plan=_crash_plan(1)),
     "degraded_then_resumed": _degraded_then_resumed,
-    "baseline_total": lambda tmp: build_scan_baseline(
-        SEED, MAX_RANK, range_width=100).total_digest(),
+    "baseline_total": _stored_total,
 }
 
 DAY5_RUNS = {
-    "one_call": lambda: WorldModel(SEED, churn=_day5_churn()).scan_ranks(
+    "one_call": lambda tmp: WorldModel(
+        SEED, churn=dict(_churned(DAY))).scan_ranks(
         1, MAX_RANK + 1, max_rank=MAX_RANK).digest(),
-    "sharded_jobs2": lambda: run_sharded_scan(
+    "sharded_jobs2": lambda tmp: run_sharded_scan(
         SEED, MAX_RANK, jobs=2, range_width=WIDTH,
-        churn=tuple(sorted(_day5_churn().items()))).digest(),
-    "resilient_jobs1": lambda: _resilient(
-        jobs=1, churn=tuple(sorted(_day5_churn().items()))),
-    "delta_chain_0_2_5": _delta_chain,
-    "baseline_at_day5": lambda: build_scan_baseline(
-        SEED, MAX_RANK, range_width=100, day=DAY).total_digest(),
+        churn=_churned(DAY)).digest(),
+    "resilient_jobs1": lambda tmp: _resilient(jobs=1, churn=_churned(DAY)),
+    "delta_chain_0_2_5": lambda tmp: _delta_chain(tmp, 1),
+    "delta_chain_0_2_5_jobs2": lambda tmp: _delta_chain(tmp, 2),
+    "baseline_at_day5": lambda tmp: _stored_total(tmp, DAY),
 }
 
 def _featurize_through_a_crash(jobs):
@@ -151,8 +165,8 @@ def test_scan_run_gives_the_one_digest(run, tmp_path):
 
 
 @pytest.mark.parametrize("run", sorted(DAY5_RUNS))
-def test_churned_scan_run_gives_the_day5_digest(run):
-    assert DAY5_RUNS[run]() == DIGEST_DAY5
+def test_churned_scan_run_gives_the_day5_digest(run, tmp_path):
+    assert DAY5_RUNS[run](tmp_path) == DIGEST_DAY5
 
 
 @pytest.mark.parametrize("run", sorted(FEATURIZE_RUNS))

@@ -14,7 +14,14 @@ import warnings
 import pytest
 
 from repro.doctor import diagnose_file
-from repro.ecosystem import ChurnSchedule, ScanAggregates
+from repro.ecosystem import (
+    ChurnSchedule,
+    InternetConfig,
+    RangeRecord,
+    ScanAggregates,
+    world_range_digest,
+)
+from repro.ecosystem.delta import _config_digest
 from repro.experiment import (
     ScanCheckpoint,
     ShardRetryPolicy,
@@ -24,7 +31,7 @@ from repro.experiment import (
     run_sharded_scan,
 )
 from repro.faultsim import FaultPlan, InjectedWorkerCrash, ShardCrashSpec
-from repro.util.artifact import save_artifact
+from repro.util.artifact import save_artifact, write_segment
 from repro.util.errors import EXIT_CORRUPT_CHECKPOINT, CheckpointMismatchError
 from repro.util.perf import PerfRegistry
 
@@ -261,6 +268,63 @@ class TestCheckpointResume:
                            match="delete it and rescan"):
             ScanCheckpoint(path, seed=SEED, max_rank=MAX_RANK)
         assert diagnose_file(path).exit_code == EXIT_CORRUPT_CHECKPOINT
+
+    def test_checkpoint_of_another_exclude_set_is_refused(self, tmp_path):
+        """A resume used to take the ranges of a scan that excluded
+        mail.com: 5,331 registered ctypos, every range ``resumed``, where
+        the plain scan gives 5,332."""
+        path = tmp_path / "scan.ckpt"
+        written = run_resilient_scan(7, 60, range_width=16,
+                                     exclude=("mail.com",),
+                                     checkpoint_path=path)
+        assert written.aggregates.registered_count == 5331
+        assert run_sharded_scan(7, 60).registered_count == 5332
+        with pytest.raises(CheckpointMismatchError, match="exclude"):
+            run_resilient_scan(7, 60, range_width=16, checkpoint_path=path)
+
+    def test_checkpoint_of_another_world_config_is_refused(self, tmp_path):
+        """A resume under another ``InternetConfig`` used to serve the
+        default world's 5,332 registered ctypos, every range ``resumed``,
+        where that config's plain scan gives 2,647."""
+        config = InternetConfig(peak_registration_probability=0.3)
+        path = tmp_path / "scan.ckpt"
+        written = run_resilient_scan(7, 60, range_width=16,
+                                     checkpoint_path=path)
+        assert written.aggregates.registered_count == 5332
+        assert run_sharded_scan(7, 60, config=config).registered_count \
+            == 2647
+        with pytest.raises(CheckpointMismatchError, match="config_digest"):
+            run_resilient_scan(7, 60, range_width=16, config=config,
+                               checkpoint_path=path)
+
+    @pytest.mark.parametrize("layout", ["repro-scan-checkpoint@2",
+                                        "repro-scan-baseline@2"])
+    def test_retired_layouts_exit_three_with_the_remedy(self, tmp_path,
+                                                        capsys, layout):
+        """The ``@2`` journal (no world config or exclude set in its
+        identity) and the delta baseline it stood beside are refused by
+        the scan and by the doctor, never read."""
+        from repro.cli import main
+
+        path = tmp_path / "scan.ckpt"
+        record = RangeRecord(1, MAX_RANK + 1,
+                             world_range_digest(SEED, 1, MAX_RANK + 1, {}),
+                             run_sharded_scan(SEED, MAX_RANK))
+        fields = {"format": layout, "seed": SEED, "max_rank": MAX_RANK,
+                  "ranges": [record.canonical_dict()]}
+        if layout.startswith("repro-scan-checkpoint"):
+            write_segment(path, dict(fields, prev=None))
+        else:
+            save_artifact(path, dict(
+                fields, range_width=MAX_RANK, day=0, churn_rate=0.004,
+                config_digest=_config_digest(None),
+                total_digest=record.aggregates.digest()))
+        for argv in (["--seed", str(SEED), "scan", "--ranks", str(MAX_RANK),
+                      "--checkpoint", str(path)], ["doctor", str(path)]):
+            assert main(argv) == EXIT_CORRUPT_CHECKPOINT
+            captured = capsys.readouterr()
+            assert "delete it and rescan" in captured.out + captured.err
+            assert layout in captured.out + captured.err
 
     def test_canonical_round_trip_preserves_digest(self):
         aggregates = run_sharded_scan(SEED, MAX_RANK, jobs=1)

@@ -1,10 +1,10 @@
 """Atomic file writes and the artifact envelope every persisted format shares.
 
-A failed write never tears or litters the target, and each of the six
-enveloped formats keeps the same save/load contract.  The study
-checkpoint is a journal of envelopes; its one-segment form is in the
-six-format contract, and the journal contract below states the same
-properties per segment.
+A failed write never tears or litters the target, and each of the five
+enveloped formats keeps the same save/load contract.  The study and
+scan checkpoints are journals of envelopes; their one-segment forms are
+in the five-format contract, and the journal contract below states the
+same properties per segment.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ import pytest
 
 from repro.doctor import KIND_STUDY_CHECKPOINT, diagnose_file
 from repro.ecosystem.aggregates import ScanAggregates
-from repro.ecosystem.delta import (
-    RangeRecord,
-    ScanBaseline,
-    build_scan_baseline,
-    world_range_digest,
-)
+from repro.ecosystem.delta import RangeRecord, world_range_digest
 from repro.experiment import ScanCheckpoint, StudyCheckpoint, run_sharded_scan
+from repro.experiment.parallel import SCAN_CHECKPOINT_FORMAT
 from repro.features.schema import (
     DOMAIN_FEATURES,
     FEATURE_SCHEMA_VERSION,
@@ -156,19 +152,6 @@ def _scan_legacy(data):
     return {key: data[key] for key in ("seed", "max_rank", "ranges")}
 
 
-def _baseline_tamper(data):
-    # the other hole: a zeroed world digest plus an edited day made a
-    # delta re-scan reuse a stale range
-    data["ranges"][0]["world_digest"] = "0" * 64
-    data["day"] += 3
-
-
-def _baseline_legacy(data):
-    data = dict(data, format="repro-scan-baseline@1")
-    del data["digest"]
-    return data
-
-
 def _lane(name, features, bias):
     width = len(features)
     return LaneModel(lane=name, features=features, mean=np.zeros(width),
@@ -202,14 +185,6 @@ FORMATS = [
             path, seed=9, max_rank=12).records[(1, 13)].aggregates,
         view=lambda aggregates: aggregates.canonical_dict(),
         tamper=_scan_tamper, legacy=_scan_legacy),
-    FormatCase(
-        "scan-baseline", "scan-baseline",
-        build=lambda i: build_scan_baseline(606, 100, range_width=50,
-                                            day=i),
-        save=lambda baseline, path: baseline.save(path),
-        load=ScanBaseline.load,
-        view=lambda baseline: baseline.canonical_dict(),
-        tamper=_baseline_tamper, legacy=_baseline_legacy),
     FormatCase(
         "risk-index", "risk-index",
         build=lambda i: TypoRiskIndex(11, 60, day=i),
@@ -308,8 +283,7 @@ class TestEnvelopeContract:
             case.load(path)
         assert raised.value.exit_code == EXIT_CORRUPT_CHECKPOINT
         assert ("start fresh" in str(raised.value)
-                or "rescan" in str(raised.value)
-                or "full scan" in str(raised.value))
+                or "rescan" in str(raised.value))
         diagnosis = diagnose_file(path)
         assert not diagnosis.ok
         assert diagnosis.exit_code == EXIT_CORRUPT_CHECKPOINT
@@ -318,6 +292,17 @@ class TestEnvelopeContract:
         diagnosis = diagnose_file(_saved(case, tmp_path))
         assert diagnosis.ok, diagnosis.problems
         assert diagnosis.kind == case.kind
+
+
+def test_scan_checkpoint_base_records_the_scan_identity(tmp_path):
+    """``@3``: the base segment names the world config and the exclude
+    set as well as the seed and universe, so a resume can refuse both."""
+    path = tmp_path / "scan.ckpt"
+    _scan_save(_scan_build(0), path)
+    base = json.loads(path.read_bytes())
+    assert base["format"] == SCAN_CHECKPOINT_FORMAT \
+        == "repro-scan-checkpoint@3"
+    assert {"seed", "max_rank", "config_digest", "exclude"} <= set(base)
 
 
 def test_indented_model_from_before_the_envelope_still_loads(tmp_path):
