@@ -16,7 +16,8 @@ The slow lane (``test_learned_full_sweep_1m``) runs the Alexa-1M stretch
 point: extract all ~2.6M registered-typo rows, then hold the issue's
 second bar — the columnar featurize+score pass over the full universe
 must finish in **under 30 seconds**.  Extraction wall-clock is recorded
-honestly alongside (it rides the scan lane and is gated there).
+honestly alongside (it rides the scan lane and is gated there), in the
+``learned_full_sweep`` section.
 
 First recording becomes the regression baseline; later perfsmoke runs
 fail when either lane's throughput falls more than 2x below it.
@@ -25,20 +26,17 @@ fail when either lane's throughput falls more than 2x below it.
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import pytest
 
 from repro.features import message_feature_matrix, run_sharded_featurize
 from repro.learned import SCORE_THRESHOLD, train_typo_model
-from repro.service.bench import record_learned_detector
 from repro.spamfilter.funnel import FilterFunnel, Verdict
 from repro.util import SeededRng, derive_seed
-from repro.util.perf import throughput
+from repro.util.perf import record_bench, throughput
 from repro.workloads.datasets import DATASET_PROFILES, build_dataset
 
-from test_perf_baseline import (
-    BENCH_PATH, REGRESSION_FACTOR, _load_bench, _save_bench)
+from test_perf_baseline import BENCH_PATH, REGRESSION_FACTOR
 
 SEED = 606
 TRAIN_RANKS = 4_000
@@ -129,8 +127,6 @@ def test_learned_detector_throughput():
           f"{extract_seconds:.2f}s  columnar {columnar_rate:,.0f} rows/s")
 
     entry = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
         "seed": SEED,
         "train_ranks": TRAIN_RANKS,
         "train_seconds": round(train_seconds, 3),
@@ -146,7 +142,7 @@ def test_learned_detector_throughput():
         "columnar_seconds": round(columnar_seconds, 4),
         "columnar_rows_per_sec": round(columnar_rate, 1),
     }
-    section = record_learned_detector(entry, BENCH_PATH)
+    section = record_bench(BENCH_PATH, "learned_detector", entry)
 
     # acceptance floors
     assert speedup >= MIN_MESSAGE_SPEEDUP, (
@@ -197,11 +193,7 @@ def test_learned_full_sweep_1m():
           f"({rows:,} rows)  columnar {columnar_seconds:5.2f}s "
           f"({throughput(rows, columnar_seconds):,.0f} rows/s)")
 
-    bench = _load_bench()
-    section = bench.setdefault("learned_detector", {})
-    section["full_sweep"] = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
+    record_bench(BENCH_PATH, "learned_full_sweep", {
         "seed": SEED,
         "ranks": FULL_RANKS,
         "rows": rows,
@@ -211,8 +203,7 @@ def test_learned_full_sweep_1m():
         "columnar_rows_per_sec": round(
             throughput(rows, columnar_seconds), 1),
         "sweep_digest": sweep.digest(),
-    }
-    _save_bench(bench)
+    })
 
     assert columnar_seconds < MAX_FULL_COLUMNAR_SECONDS, (
         f"full-universe columnar featurize+score took "

@@ -11,25 +11,22 @@ against.  Two workloads are timed:
 * one streaming lazy-world scan over the first 10k Alexa ranks,
   reporting generated gtypos and registered ctypos per second.
 
-The first recorded run becomes the baseline; later runs append to the
-history and **fail** when the study wall-clock — or either scan's
-throughput — regresses more than 2x against that baseline.  An
+The run is recorded as the ``perf_baseline`` section: the first recorded
+run is the baseline, and later runs **fail** when the study wall-clock —
+or either scan's throughput — regresses more than 2x against it.  An
 accidental O(n^2) in a hot path shows up here before it shows up in a
 reviewer's patience.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.ecosystem import EcosystemScanner, InternetConfig, build_internet
 from repro.experiment import ExperimentConfig, StudyRunner, run_sharded_scan
 from repro.util import SeededRng
-from repro.util.artifact import write_atomic
-from repro.util.perf import throughput
+from repro.util.perf import record_bench, throughput
 
 #: The canonical timing workload (matches the perf acceptance run).
 PERF_CONFIG = ExperimentConfig(seed=606, spam_scale=2e-4)
@@ -41,17 +38,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 #: Regression gate: fail when the study takes this many times the
 #: recorded baseline wall-clock.
 REGRESSION_FACTOR = 2.0
-HISTORY_LIMIT = 50
-
-
-def _load_bench() -> dict:
-    if BENCH_PATH.exists():
-        return json.loads(BENCH_PATH.read_text())
-    return {"baseline": None, "history": []}
-
-
-def _save_bench(bench: dict) -> None:
-    write_atomic(BENCH_PATH, json.dumps(bench, indent=2) + "\n")
 
 
 def _timed_study():
@@ -82,8 +68,6 @@ def test_perf_baseline(benchmark):
 
     perf = results.perf or {}
     entry = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
         "study": {
             "config": {"seed": PERF_CONFIG.seed,
                        "spam_scale": PERF_CONFIG.spam_scale},
@@ -115,20 +99,10 @@ def test_perf_baseline(benchmark):
         },
     }
 
-    bench = _load_bench()
-    if bench["baseline"] is None:
-        bench["baseline"] = entry
-    elif "streaming_scan" not in bench["baseline"]:
-        # the streaming workload postdates the first baseline; back-fill
-        # so later runs have a trajectory to gate against
-        bench["baseline"]["streaming_scan"] = entry["streaming_scan"]
-    bench["history"] = (bench["history"] + [entry])[-HISTORY_LIMIT:]
-    _save_bench(bench)
-
-    baseline_wall = bench["baseline"]["study"]["wall_seconds"]
-    baseline_scan_rate = bench["baseline"]["scan"]["ctypos_scanned_per_sec"]
-    baseline_stream_rate = \
-        bench["baseline"]["streaming_scan"]["ctypos_per_sec"]
+    baseline = record_bench(BENCH_PATH, "perf_baseline", entry)["baseline"]
+    baseline_wall = baseline["study"]["wall_seconds"]
+    baseline_scan_rate = baseline["scan"]["ctypos_scanned_per_sec"]
+    baseline_stream_rate = baseline["streaming_scan"]["ctypos_per_sec"]
     sent_rate = entry["study"]["throughput"].get("emails_sent_per_sec", 0.0)
     print(f"\nstudy: {study_wall:.2f}s wall, "
           f"{sent_rate:,.0f} emails simulated/sec "
@@ -148,7 +122,8 @@ def test_perf_baseline(benchmark):
     assert study_wall <= REGRESSION_FACTOR * baseline_wall, (
         f"study run regressed: {study_wall:.2f}s vs recorded baseline "
         f"{baseline_wall:.2f}s (gate {REGRESSION_FACTOR}x) — if this "
-        "slowdown is intended, delete BENCH_perf.json to re-baseline")
+        "slowdown is intended, delete the perf_baseline section of "
+        "BENCH_perf.json to re-baseline")
     assert (entry["scan"]["ctypos_scanned_per_sec"]
             >= baseline_scan_rate / REGRESSION_FACTOR), (
         f"scan throughput regressed: "
@@ -159,134 +134,3 @@ def test_perf_baseline(benchmark):
         f"streaming scan throughput regressed: "
         f"{entry['streaming_scan']['ctypos_per_sec']:,.1f}/s vs baseline "
         f"{baseline_stream_rate:,.1f}/s (gate {REGRESSION_FACTOR}x)")
-
-
-def test_query_service_not_regressed():
-    """Gate the recorded serving trajectory (query_service section).
-
-    The serving benchmark (``test_query_service``, perfsmoke lane)
-    records each run; this gate holds the *latest* recorded run within
-    2x of the recorded baseline on both p99 latency and QPS, so a
-    slowdown in the resident hot path fails the perf lane even when the
-    serving bench itself was run elsewhere.
-    """
-    import pytest
-
-    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    section = bench.get("query_service")
-    if not section:
-        pytest.skip("no query_service section recorded yet — "
-                    "run benchmarks/test_query_service.py first")
-    baseline, latest = section["baseline"], section["latest"]
-    assert latest["qps"] >= baseline["qps"] / REGRESSION_FACTOR, (
-        f"serving QPS regressed: {latest['qps']:,.0f}/s vs baseline "
-        f"{baseline['qps']:,.0f}/s (gate {REGRESSION_FACTOR}x)")
-    assert latest["p99_us"] <= baseline["p99_us"] * REGRESSION_FACTOR, (
-        f"serving p99 regressed: {latest['p99_us']:.2f}us vs baseline "
-        f"{baseline['p99_us']:.2f}us (gate {REGRESSION_FACTOR}x)")
-    assert latest["build_seconds"] <= max(
-        baseline["build_seconds"] * REGRESSION_FACTOR, 1.0), (
-        f"index build regressed: {latest['build_seconds']:.3f}s vs "
-        f"baseline {baseline['build_seconds']:.3f}s")
-
-
-def test_service_chaos_not_regressed():
-    """Gate the recorded chaos-serving trajectory (service_chaos section).
-
-    The chaos bench (``test_service_chaos_floor``, perfsmoke lane)
-    records each run; this gate holds the latest recorded run within 2x
-    of the recorded baseline QPS and keeps the zero-drop invariant, so
-    a slowdown in the resilient serving path fails the perf lane even
-    when the chaos bench itself was run elsewhere.
-    """
-    import pytest
-
-    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    section = bench.get("service_chaos")
-    if not section:
-        pytest.skip("no service_chaos section recorded yet — "
-                    "run benchmarks/test_query_service.py first")
-    baseline, latest = section["baseline"], section["latest"]
-    assert latest["dropped"] == 0, (
-        f"chaos serving dropped {latest['dropped']} lookups — the "
-        "resilient server must answer every query")
-    assert latest["qps"] >= baseline["qps"] / REGRESSION_FACTOR, (
-        f"chaos serving QPS regressed: {latest['qps']:,.0f}/s vs baseline "
-        f"{baseline['qps']:,.0f}/s (gate {REGRESSION_FACTOR}x)")
-
-
-def test_learned_detector_not_regressed():
-    """Gate the recorded learned-detector trajectory.
-
-    The learned-detector bench (``test_learned_detector_throughput``,
-    perfsmoke lane) records each run; this gate holds the latest
-    recorded run within 2x of the recorded baseline on both lanes —
-    vectorized message featurize+score and the columnar domain pass —
-    so a slowdown in the feature engine fails the perf lane even when
-    the detector bench itself was run elsewhere.
-    """
-    import pytest
-
-    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    section = bench.get("learned_detector")
-    if not section:
-        pytest.skip("no learned_detector section recorded yet — "
-                    "run benchmarks/test_learned_detector.py first")
-    baseline, latest = section["baseline"], section["latest"]
-    assert (latest["learned_emails_per_sec"]
-            >= baseline["learned_emails_per_sec"] / REGRESSION_FACTOR), (
-        f"message featurize+score regressed: "
-        f"{latest['learned_emails_per_sec']:,.0f} emails/s vs baseline "
-        f"{baseline['learned_emails_per_sec']:,.0f}/s "
-        f"(gate {REGRESSION_FACTOR}x)")
-    assert (latest["columnar_rows_per_sec"]
-            >= baseline["columnar_rows_per_sec"] / REGRESSION_FACTOR), (
-        f"columnar domain scoring regressed: "
-        f"{latest['columnar_rows_per_sec']:,.0f} rows/s vs baseline "
-        f"{baseline['columnar_rows_per_sec']:,.0f}/s "
-        f"(gate {REGRESSION_FACTOR}x)")
-    assert latest["message_speedup"] >= 5.0, (
-        f"learned message lane fell below the 5x funnel acceptance bar: "
-        f"{latest['message_speedup']:.1f}x")
-
-
-def test_drift_resilience_not_regressed():
-    """Gate the recorded drift-resilience trajectory.
-
-    The drift bench (``test_drift_resilience_floor``, perfsmoke/chaos
-    lane) records each run; this gate holds the latest recorded run
-    within 2x of the recorded baseline on the lifecycle cycle, the
-    scenario stepping rate, and learned chaos serving QPS — and keeps
-    the zero-drop invariant and the scripted promote — so a slowdown in
-    the living-internet lane fails the perf lane even when the drift
-    bench itself was run elsewhere.
-    """
-    import pytest
-
-    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    section = bench.get("drift_resilience")
-    if not section:
-        pytest.skip("no drift_resilience section recorded yet — "
-                    "run benchmarks/test_drift_resilience.py first")
-    baseline, latest = section["baseline"], section["latest"]
-    assert latest["dropped"] == 0, (
-        f"learned chaos serving dropped {latest['dropped']} lookups — "
-        "the resilient server must answer every query")
-    assert latest["decision"] == "promote", (
-        "the drift drill no longer promotes its shadow-retrained "
-        f"candidate (got {latest['decision']!r})")
-    assert latest["cycle_seconds"] <= max(
-        baseline["cycle_seconds"] * REGRESSION_FACTOR, 1.0), (
-        f"lifecycle cycle regressed: {latest['cycle_seconds']:.2f}s vs "
-        f"baseline {baseline['cycle_seconds']:.2f}s "
-        f"(gate {REGRESSION_FACTOR}x)")
-    assert (latest["scenario_steps_per_sec"]
-            >= baseline["scenario_steps_per_sec"] / REGRESSION_FACTOR), (
-        f"scenario stepping regressed: "
-        f"{latest['scenario_steps_per_sec']:,.0f} steps/s vs baseline "
-        f"{baseline['scenario_steps_per_sec']:,.0f}/s "
-        f"(gate {REGRESSION_FACTOR}x)")
-    assert latest["chaos_qps"] >= baseline["chaos_qps"] / REGRESSION_FACTOR, (
-        f"learned chaos serving regressed: {latest['chaos_qps']:,.0f}/s "
-        f"vs baseline {baseline['chaos_qps']:,.0f}/s "
-        f"(gate {REGRESSION_FACTOR}x)")

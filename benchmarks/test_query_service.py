@@ -12,10 +12,12 @@ workload must sustain at least 50k lookups/sec with p99 at or under
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.service import run_serve_bench
-from repro.service.bench import record_query_service
+from repro.util.perf import record_bench
 
 from test_perf_baseline import BENCH_PATH, REGRESSION_FACTOR
 
@@ -45,7 +47,7 @@ def test_query_service_serving_floor():
     assert result.verdict_counts.get("typo_risk", 0) > 0
     assert result.engine_hit_rate > 0.5  # warm regime, by construction
 
-    section = record_query_service(result.entry(), BENCH_PATH)
+    section = record_bench(BENCH_PATH, "query_service", asdict(result))
 
     # acceptance floor
     assert result.qps >= MIN_QPS, (
@@ -65,6 +67,10 @@ def test_query_service_serving_floor():
     assert result.p99_us <= baseline["p99_us"] * REGRESSION_FACTOR, (
         f"serving p99 regressed: {result.p99_us:.2f}us vs baseline "
         f"{baseline['p99_us']:.2f}us (gate {REGRESSION_FACTOR}x)")
+    assert result.build_seconds <= max(
+        baseline["build_seconds"] * REGRESSION_FACTOR, 1.0), (
+        f"index build regressed: {result.build_seconds:.3f}s vs "
+        f"baseline {baseline['build_seconds']:.3f}s")
 
 
 # -- resilient serving under the demo fault plan --------------------------
@@ -87,7 +93,6 @@ def test_service_chaos_floor():
     the ``service_chaos`` section of ``BENCH_perf.json``.
     """
     from repro.service import run_serve_chaos_bench
-    from repro.service.bench import record_service_chaos
 
     result = run_serve_chaos_bench(SERVE_SEED, CHAOS_RANKS,
                                    lookups=CHAOS_LOOKUPS,
@@ -118,7 +123,7 @@ def test_service_chaos_floor():
         "chaos serving is not replayable: two identical runs digested "
         "differently")
 
-    section = record_service_chaos(result.entry(), BENCH_PATH)
+    section = record_bench(BENCH_PATH, "service_chaos", asdict(result))
     baseline = section["baseline"]
     assert result.qps >= baseline["qps"] / REGRESSION_FACTOR, (
         f"chaos serving QPS regressed: {result.qps:,.0f}/s vs baseline "

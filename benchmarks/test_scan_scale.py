@@ -2,10 +2,10 @@
 
 Times the lazy-world streaming scan at 1k, 10k and 100k Alexa ranks and
 records gtypos/s and ctypos/s into ``BENCH_perf.json`` under
-``scan_scale``.  The paper's own crawl covered the .com zone against the
-Alexa top 100k; this bench is the harness's equivalent ecosystem sweep,
-with an Alexa-1M point (``test_scan_scale_1m``) as the full-universe
-stretch run.
+``scan_scale``.  The paper's own crawl covered the .com zone against
+the Alexa top 100k; this bench is the harness's equivalent ecosystem
+sweep, with an Alexa-1M point (``test_scan_scale_1m``, recorded under
+``scan_scale_1m``) as the full-universe stretch run.
 
 The 100k-rank entry is the acceptance gate: its ctypo throughput must be
 at least 10x the retained-scan baseline recorded by
@@ -26,15 +26,14 @@ cost may not depend on ``max_rank``.
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 
 import pytest
 
 from repro.ecosystem import WorldModel
 from repro.experiment import run_sharded_scan
-from repro.util.perf import throughput
+from repro.util.perf import load_bench, record_bench, throughput
 
-from test_perf_baseline import BENCH_PATH, _load_bench, _save_bench
+from test_perf_baseline import BENCH_PATH
 
 SCALE_SEED = 606
 RANK_POINTS = (1_000, 10_000, 100_000)
@@ -69,14 +68,8 @@ def test_scan_scale_throughput():
               f"{points[-1]['ctypos_per_sec']:>10,.1f} ctypos/s  "
               f"{points[-1]['gtypos_per_sec']:>13,.0f} gtypos/s")
 
-    bench = _load_bench()
-    bench["scan_scale"] = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "seed": SCALE_SEED,
-        "points": points,
-    }
-    _save_bench(bench)
+    record_bench(BENCH_PATH, "scan_scale",
+                 {"seed": SCALE_SEED, "points": points})
 
     # more ranks must never mean fewer registrations
     registered = [p["ctypos_registered"] for p in points]
@@ -84,9 +77,9 @@ def test_scan_scale_throughput():
     assert registered[0] > 0
 
     # the acceptance gate: 100k ranks at >= 10x the retained-scan baseline
-    baseline = bench.get("baseline") or {}
-    baseline_rate = (baseline.get("scan") or {}).get(
-        "ctypos_scanned_per_sec", 6053.0)
+    recorded = load_bench(BENCH_PATH).get("perf_baseline")
+    baseline_rate = (recorded["baseline"]["scan"]["ctypos_scanned_per_sec"]
+                     if recorded else 6053.0)
     paper_scale = points[-1]
     assert paper_scale["ctypos_per_sec"] >= SPEEDUP_FACTOR * baseline_rate, (
         f"100k-rank streaming scan ran at "
@@ -110,6 +103,7 @@ def test_scan_scale_1m():
     aggregates = run_sharded_scan(SCALE_SEED, ranks, jobs=1)
     wall = time.perf_counter() - start
     point = {
+        "seed": SCALE_SEED,
         "ranks": ranks,
         "wall_seconds": round(wall, 3),
         "gtypos_generated": aggregates.generated_count,
@@ -124,19 +118,13 @@ def test_scan_scale_1m():
           f"{point['ctypos_per_sec']:>10,.1f} ctypos/s  "
           f"{point['gtypos_per_sec']:>13,.0f} gtypos/s")
 
-    bench = _load_bench()
-    scale = bench.setdefault("scan_scale", {"seed": SCALE_SEED, "points": []})
-    scale["points"] = ([p for p in scale.get("points", ())
-                        if p.get("ranks") != ranks] + [point])
-    scale["points"].sort(key=lambda p: p["ranks"])
-    scale["recorded_utc"] = datetime.now(timezone.utc).isoformat(
-        timespec="seconds")
-    _save_bench(bench)
+    record_bench(BENCH_PATH, "scan_scale_1m", point)
 
     assert aggregates.registered_count > 0
     # a rank's work must not depend on the universe size around it —
-    # the 1M run may not be slower per rank than ~2x the 100k run
-    by_ranks = {p["ranks"]: p for p in scale["points"]}
+    # the 1M run may not be slower per rank than ~2x the latest 100k run
+    scale = load_bench(BENCH_PATH).get("scan_scale", {"latest": {}})
+    by_ranks = {p["ranks"]: p for p in scale["latest"].get("points", ())}
     if 100_000 in by_ranks:
         per_rank_100k = by_ranks[100_000]["wall_seconds"] / 100_000
         assert wall / ranks <= 2.0 * per_rank_100k, (

@@ -26,7 +26,6 @@ from __future__ import annotations
 import gc
 import time
 import tracemalloc
-from datetime import datetime, timezone
 
 import pytest
 
@@ -38,9 +37,9 @@ from repro.experiment import (
     record_stream_digest,
 )
 from repro.experiment.classify import ClassifyContext, classify_corpus_records
-from repro.util.perf import PerfRegistry, throughput
+from repro.util.perf import PerfRegistry, load_bench, record_bench, throughput
 
-from test_perf_baseline import BENCH_PATH, _load_bench, _save_bench
+from test_perf_baseline import BENCH_PATH
 
 SCALE_SEED = 606
 BASE_SPAM_SCALE = 2e-4          # the perf-baseline study config
@@ -131,15 +130,12 @@ def test_study_scale_throughput_and_memory():
           f"{bounded_peak:.0f} MB, bounded 1x {bounded_1x_peak:.0f} MB")
 
     # -- record ------------------------------------------------------------
-    bench = _load_bench()
+    recorded = load_bench(BENCH_PATH).get("perf_baseline")
+    study = recorded["baseline"]["study"] if recorded else {}
     baseline_rate = throughput(
-        (bench.get("baseline") or {}).get("study", {}).get(
-            "emails_delivered", 0),
-        (bench.get("baseline") or {}).get("study", {}).get(
-            "phase_seconds", {}).get("classify", 0)) or 9379.0
-    bench["study_scale"] = {
-        "recorded_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
+        study.get("emails_delivered", 0),
+        study.get("phase_seconds", {}).get("classify", 0)) or 9379.0
+    record_bench(BENCH_PATH, "study_scale", {
         "config": {"seed": SCALE_SEED,
                    "spam_scale": BASE_SPAM_SCALE * SCALE_FACTOR},
         "emails_delivered": delivered,
@@ -154,8 +150,7 @@ def test_study_scale_throughput_and_memory():
                     "bounded_10x": round(bounded_peak, 1),
                     "bounded_1x": round(bounded_1x_peak, 1)},
         "deliveries_1x": delivered_1x,
-    }
-    _save_bench(bench)
+    })
 
     # -- gates -------------------------------------------------------------
     assert rate >= SPEEDUP_FACTOR * baseline_rate, (

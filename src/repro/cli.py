@@ -190,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--load-index", metavar="PATH",
                        help="serve from a persisted index artifact "
                             "instead of building one (overrides --ranks)")
-    serve.add_argument("--bench-out", metavar="PATH",
-                       help="record the run into this BENCH_perf.json's "
-                            "query_service (or service_chaos) section")
     serve.add_argument("--chaos", action="store_true",
                        help="serve through the resilient layer under the "
                             "built-in service fault plan: stalls, index "
@@ -722,8 +719,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     """``repro serve-bench``: time the resident query service."""
-    from repro.service import (RiskEngine, TypoRiskIndex, record_query_service,
-                               run_serve_bench)
+    from repro.service import RiskEngine, TypoRiskIndex, run_serve_bench
 
     if args.chaos or args.fault_plan:
         return _serve_bench_chaos(args)
@@ -759,10 +755,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.save_index:
         index.save(args.save_index)
         print(f"index saved to {args.save_index}", file=sys.stderr)
-    if args.bench_out:
-        record_query_service(result.entry(), args.bench_out)
-        print(f"recorded query_service entry in {args.bench_out}",
-              file=sys.stderr)
     return 0
 
 
@@ -771,11 +763,10 @@ def _serve_bench_chaos(args: argparse.Namespace) -> int:
 
     Runs the workload through the fault-injecting resilient layer and
     reports per-lane throughput/latency, shed/degraded/recovered
-    counts, and the replay digest; ``--bench-out`` records the run into
-    the ``service_chaos`` section.
+    counts, and the replay digest.
     """
     from repro.faultsim import FaultPlan
-    from repro.service import record_service_chaos, run_serve_chaos_bench
+    from repro.service import run_serve_chaos_bench
     from repro.util.errors import ConfigError
 
     if args.fault_plan:
@@ -791,10 +782,6 @@ def _serve_bench_chaos(args: argparse.Namespace) -> int:
         pool_size=args.pool_size, plan=plan)
     for line in result.report_lines():
         print(line)
-    if args.bench_out:
-        record_service_chaos(result.entry(), args.bench_out)
-        print(f"recorded service_chaos entry in {args.bench_out}",
-              file=sys.stderr)
     return 0
 
 

@@ -2,9 +2,7 @@
 
 from repro.core.distances import (
     classify_edit,
-    clear_distance_caches,
     damerau_levenshtein,
-    distance_cache_stats,
     fat_finger_distance,
     is_dl1,
     is_ff1,
@@ -36,16 +34,13 @@ from repro.core.typogen import (
 
 
 def clear_kernel_caches() -> None:
-    """Drop all memoized kernel results (distances + typogen)."""
-    clear_distance_caches()
+    """Drop every memoized kernel result (the typo-candidate cache)."""
     clear_typogen_cache()
 
 
 def kernel_cache_stats() -> dict:
     """Hit/miss/size counters for every kernel cache, by cache name."""
-    stats = dict(distance_cache_stats())
-    stats["typogen_candidates"] = typogen_cache_stats()
-    return stats
+    return {"typogen_candidates": typogen_cache_stats()}
 
 
 __all__ = [
@@ -74,8 +69,6 @@ __all__ = [
     "build_study_corpus",
     "clear_kernel_caches",
     "kernel_cache_stats",
-    "clear_distance_caches",
-    "distance_cache_stats",
     "clear_typogen_cache",
     "typogen_cache_stats",
 ]

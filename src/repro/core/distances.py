@@ -33,67 +33,7 @@ __all__ = [
     "position_weight",
     "classify_edit",
     "EditOperation",
-    "clear_distance_caches",
-    "distance_cache_stats",
 ]
-
-
-# -- kernel memoization -------------------------------------------------------
-#
-# All three metrics are pure functions of their string arguments, so their
-# results can be shared across every caller in the process — the typo
-# generator recomputes the same fat-finger neighbourhood for each of a
-# target's ~500 candidates, and the study/sweep harnesses revisit the same
-# ~20 target labels run after run.  Caches are explicit dicts (faster than
-# ``functools.lru_cache`` for these tiny keys), size-bounded by wholesale
-# clearing when full (eviction order is irrelevant for pure functions), and
-# seed-independent.
-
-_CACHE_MAX_ENTRIES = 1 << 16
-
-_FF_NEIGHBOURS_CACHE: Dict[str, Tuple[str, ...]] = {}
-_FF_NEIGHBOUR_SET_CACHE: Dict[str, frozenset] = {}
-_FF_DISTANCE_CACHE: Dict[Tuple[str, str, int], int] = {}
-_VISUAL_CACHE: Dict[Tuple[str, str], float] = {}
-_DL_CACHE: Dict[Tuple[str, str], int] = {}
-
-_ALL_CACHES = {
-    "ff_neighbours": _FF_NEIGHBOURS_CACHE,
-    "ff_neighbour_sets": _FF_NEIGHBOUR_SET_CACHE,
-    "ff_distance": _FF_DISTANCE_CACHE,
-    "visual": _VISUAL_CACHE,
-    "damerau_levenshtein": _DL_CACHE,
-}
-
-_CACHE_HITS: Dict[str, int] = {name: 0 for name in _ALL_CACHES}
-_CACHE_MISSES: Dict[str, int] = {name: 0 for name in _ALL_CACHES}
-
-
-def clear_distance_caches() -> None:
-    """Drop every memoized result and zero the hit/miss counters.
-
-    Counters reset alongside the entries so a hit rate computed from
-    :func:`distance_cache_stats` always describes the run since the last
-    clear, not the whole process lifetime.
-    """
-    for name, cache in _ALL_CACHES.items():
-        cache.clear()
-        _CACHE_HITS[name] = 0
-        _CACHE_MISSES[name] = 0
-
-
-def distance_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Per-cache ``{"hits", "misses", "size"}`` counters."""
-    return {name: {"hits": _CACHE_HITS[name],
-                   "misses": _CACHE_MISSES[name],
-                   "size": len(cache)}
-            for name, cache in _ALL_CACHES.items()}
-
-
-def _bounded_store(cache: dict, key, value) -> None:
-    if len(cache) >= _CACHE_MAX_ENTRIES:
-        cache.clear()
-    cache[key] = value
 
 
 def damerau_levenshtein(a: str, b: str) -> int:
@@ -105,17 +45,6 @@ def damerau_levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
-    cached = _DL_CACHE.get((a, b))
-    if cached is not None:
-        _CACHE_HITS["damerau_levenshtein"] += 1
-        return cached
-    _CACHE_MISSES["damerau_levenshtein"] += 1
-    result = _damerau_levenshtein_uncached(a, b)
-    _bounded_store(_DL_CACHE, (a, b), result)
-    return result
-
-
-def _damerau_levenshtein_uncached(a: str, b: str) -> int:
     len_a, len_b = len(a), len(b)
     if len_a == 0:
         return len_b
@@ -236,22 +165,9 @@ def fat_finger_distance(a: str, b: str, max_interesting: int = 3) -> int:
     """
     if a == b:
         return 0
-    key = (a, b, max_interesting)
-    cached = _FF_DISTANCE_CACHE.get(key)
-    if cached is not None:
-        _CACHE_HITS["ff_distance"] += 1
-        return cached
-    _CACHE_MISSES["ff_distance"] += 1
-    result = _fat_finger_distance_uncached(a, b, max_interesting)
-    _bounded_store(_FF_DISTANCE_CACHE, key, result)
-    return result
-
-
-def _fat_finger_distance_uncached(a: str, b: str, max_interesting: int) -> int:
     if max_interesting == 1:
-        # depth-1 BFS is exactly a membership test; the set form turns the
-        # typo generator's ~500 probes per target label into O(1) lookups
-        return 1 if b in _ff_neighbour_set(a) else 2
+        # depth-1 BFS is exactly a membership test
+        return 1 if b in _ff_neighbours(a) else 2
     frontier = {a}
     seen = {a}
     for depth in range(1, max_interesting + 1):
@@ -270,33 +186,8 @@ def _fat_finger_distance_uncached(a: str, b: str, max_interesting: int) -> int:
     return max_interesting + 1
 
 
-def _ff_neighbours(s: str):
-    """All strings one fat-finger operation away from ``s``.
-
-    Returns an immutable (cacheable) sequence; the BFS in
-    :func:`fat_finger_distance` re-visits the same strings constantly, and
-    the typo generator probes one root label per candidate batch.
-    """
-    cached = _FF_NEIGHBOURS_CACHE.get(s)
-    if cached is not None:
-        _CACHE_HITS["ff_neighbours"] += 1
-        return cached
-    _CACHE_MISSES["ff_neighbours"] += 1
-    result = tuple(_ff_neighbours_uncached(s))
-    _bounded_store(_FF_NEIGHBOURS_CACHE, s, result)
-    return result
-
-
-def _ff_neighbour_set(s: str) -> frozenset:
-    """The fat-finger neighbourhood of ``s`` as a set, for membership tests."""
-    cached = _FF_NEIGHBOUR_SET_CACHE.get(s)
-    if cached is None:
-        cached = frozenset(_ff_neighbours(s))
-        _bounded_store(_FF_NEIGHBOUR_SET_CACHE, s, cached)
-    return cached
-
-
-def _ff_neighbours_uncached(s: str) -> List[str]:
+def _ff_neighbours(s: str) -> List[str]:
+    """All strings one fat-finger operation away from ``s``."""
     out: List[str] = []
     # substitutions by an adjacent key
     for i, ch in enumerate(s):
@@ -387,18 +278,6 @@ def visual_distance(original: str, typo: str) -> float:
     """
     if original == typo:
         return 0.0
-    key = (original, typo)
-    cached = _VISUAL_CACHE.get(key)
-    if cached is not None:
-        _CACHE_HITS["visual"] += 1
-        return cached
-    _CACHE_MISSES["visual"] += 1
-    result = _visual_distance_uncached(original, typo)
-    _bounded_store(_VISUAL_CACHE, key, result)
-    return result
-
-
-def _visual_distance_uncached(original: str, typo: str) -> float:
     digram_cost = _digram_confusion_cost(original, typo)
     edit = classify_edit(original, typo)
     if edit is None:
@@ -524,7 +403,7 @@ def fat_finger_for_edit(label: str, op: EditOperation, index: int,
                         char: str = "") -> int:
     """``fat_finger_distance(label, typo, max_interesting=1)`` for a known edit.
 
-    Mirrors :func:`_ff_neighbours_uncached`: deletions and transpositions
+    Mirrors :func:`_ff_neighbours`: deletions and transpositions
     need no key geometry (always distance 1); substitutions must swap
     QWERTY-adjacent keys; insertions must repeat a string-neighbour or hit
     a key adjacent to one.

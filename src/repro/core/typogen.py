@@ -110,11 +110,9 @@ _CANDIDATE_CACHE_MISSES = 0
 
 
 def clear_typogen_cache() -> None:
-    """Drop every memoized candidate list and zero the hit/miss counters.
-
-    Matches :func:`repro.core.distances.clear_distance_caches`: stats
-    describe the run since the last clear, not the process lifetime.
-    """
+    """Drop every memoized candidate list and zero the hit/miss counters,
+    so the stats describe the run since the last clear, not the process
+    lifetime."""
     global _CANDIDATE_CACHE_HITS, _CANDIDATE_CACHE_MISSES
     _CANDIDATE_CACHE.clear()
     _CANDIDATE_CACHE_HITS = 0

@@ -2,13 +2,14 @@
 
 A long campaign leaves a trail of durable files — study checkpoints,
 scan checkpoints, persisted typo-risk indexes, typo models, scenarios,
-fault plans and the performance baseline — and
+fault plans and the bench record ``BENCH_perf.json`` — and
 each of them can rot: torn writes from a crash mid-save, manual edits,
 copies from a different run.  ``repro doctor`` examines each file and
 reports problems through the :mod:`repro.util.errors` taxonomy instead
 of raw tracebacks.
 
-The five enveloped formats (:mod:`repro.util.artifact`) are identified by
+The tagged formats (:mod:`repro.util.artifact`: the five enveloped ones
+and the bench record) are identified by
 their ``format`` tag alone — for the study and scan checkpoints, which
 are journals, the tag on the first line — and validated by the *same*
 loader the runtime uses, so a file the doctor passes is a file the
@@ -20,10 +21,10 @@ single-snapshot study checkpoint the journal replaced, or a scan
 checkpoint of an older layout) goes to that format's loader too, which
 refuses it as a foreign format (exit 3) with the format's remedy; so
 does a ``repro-scan-baseline`` file, the store the scan checkpoint
-replaced.  Only the two untagged
-inputs, user-authored fault plans and ``BENCH_perf.json``, are
-recognized by shape, and a file with no readable tag (torn, or from
-before the envelope) falls back to its name.
+replaced.  Only the one untagged
+input, a user-authored fault plan, is recognized by shape, and a file
+with no readable tag (torn, or from before the envelope) falls back to
+its name.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def _enveloped_formats() -> Dict[str, _Entry]:
     from repro.learned.model import LEARNED_MODEL_FORMAT, load_model
     from repro.scenario.timeline import SCENARIO_FORMAT, Scenario
     from repro.service.index import RISK_INDEX_FORMAT, TypoRiskIndex
+    from repro.util.perf import BENCH_FORMAT, load_bench
 
     study_journal: _Entry = (
         KIND_STUDY_CHECKPOINT,
@@ -155,6 +157,10 @@ def _enveloped_formats() -> Dict[str, _Entry]:
             lambda scenario: {"seed": scenario.seed, "name": scenario.name,
                               "events": len(scenario.events),
                               "last_day": scenario.last_event_day()}),
+        BENCH_FORMAT: (
+            KIND_PERF_BASELINE,
+            lambda path, data: load_bench(path),
+            lambda sections: {"sections": len(sections)}),
     }
     return {_family(tag): entry for tag, entry in table.items()}
 
@@ -193,12 +199,10 @@ def diagnose_file(path: Union[str, Path]) -> Diagnosis:
             notes = [_TORN_TAIL_NOTE] if facts.get("torn_tail") else []
             return Diagnosis(path=path, kind=kind, ok=True, details=facts,
                              notes=notes)
-        if "baseline" in data and isinstance(data["baseline"], dict):
-            return _check_perf_baseline(path, data)
         if "seed" in data and _PLAN_KEYS & set(data):
             return _check_fault_plan(path, data)
         problem = ("not a recognized repro artifact (no known format tag, "
-                   "and not a fault plan or perf baseline)")
+                   "and not a fault plan)")
     # no readable tag: the name is the only evidence left
     kind, code = _kind_from_name(path)
     return Diagnosis(path=path, kind=kind, ok=False, problems=[problem],
@@ -253,10 +257,13 @@ def _kind_from_name(path: Path) -> tuple:
     if "scenario" in name:
         # a torn scenario timeline can't be trusted to replay; exit 3
         return KIND_SCENARIO, EXIT_CORRUPT_CHECKPOINT
+    if "bench" in name:
+        # a bench record is rerun, not resumed: bad input, exit 2
+        return KIND_PERF_BASELINE, EXIT_BAD_INPUT
     return KIND_UNKNOWN, EXIT_BAD_INPUT
 
 
-# -- the two untagged inputs ----------------------------------------------------
+# -- the one untagged input --------------------------------------------------
 
 _PLAN_KEYS = frozenset({"collector_outages", "dns_spells", "smtp_spells",
                         "shard_crashes", "study_crashes", "service_spells",
@@ -278,28 +285,4 @@ def _check_fault_plan(path: Path, data: Dict) -> Diagnosis:
         "service_spells": len(plan.service_spells),
     }
     return Diagnosis(path=path, kind=KIND_FAULT_PLAN, ok=True,
-                     details=details)
-
-
-def _check_perf_baseline(path: Path, data: Dict) -> Diagnosis:
-    problems: List[str] = []
-    baseline = data["baseline"]
-    study = baseline.get("study")
-    if not isinstance(study, dict):
-        problems.append("baseline.study section missing")
-    else:
-        for key in ("wall_seconds", "emails_sent", "records"):
-            value = study.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"baseline.study.{key} missing or negative")
-    for section in ("scan", "streaming_scan"):
-        block = baseline.get(section)
-        if block is not None and not isinstance(block, dict):
-            problems.append(f"baseline.{section} is not an object")
-    if problems:
-        return Diagnosis(path=path, kind=KIND_PERF_BASELINE, ok=False,
-                         problems=problems, exit_code=EXIT_BAD_INPUT)
-    details = {"sections": len([k for k in baseline
-                                if isinstance(baseline[k], dict)])}
-    return Diagnosis(path=path, kind=KIND_PERF_BASELINE, ok=True,
                      details=details)

@@ -510,7 +510,8 @@ class ScanCheckpoint:
     delta re-scan), and a newer record drops every stored range it
     overlaps.  A run of another identity is a mismatch naming the field,
     a range outside ``1..max_rank + 1`` is corrupt, and a torn last line
-    is dropped.
+    is dropped.  :meth:`compact` rewrites a journal that still holds
+    dropped records as one base segment of the held ones.
     """
 
     def __init__(self, path: Union[str, Path], seed: int, max_rank: int,
@@ -537,6 +538,8 @@ class ScanCheckpoint:
         #: record rewrites the file as one base segment of every record
         self._head: Optional[str] = None
         self._end = 0
+        #: records the file still holds that a newer record dropped
+        self._superseded = 0
         if self.path.exists():
             self.torn_tail = read_journal(self.path, _ARTIFACT,
                                           self._fold).torn_tail
@@ -564,25 +567,37 @@ class ScanCheckpoint:
         if not 1 <= start < stop <= self.max_rank + 1:
             raise ValueError(f"range {start}-{stop} lies outside ranks "
                              f"1..{self.max_rank}")
-        for key in [key for key in self.records
-                    if key[0] < stop and start < key[1]]:
+        overlapped = [key for key in self.records
+                      if key[0] < stop and start < key[1]]
+        for key in overlapped:
             del self.records[key]
+        self._superseded += len(overlapped)
         self.records[(start, stop)] = record
 
     def record(self, record: RangeRecord) -> None:
         """Persist one completed range (an fsync'd append)."""
         self._hold(record)
-        segment = {"format": SCAN_CHECKPOINT_FORMAT, "prev": self._head}
         if self._head is None:
-            segment.update(self.identity,
-                           ranges=[held.canonical_dict() for _, held
-                                   in sorted(self.records.items())])
-            at = None
-        else:
-            segment["ranges"] = [record.canonical_dict()]
-            at = self._end
-        self._head, size = write_segment(self.path, segment, at=at)
-        self._end = size if at is None else self._end + size
+            self._write_base()
+            return
+        self._head, size = write_segment(
+            self.path, {"format": SCAN_CHECKPOINT_FORMAT, "prev": self._head,
+                        "ranges": [record.canonical_dict()]}, at=self._end)
+        self._end += size
+
+    def compact(self) -> None:
+        """Rewrite the journal as one base segment if it holds records
+        that newer ones dropped (a delta re-scan's superseded ranges)."""
+        if self._superseded:
+            self._write_base()
+
+    def _write_base(self) -> None:
+        segment = {"format": SCAN_CHECKPOINT_FORMAT, "prev": None,
+                   **self.identity,
+                   "ranges": [held.canonical_dict() for _, held
+                              in sorted(self.records.items())]}
+        self._head, self._end = write_segment(self.path, segment)
+        self._superseded = 0
 
     @property
     def completed_count(self) -> int:
@@ -607,7 +622,8 @@ def run_resilient_scan(seed: int, max_rank: int, jobs: Optional[int] = None,
     range goes to a :class:`ScanCheckpoint`, and a re-run at any
     ``jobs`` and any ``churn`` reuses each stored range whose world
     digest matches: a checkpoint re-run at a later churn day is the
-    delta re-scan.
+    delta re-scan, which ends by compacting away the records it
+    superseded.
     """
     store = (ScanCheckpoint(checkpoint_path, seed, max_rank, config,
                             exclude)
@@ -629,6 +645,8 @@ def run_resilient_scan(seed: int, max_rank: int, jobs: Optional[int] = None,
                      reuse=store.records if store is not None else None,
                      on_record=store.record if store is not None else None,
                      perf=perf)
+    if store is not None:
+        store.compact()
     return replace(run, aggregates=merged)
 
 

@@ -19,9 +19,6 @@ from repro.service.bench import (
     ChaosBenchResult,
     ParityError,
     ServeBenchResult,
-    record_drift_resilience,
-    record_query_service,
-    record_service_chaos,
     run_serve_bench,
     run_serve_chaos_bench,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "ServeBenchResult",
     "ParityError",
     "run_serve_bench",
-    "record_query_service",
     "AdmissionPolicy",
     "AdmissionController",
     "HEALTH_STATES",
@@ -70,6 +66,4 @@ __all__ = [
     "verdict_stream_digest",
     "ChaosBenchResult",
     "run_serve_chaos_bench",
-    "record_service_chaos",
-    "record_drift_resilience",
 ]

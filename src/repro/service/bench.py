@@ -4,24 +4,20 @@ Builds the resident index + engine, generates a seeded mixed workload
 (:class:`~repro.service.workload.LookupWorkload`), optionally verifies a
 parity sample against the brute-force scan path, warms the pools, then
 times every lookup individually: p50/p95/p99 latency, sustained QPS,
-index build time, and cache hit rates.  The same entry dict feeds the
-human-readable CLI report, the ``query_service`` section of
-``BENCH_perf.json`` (via :func:`record_query_service`), and the
-perfsmoke regression gates.
+index build time, and cache hit rates.  The result feeds the
+human-readable CLI report; the perfsmoke benchmarks record it, as
+``dataclasses.asdict(result)``, into ``BENCH_perf.json`` through
+:func:`repro.util.perf.record_bench`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core import clear_kernel_caches, kernel_cache_stats
 from repro.ecosystem.internet import InternetConfig
 from repro.faultsim.plan import FaultPlan
 from repro.service.engine import AdmissionPolicy, RiskEngine
@@ -32,16 +28,10 @@ from repro.service.health import (
 )
 from repro.service.index import TypoRiskIndex
 from repro.service.workload import LookupWorkload, WorkloadMix
-from repro.util.artifact import write_atomic
 from repro.util.perf import PerfRegistry, paused_gc, throughput
 
 __all__ = ["ServeBenchResult", "ParityError", "run_serve_bench",
-           "record_query_service", "ChaosBenchResult",
-           "run_serve_chaos_bench", "record_service_chaos",
-           "record_learned_detector",
-           "QUERY_SERVICE_HISTORY_LIMIT"]
-
-QUERY_SERVICE_HISTORY_LIMIT = 50
+           "ChaosBenchResult", "run_serve_chaos_bench"]
 
 #: verdict source -> serving lane, for per-lane latency buckets; the
 #: fault-free sources all belong to the full lane
@@ -78,37 +68,12 @@ class ServeBenchResult:
     verdict_counts: Dict[str, int] = field(default_factory=dict)
     action_counts: Dict[str, int] = field(default_factory=dict)
     engine_cache: Dict[str, int] = field(default_factory=dict)
-    kernel_caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def engine_hit_rate(self) -> float:
         total = self.engine_cache.get("hits", 0) + self.engine_cache.get(
             "misses", 0)
         return self.engine_cache.get("hits", 0) / total if total else 0.0
-
-    def entry(self) -> Dict:
-        """The ``query_service`` record for BENCH_perf.json."""
-        return {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "seed": self.seed,
-            "ranks": self.max_rank,
-            "lookups": self.lookups,
-            "pool_size": self.pool_size,
-            "distinct_queries": self.distinct_queries,
-            "score_mode": self.score_mode,
-            "build_seconds": round(self.build_seconds, 4),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "qps": round(self.qps, 1),
-            "p50_us": round(self.p50_us, 2),
-            "p95_us": round(self.p95_us, 2),
-            "p99_us": round(self.p99_us, 2),
-            "max_us": round(self.max_us, 1),
-            "engine_hit_rate": round(self.engine_hit_rate, 4),
-            "parity_checked": self.parity_checked,
-            "verdicts": dict(sorted(self.verdict_counts.items())),
-            "actions": dict(sorted(self.action_counts.items())),
-        }
 
     def report_lines(self) -> List[str]:
         verdicts = ", ".join(f"{name}={count}" for name, count
@@ -159,7 +124,6 @@ def run_serve_bench(seed: int = 606, max_rank: int = 100_000, *,
     model (requires ``model``); the brute-force parity contract holds in
     either mode since retrieval, not scoring, is what parity varies.
     """
-    clear_kernel_caches()   # hit rates below describe this run alone
     start = perf_counter()
     if engine is None:
         index = TypoRiskIndex(seed, max_rank, config=config, perf=perf)
@@ -233,8 +197,7 @@ def run_serve_bench(seed: int = 606, max_rank: int = 100_000, *,
         max_us=float(latencies.max() * 1e6),
         parity_checked=parity_checked,
         verdict_counts=verdict_counts, action_counts=action_counts,
-        engine_cache=engine.cache_stats(),
-        kernel_caches=kernel_cache_stats())
+        engine_cache=engine.cache_stats())
 
 
 @dataclass
@@ -263,35 +226,6 @@ class ChaosBenchResult:
     final_state: str = "healthy"
     injected: Dict[str, object] = field(default_factory=dict)
     source_counts: Dict[str, int] = field(default_factory=dict)
-
-    def entry(self) -> Dict:
-        """The ``service_chaos`` record for BENCH_perf.json."""
-        return {
-            "recorded_utc": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "seed": self.seed,
-            "ranks": self.max_rank,
-            "lookups": self.lookups,
-            "plan_digest": self.plan_digest,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "qps": round(self.qps, 1),
-            "verdict_digest": self.verdict_digest,
-            "lane_counts": dict(sorted(self.lane_counts.items())),
-            "lane_qps": {lane: round(value, 1) for lane, value
-                         in sorted(self.lane_qps.items())},
-            "lane_p99_us": {lane: round(value, 2) for lane, value
-                            in sorted(self.lane_p99_us.items())},
-            "dropped": self.dropped,
-            "shed_lookups": self.shed_lookups,
-            "shed_reviews": self.shed_reviews,
-            "degraded_lookups": self.degraded_lookups,
-            "rules_only_lookups": self.rules_only_lookups,
-            "tripped": self.tripped,
-            "recovered": self.recovered,
-            "churn_swaps": self.churn_swaps,
-            "final_state": self.final_state,
-            "injected": dict(self.injected),
-        }
 
     def report_lines(self) -> List[str]:
         lanes = ", ".join(
@@ -341,7 +275,6 @@ def run_serve_chaos_bench(seed: int = 606, max_rank: int = 100_000, *,
     """
     if plan is None:
         plan = FaultPlan.service_chaos_demo(seed=seed, lookups=lookups)
-    clear_kernel_caches()
     index = TypoRiskIndex(seed, max_rank, config=config, perf=perf)
     engine = RiskEngine(index,
                         max_cached_verdicts=max(1 << 15, 8 * pool_size),
@@ -408,53 +341,3 @@ def run_serve_chaos_bench(seed: int = 606, max_rank: int = 100_000, *,
         final_state=report["health"]["state"],
         injected=dict(report["injected"]),
         source_counts=dict(by_source))
-
-
-def _record_bench_section(entry: Dict, path: Union[str, Path],
-                          section_name: str) -> Dict:
-    """Fold an entry into one BENCH_perf.json section.
-
-    First recording becomes the regression baseline; later runs land in
-    ``latest`` plus a bounded history — the same shape the study/scan
-    perf gates use, so ``test_perf_baseline`` can gate >2x regressions.
-    Returns the section as written.
-    """
-    path = Path(path)
-    data: Dict = {}
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    section = data.setdefault(section_name, {})
-    if "baseline" not in section:
-        section["baseline"] = entry
-    section["latest"] = entry
-    history = section.setdefault("history", [])
-    history.append(entry)
-    del history[:-QUERY_SERVICE_HISTORY_LIMIT]
-    write_atomic(path, json.dumps(data, indent=2) + "\n")
-    return section
-
-
-def record_query_service(entry: Dict,
-                         path: Union[str, Path]) -> Dict:
-    """Fold a serve-bench entry into BENCH_perf.json's ``query_service``."""
-    return _record_bench_section(entry, path, "query_service")
-
-
-def record_service_chaos(entry: Dict,
-                         path: Union[str, Path]) -> Dict:
-    """Fold a chaos-bench entry into BENCH_perf.json's ``service_chaos``."""
-    return _record_bench_section(entry, path, "service_chaos")
-
-
-def record_learned_detector(entry: Dict,
-                            path: Union[str, Path]) -> Dict:
-    """Fold a learned-detector entry into BENCH_perf.json's
-    ``learned_detector``."""
-    return _record_bench_section(entry, path, "learned_detector")
-
-
-def record_drift_resilience(entry: Dict,
-                            path: Union[str, Path]) -> Dict:
-    """Fold a drift-drill entry into BENCH_perf.json's
-    ``drift_resilience``."""
-    return _record_bench_section(entry, path, "drift_resilience")

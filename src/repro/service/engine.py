@@ -436,7 +436,7 @@ class RiskEngine:
 
         ``hits``/``misses`` zero whenever :meth:`clear_verdict_memo`
         runs (epoch guard, hot swap, explicit clear) — the same
-        convention as ``clear_distance_caches`` — so the stats always
+        convention as ``clear_kernel_caches`` — so the stats always
         describe the *current* memo generation pair, and hit-rate math
         never mixes worlds.  ``size`` spans both generations.
         """

@@ -4,21 +4,32 @@ The study harness is a simulation, so "how fast is it" is a first-class
 reproduction artifact: the perf registry collects per-subsystem wall-clock
 timers (context managers around each phase) and monotonically increasing
 call/byte counters, and snapshots them into plain dicts that ride along on
-:class:`~repro.experiment.runner.StudyResults` and in ``BENCH_perf.json``.
+:class:`~repro.experiment.runner.StudyResults`.
 
-Everything here is deliberately dependency-free and picklable so the
+The registry is deliberately dependency-free and picklable so the
 parallel study engine can ship snapshots across process boundaries.
+
+The benchmarks' speed record, ``BENCH_perf.json``, is one
+``repro-bench@1`` artifact of named sections, each
+``{baseline, latest, history}``: :func:`record_bench` is its one writer
+and :func:`load_bench` its one reader.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from datetime import datetime, timezone
+from pathlib import Path
+from typing import Any, Dict, Iterator, Optional, Union
 
-__all__ = ["TimerStat", "PerfRegistry", "paused_gc", "throughput"]
+from repro.util.artifact import ArtifactFormat, load_artifact, write_atomic
+
+__all__ = ["TimerStat", "PerfRegistry", "paused_gc", "throughput",
+           "BENCH_FORMAT", "record_bench", "load_bench"]
 
 
 @dataclass
@@ -132,3 +143,58 @@ def throughput(count: int, seconds: float) -> float:
     if seconds <= 0:
         return 0.0
     return count / seconds
+
+
+#: artifact format tag of the bench record; bump when its layout changes
+BENCH_FORMAT = "repro-bench@1"
+#: recorded runs a section keeps besides its baseline
+BENCH_HISTORY_LIMIT = 50
+
+_SECTION_KEYS = frozenset({"baseline", "latest", "history"})
+# digest-optional: re-baselining is deleting a section by hand
+_BENCH = ArtifactFormat(BENCH_FORMAT, "bench record",
+                        "delete it, or the broken section, to re-baseline",
+                        digest_optional=True)
+
+
+def _bench_sections(data: Dict) -> Dict[str, Dict]:
+    sections = data["sections"]
+    for name, section in sections.items():
+        missing = _SECTION_KEYS - set(section)
+        if missing:
+            raise ValueError(f"section {name!r} lacks {sorted(missing)}")
+    return sections
+
+
+def load_bench(path: Union[str, Path]) -> Dict[str, Dict]:
+    """The sections of the bench record at ``path``, ``{}`` if it is absent.
+
+    Refused through the artifact taxonomy: another ``format`` tag is a
+    mismatch, a section without ``baseline``, ``latest`` or ``history``
+    (or a digest that is present but wrong) is corrupt.
+    """
+    if not Path(path).exists():
+        return {}
+    return load_artifact(path, _BENCH, _bench_sections)
+
+
+def record_bench(path: Union[str, Path], section: str,
+                 entry: Dict[str, Any]) -> Dict[str, Any]:
+    """Record ``entry`` as the latest run of ``section``; return the section.
+
+    The entry is stamped with ``recorded_utc``.  A section's first
+    recording is its baseline, which later recordings never move; each
+    one becomes ``latest`` and joins a ``history`` of the last
+    :data:`BENCH_HISTORY_LIMIT` runs.  The file is rewritten atomically
+    as indented JSON.
+    """
+    sections = load_bench(path)
+    stamped = dict(entry, recorded_utc=datetime.now(timezone.utc).isoformat(
+        timespec="seconds"))
+    held = sections.setdefault(section, {"baseline": stamped})
+    held["latest"] = stamped
+    held["history"] = (held.get("history", []) + [stamped])[
+        -BENCH_HISTORY_LIMIT:]
+    write_atomic(path, json.dumps({"format": BENCH_FORMAT,
+                                   "sections": sections}, indent=2) + "\n")
+    return held

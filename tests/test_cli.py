@@ -128,11 +128,43 @@ class TestCommands:
         assert main(scan + ["--days", "3"]) == 0
         assert digest(delta.out) == digest(capsys.readouterr().out)
 
+    def test_delta_rescan_leaves_one_compact_segment(self, tmp_path,
+                                                      capsys):
+        """The ``--days 3`` re-run drops the day-0 records it superseded:
+        the journal ends as one base segment about the size of a fresh
+        day-3 checkpoint, and a further re-run resumes every range."""
+        scan = ["--seed", "5", "scan", "--ranks", "3000",
+                "--range-width", "64"]
+        delta, fresh = tmp_path / "delta.ckpt", tmp_path / "fresh.ckpt"
+
+        def digest(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("aggregate digest:")]
+
+        assert main(scan + ["--checkpoint", str(delta)]) == 0
+        assert main(scan + ["--checkpoint", str(delta), "--days", "3"]) == 0
+        capsys.readouterr()
+        assert len(delta.read_bytes().splitlines()) == 1
+        assert main(scan + ["--checkpoint", str(fresh), "--days", "3"]) == 0
+        plain = digest(capsys.readouterr().out)
+        size, fresh_size = delta.stat().st_size, fresh.stat().st_size
+        assert abs(size - fresh_size) <= 0.1 * fresh_size
+        assert main(scan + ["--checkpoint", str(delta), "--days", "3"]) == 0
+        rerun = capsys.readouterr()
+        assert "completed 0, resumed 47" in rerun.err
+        assert digest(rerun.out) == plain
+
     @pytest.mark.parametrize("flag", [["--baseline", "scan.json"],
                                       ["--delta"]])
     def test_baseline_and_delta_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["scan", "--ranks", "60"] + flag)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_bench_bench_out_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["serve-bench", "--ranks", "60", "--bench-out", "b.json"])
         assert raised.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ and never a traceback.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,33 @@ class TestKindDetectionAndHealth:
         assert diagnosis.kind == KIND_PERF_BASELINE
         assert diagnosis.ok
 
+    def test_repo_bench_record_is_found_by_its_tag(self, tmp_path, capsys):
+        """The bench record is a tagged format: a copy under a name that
+        says nothing is still recognized, and every section validates."""
+        from repro.util.perf import BENCH_FORMAT, load_bench
+
+        data = json.loads(Path("BENCH_perf.json").read_bytes())
+        assert data["format"] == BENCH_FORMAT
+        copy = tmp_path / "renamed.json"
+        copy.write_text(json.dumps(data))
+        diagnosis = diagnose_file(copy)
+        assert diagnosis.kind == KIND_PERF_BASELINE
+        assert diagnosis.ok and diagnosis.exit_code == 0
+        assert diagnosis.details["sections"] == len(
+            load_bench("BENCH_perf.json"))
+        assert main(["doctor", "BENCH_perf.json"]) == 0
+        assert "ok   perf-baseline" in capsys.readouterr().out
+
+    def test_untagged_bench_of_the_old_layout_exits_two(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps({"baseline": {"study": {}},
+                                    "history": []}))
+        assert main(["doctor", str(path)]) == EXIT_BAD_INPUT
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith("FAIL perf-baseline")
+
     def test_healthy_risk_index(self, risk_index_file):
         diagnosis = diagnose_file(risk_index_file)
         assert diagnosis.kind == KIND_RISK_INDEX
@@ -197,6 +225,7 @@ class TestCorruptionDetection:
         diagnosis = diagnose_file(path)
         assert diagnosis.kind == KIND_PERF_BASELINE
         assert not diagnosis.ok
+        assert diagnosis.exit_code == EXIT_BAD_INPUT
 
     def test_worst_finding_wins(self, tmp_path, study_ckpt):
         junk = tmp_path / "junk.json"

@@ -1,5 +1,6 @@
 """Repository-wide quality gates: docs and API hygiene."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -10,6 +11,14 @@ from pathlib import Path
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: calls that can write a file: a bench path handed to one of them (as an
+#: argument, or as the receiver of ``.write_text``) bypasses the recorder
+_WRITERS = frozenset({"write_atomic", "save_artifact", "write_segment",
+                      "dump", "write_text", "write_bytes", "open",
+                      "replace", "rename"})
 
 PACKAGES = [
     "repro", "repro.util", "repro.core", "repro.dnssim", "repro.smtpsim",
@@ -91,6 +100,63 @@ class TestApiHygiene:
             for pattern in patterns
             if pattern in path.read_text(encoding="utf-8")]
         assert not offenders, offenders
+
+
+def _names_bench_file(node) -> bool:
+    return any(
+        (isinstance(inner, ast.Name) and inner.id == "BENCH_PATH")
+        or (isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+            and "BENCH_perf" in inner.value)
+        for inner in ast.walk(node))
+
+
+def _bench_file_writes(source: str):
+    """Line numbers where ``source`` hands the bench file to a writer."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", "")
+        if name not in _WRITERS:
+            continue
+        operands = list(node.args) + [kw.value for kw in node.keywords]
+        if isinstance(func, ast.Attribute):
+            operands.append(func.value)
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant)
+                    and set(str(mode.value)) & set("wax+")):
+                continue
+        if any(_names_bench_file(operand) for operand in operands):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+class TestBenchRecorder:
+    def test_only_record_bench_writes_the_bench_file(self):
+        """``BENCH_perf.json`` has one writer, ``record_bench``: no file in
+        ``src/`` or ``benchmarks/`` hands it to another writer."""
+        offenders = [
+            f"{path.relative_to(ROOT)}:{line}"
+            for folder in ("src", "benchmarks")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for line in _bench_file_writes(path.read_text(encoding="utf-8"))]
+        assert not offenders, offenders
+
+    def test_the_scan_catches_each_way_round_the_recorder(self):
+        source = "\n".join([
+            'write_atomic(BENCH_PATH, "{}")',
+            'BENCH_PATH.write_text("{}")',
+            'json.dump(bench, open("BENCH_perf.json", "w"))',
+            'record_bench(BENCH_PATH, "scan", entry)',
+            'json.loads(BENCH_PATH.read_text())',
+            'open(BENCH_PATH).read()',
+            'open(BENCH_PATH, mode="a").write("{}")',
+        ])
+        assert _bench_file_writes(source) == [1, 2, 3, 7]
 
 
 class TestExamplesCompile:

@@ -9,6 +9,8 @@ raise; and shedding follows the policy order (review-queue bookkeeping
 before the scorer, the O(1) fast paths never).
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.faultsim import FaultPlan, ServiceFaultSpell
@@ -249,7 +251,7 @@ class TestChaosBench:
         assert first.dropped == 0
         assert first.lane_counts == second.lane_counts
         assert set(first.lane_counts) >= {"full", "rules_only"}
-        entry = first.entry()
+        entry = asdict(first)   # what the chaos bench records
         assert entry["lookups"] == 1200
         assert entry["plan_digest"] == \
             FaultPlan.service_chaos_demo(SEED, lookups=1200).digest()

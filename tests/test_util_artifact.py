@@ -4,7 +4,8 @@ A failed write never tears or litters the target, and each of the five
 enveloped formats keeps the same save/load contract.  The study and
 scan checkpoints are journals of envelopes; their one-segment forms are
 in the five-format contract, and the journal contract below states the
-same properties per segment.
+same properties per segment.  The bench record, tagged but
+digest-optional, keeps the same taxonomy through its one recorder.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.features.schema import (
 )
 from repro.learned.model import LaneModel, TypoModel, load_model, save_model
 from repro.scenario.timeline import Scenario
-from repro.service.bench import record_query_service
 from repro.service.index import TypoRiskIndex
 from repro.util import artifact
 from repro.util.artifact import json_digest, save_artifact, write_atomic
@@ -40,6 +40,7 @@ from repro.util.errors import (
     CheckpointMismatchError,
 )
 from repro.util.journal import Appended, Counted, materialize
+from repro.util.perf import BENCH_FORMAT, load_bench, record_bench
 
 
 def _fail_replace(src, dst):
@@ -75,15 +76,78 @@ def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch):
 
 def test_bench_section_recorder_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "BENCH_perf.json"
-    record_query_service({"lookups_per_sec": 1.0}, path)
+    record_bench(path, "query_service", {"lookups_per_sec": 1.0})
     before = path.read_bytes()
-    assert json.loads(before)["query_service"]["baseline"] == {
-        "lookups_per_sec": 1.0}
+    baseline = json.loads(before)["sections"]["query_service"]["baseline"]
+    assert baseline["lookups_per_sec"] == 1.0
     monkeypatch.setattr(artifact.os, "replace", _fail_replace)
     with pytest.raises(OSError):
-        record_query_service({"lookups_per_sec": 2.0}, path)
+        record_bench(path, "query_service", {"lookups_per_sec": 2.0})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["BENCH_perf.json"]
+
+
+class TestBenchRecordContract:
+    """``repro-bench@1``: one recorder, sections of ``{baseline, latest,
+    history}``, refused through the same taxonomy as the envelopes."""
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        first = record_bench(path, "scan", {"rate": 1.0})
+        record_bench(path, "serve", {"qps": 5.0})
+        section = record_bench(path, "scan", {"rate": 2.0})
+        assert section["baseline"] == first["baseline"]
+        assert section["baseline"]["rate"] == 1.0
+        assert section["latest"]["rate"] == 2.0
+        assert [run["rate"] for run in section["history"]] == [1.0, 2.0]
+        assert "recorded_utc" in section["latest"]
+        sections = load_bench(path)
+        assert sections["scan"] == section and set(sections) == {
+            "scan", "serve"}
+        data = json.loads(path.read_bytes())
+        assert data["format"] == BENCH_FORMAT == "repro-bench@1"
+        assert load_bench(tmp_path / "absent.json") == {}
+
+    def test_history_keeps_the_last_runs(self, tmp_path, monkeypatch):
+        from repro.util import perf
+
+        monkeypatch.setattr(perf, "BENCH_HISTORY_LIMIT", 3)
+        path = tmp_path / "BENCH_perf.json"
+        for run in range(5):
+            section = record_bench(path, "scan", {"run": run})
+        assert [entry["run"] for entry in section["history"]] == [2, 3, 4]
+        assert section["baseline"]["run"] == 0
+
+    def test_foreign_tag_is_mismatch(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        record_bench(path, "scan", {"rate": 1.0})
+        data = json.loads(path.read_bytes())
+        data["format"] = "other-artifact@7"
+        _rewrite(path, data)
+        with pytest.raises(CheckpointMismatchError):
+            load_bench(path)
+        with pytest.raises(CheckpointMismatchError):
+            record_bench(path, "scan", {"rate": 2.0})
+
+    def test_section_missing_baseline_is_corrupt(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        record_bench(path, "scan", {"rate": 1.0})
+        data = json.loads(path.read_bytes())
+        del data["sections"]["scan"]["baseline"]
+        _rewrite(path, data)
+        with pytest.raises(CheckpointCorruptError, match="baseline"):
+            load_bench(path)
+
+    def test_present_digest_must_match(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        record_bench(path, "scan", {"rate": 1.0})
+        data = json.loads(path.read_bytes())
+        _rewrite(path, dict(data, digest=json_digest(data)))
+        assert load_bench(path)["scan"]["latest"]["rate"] == 1.0
+        data["sections"]["scan"]["latest"]["rate"] = 9.0
+        _rewrite(path, dict(data, digest=json_digest({})))
+        with pytest.raises(CheckpointCorruptError, match="digest"):
+            load_bench(path)
 
 
 # -- the envelope contract, once per persisted format -------------------------
