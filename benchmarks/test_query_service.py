@@ -43,6 +43,8 @@ def test_query_service_serving_floor():
     # the run is honest before it is fast
     assert result.lookups == SERVE_LOOKUPS
     assert result.parity_checked == PARITY_SAMPLE
+    assert result.parity_verdicts.get("typo_risk", 0) > 0
+    assert result.parity_verdicts.get("unrelated", 0) > 0
     assert result.verdict_counts.get("clean", 0) > 0
     assert result.verdict_counts.get("typo_risk", 0) > 0
     assert result.engine_hit_rate > 0.5  # warm regime, by construction

@@ -66,6 +66,7 @@ from repro.core.typogen import (
 )
 from repro.core.distances import (
     char_visual_cost,
+    classify_edit,
     fat_finger_for_edit,
     visual_distance_for_edit,
 )
@@ -728,15 +729,16 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
 
     ``cand_flats`` must be a superset of the registrations produced by
     any bound of the form ``u < reg_p * upper`` with per-section
-    ``upper >= quality``; the scalar law then keeps exactly the slots the
-    dense path would.  ``uvals is None`` skips the uniform test, for
-    slots the dense path already drew.  Each kept slot comes back as
-    ``(flat, slot word, visual cost)``: the slot word holds the op,
-    index, char and fat-finger bit at their walk-word offsets (op codes
-    0 deletion, 1 transposition, 2 substitution, 3 addition; the char an
-    alphabet index, 0 where the op inserts none).  The visual cost and
-    fat-finger bit are the quality law's own terms, so no consumer
-    re-derives them.
+    ``upper >= quality``; the scalar law, ``u < min(0.95, reg_p *
+    quality)``, then keeps exactly the slots the dense path would (the
+    cap binds only in the dense regime).  ``uvals is None`` skips the
+    uniform test, for slots the dense path already drew.  Each kept
+    slot comes back as ``(flat, slot word, visual cost)``: the slot word
+    holds the op, index, char and fat-finger bit at their walk-word
+    offsets (op codes 0 deletion, 1 transposition, 2 substitution, 3
+    addition; the char an alphabet index, 0 where the op inserts none).
+    The visual cost and fat-finger bit are the quality law's own terms,
+    so no consumer re-derives them.
     """
     kept: List[tuple] = []
     op_sh, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
@@ -810,7 +812,7 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
             vis = (0.3 if next_eq else 1.0) * posw[i]
             q = 0.45 * (1.6 if ff else 1.0) * max(0.2, 1.5 - vis * inv_len)
             op = 3
-        if check and uvals[k] >= reg_p * q:
+        if check and uvals[k] >= min(0.95, reg_p * q):
             continue
         slot = (op << op_sh) | (i << index_sh) | (a << char_sh)
         kept.append((flat, slot | adjacent if ff else slot, vis))
@@ -1168,41 +1170,20 @@ def _filler_syllables(seed: int, chunk: int) -> Tuple[array, bytes]:
             (u[:, 0] >= 0.5).tobytes())
 
 
-def _filler_chunk(chunk: int, syllables: Tuple[array, bytes]
-                  ) -> Tuple[List[str], List[int]]:
-    """(names, generated counts) for filler indices [chunk*N, (chunk+1)*N).
+def _filler_chunk(chunk: int, syllables: Tuple[array, bytes]) -> List[str]:
+    """The names of filler indices [chunk*N, (chunk+1)*N).
 
     Chunked so a 100k-target universe costs ~100 stream constructions
     instead of one per domain; each name stays a pure function of
-    ``(seed, index)``.  The generated count rides along because every
-    filler label is hyphen-free letters followed by decimal digits, so
-    the closed form of :func:`_generated_count` reduces to
-    ``74*L + 32 - 2*dups`` where adjacent duplicates can only occur
-    inside the digit run (onset+vowel syllables never repeat a
-    character across a boundary) — the chunk parity test pins this
-    against the general-purpose counter.
+    ``(seed, index)``.
     """
     flat_i, third = syllables
     syl = _syllable_table()
     base = chunk * _FILLER_CHUNK
-    names: List[str] = []
-    counts: List[int] = []
-    append_name, append_count = names.append, counts.append
-    for j in range(_FILLER_CHUNK):
-        k = 3 * j
-        label = syl[flat_i[k]] + syl[flat_i[k + 1]]
-        if third[j]:
-            label += syl[flat_i[k + 2]]
-        digits = str(base + j)
-        dups = 0
-        prev = ""
-        for ch in digits:
-            if ch == prev:
-                dups += 1
-            prev = ch
-        append_count(74 * (len(label) + len(digits)) + 32 - 2 * dups)
-        append_name(f"{label}{digits}.com")
-    return names, counts
+    return [f"{syl[flat_i[k]]}{syl[flat_i[k + 1]]}"
+            f"{syl[flat_i[k + 2]] if has_third else ''}{base + j}.com"
+            for j, (k, has_third) in enumerate(
+                zip(range(0, 3 * _FILLER_CHUNK, 3), third))]
 
 
 # -- the world model ----------------------------------------------------------
@@ -1233,8 +1214,6 @@ class WorldModel:
         for name in self._head_names:
             label, _ = split_domain(name)
             self._head_parts.append((label, name[len(label) + 1:]))
-        self._head_gen_counts: List[int] = [
-            _generated_count(label) for label, _ in self._head_parts]
         self._head_rank: Dict[str, int] = {
             name: index + 1 for index, name in enumerate(self._head_names)}
         #: a typo that ends in a filler's digit run can only spell a head
@@ -1247,7 +1226,7 @@ class WorldModel:
         #: membership oracle reads foreign stems from ``_stems``), so
         #: the total stays bounded by the target universe, far below
         #: ``build_internet``'s list+frozenset materialization
-        self._chunks: Dict[int, Tuple[List[str], List[int]]] = {}
+        self._chunks: Dict[int, List[str]] = {}
         self._stems: Dict[int, Tuple[array, bytes]] = {}
         self._target_set: FrozenSet[str] = frozenset()
         self._target_set_size = 0
@@ -1317,8 +1296,8 @@ class WorldModel:
 
     # -- the ranked target list -------------------------------------------
 
-    def _chunk(self, chunk: int) -> Tuple[List[str], List[int]]:
-        """The (names, generated counts) of one filler chunk, cached."""
+    def _chunk(self, chunk: int) -> List[str]:
+        """The names of one filler chunk, cached."""
         cached = self._chunks.get(chunk)
         if cached is None:
             cached = _filler_chunk(chunk, self._syllables(chunk))
@@ -1369,7 +1348,7 @@ class WorldModel:
         if rank <= len(head):
             return head[rank - 1]
         chunk, offset = divmod(rank - 1 - len(head), _FILLER_CHUNK)
-        return self._chunk(chunk)[0][offset]
+        return self._chunk(chunk)[offset]
 
     def alexa_entry(self, rank: int) -> AlexaEntry:
         return AlexaEntry(domain=self.target_domain(rank), rank=rank,
@@ -1389,7 +1368,7 @@ class WorldModel:
             names = list(self._head_names[:max_rank])
             chunk = 0
             while len(names) < max_rank:
-                names.extend(self._chunk(chunk)[0])
+                names.extend(self._chunk(chunk))
                 chunk += 1
             self._target_set = frozenset(names[:max_rank])
             self._target_set_size = max_rank
@@ -1438,7 +1417,7 @@ class WorldModel:
             return None
         built = self._chunks.get(index // _FILLER_CHUNK)
         if built is not None:
-            hit = built[0][index % _FILLER_CHUNK] == domain
+            hit = built[index % _FILLER_CHUNK] == domain
         else:
             hit = self._filler_stem(index) == stem
         return len(self._head_names) + index + 1 if hit else None
@@ -1511,6 +1490,40 @@ class WorldModel:
                         registered=np.asarray(registered, dtype=np.int64),
                         section_sizes=_sections(len(label)))
 
+    def registers_typo(self, rank: int, typo: str) -> bool:
+        """Does rank ``rank`` register the typo label ``typo``?
+
+        The point form of :meth:`rank_grid`: the one valid grid slot
+        that spells ``typo`` (the slot :func:`classify_edit` names) is
+        decided by its own uniform of the rank's "reg" stream and the
+        scalar law :func:`_confirm`, without drawing the rest of the
+        grid.  A typo no slot spells (not one edit away, or an edit
+        character outside the domain alphabet) is not registered.
+        """
+        label, _ = self.target_parts(rank)
+        edit = classify_edit(label, typo)
+        if edit is None:
+            return False
+        op, i = edit
+        n_del, n_trans, n_sub, _ = _sections(len(label))
+        if op == "deletion":
+            flat = i
+        elif op == "transposition":
+            flat = n_del + i
+        else:
+            code = ord(typo[i])
+            char = _CODE2IDX_LIST[code] if code < 128 else -1
+            if char < 0:
+                return False
+            flat = (n_del + n_trans + (n_sub if op == "addition" else 0)
+                    + i * _ALPHA_SIZE + char)
+        reg_p = (self.config.peak_registration_probability
+                 / (rank ** self.config.rank_decay))
+        u = self._stream(self._rank_purpose("reg", rank)).uniforms_at(
+            rank, flat, 1)
+        return bool(_confirm(_label_indices(label), reg_p, [flat],
+                             u.tolist()))
+
     def rank_states(self, rank: int) -> List[DomainState]:
         """Ground truth of every ctypo this rank registers, in grid order."""
         return list(self.iter_rank_states(rank, self.rank_grid(rank)))
@@ -1546,8 +1559,8 @@ class WorldModel:
         slot.  Adds every rank's generated count to ``tally[0]``.
 
         Walks one block at a time — the email-target head, or one filler
-        chunk's overlap with the window — so chunk lookups and generated
-        counts amortize across it, and draws each block in batches of
+        chunk's overlap with the window — so chunk lookups amortize
+        across it, and draws each block in batches of
         ``_DRAW_BATCH`` ranks (:meth:`_walk_batch`).
 
         A live walk keeps every block it yields (no copy: consumers only
@@ -1580,15 +1593,13 @@ class WorldModel:
             if rank <= head_n:
                 base_rank = 1
                 block_stop = min(stop_rank, head_n + 1)
-                counts = self._head_gen_counts
                 filler = False
             else:
                 chunk = (rank - 1 - head_n) // _FILLER_CHUNK
-                names, counts = self._chunk(chunk)
+                names = self._chunk(chunk)
                 base_rank = head_n + chunk * _FILLER_CHUNK + 1
                 block_stop = min(stop_rank, base_rank + _FILLER_CHUNK)
                 filler = True
-            tally[0] += sum(counts[rank - base_rank:block_stop - base_rank])
             for rb0 in range(rank, block_stop, _DRAW_BATCH):
                 rb1 = min(rb0 + _DRAW_BATCH, block_stop)
                 if filler:
@@ -1596,6 +1607,7 @@ class WorldModel:
                               names[rb0 - base_rank:rb1 - base_rank]]
                 else:
                     labels = head_labels[rb0 - 1:rb1 - 1]
+                tally[0] += sum(map(_generated_count, labels))
                 block = self._walk_batch(rb0, labels, filler, max_rank)
                 if block is None:
                     continue

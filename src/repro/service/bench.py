@@ -66,6 +66,8 @@ class ServeBenchResult:
     max_us: float
     parity_checked: int
     verdict_counts: Dict[str, int] = field(default_factory=dict)
+    #: the verdicts of the brute-force parity sample
+    parity_verdicts: Dict[str, int] = field(default_factory=dict)
     action_counts: Dict[str, int] = field(default_factory=dict)
     engine_cache: Dict[str, int] = field(default_factory=dict)
 
@@ -78,6 +80,8 @@ class ServeBenchResult:
     def report_lines(self) -> List[str]:
         verdicts = ", ".join(f"{name}={count}" for name, count
                              in sorted(self.verdict_counts.items()))
+        parity = ", ".join(f"{name}={count}" for name, count
+                           in sorted(self.parity_verdicts.items()))
         return [
             f"serve-bench: seed={self.seed} ranks={self.max_rank} "
             f"lookups={self.lookups} (distinct {self.distinct_queries}) "
@@ -95,7 +99,8 @@ class ServeBenchResult:
             f"({self.engine_cache.get('hits', 0)} hits / "
             f"{self.engine_cache.get('misses', 0)} misses)",
             f"  verdicts      {verdicts}",
-            f"  parity checks {self.parity_checked} vs brute-force scan",
+            f"  parity checks {self.parity_checked} vs brute-force scan "
+            f"({parity})",
         ]
 
 
@@ -112,13 +117,15 @@ def run_serve_bench(seed: int = 606, max_rank: int = 100_000, *,
                     perf: Optional[PerfRegistry] = None) -> ServeBenchResult:
     """Serve ``lookups`` mixed queries and measure the hot path.
 
-    ``parity`` additionally re-answers that many distinct pool queries
-    through the brute-force all-targets scan and demands byte-identical
-    verdicts (raising :class:`ParityError` on the first divergence) —
-    the acceptance check that the index is pure acceleration.  A
-    prebuilt ``engine`` (e.g. loaded from a ``repro-risk-index@1``
-    artifact) skips index construction; its build time is then the
-    artifact load time already paid by the caller.
+    ``parity`` additionally re-answers that many distinct pool queries,
+    taken with an even stride across the clean, typo, registered-typo
+    and junk pools, through the brute-force all-targets scan and
+    demands byte-identical verdicts (raising :class:`ParityError` on
+    the first divergence) — the acceptance check that the index is pure
+    acceleration.  A prebuilt ``engine`` (e.g. loaded from a
+    ``repro-risk-index@1`` artifact) skips index construction; its
+    build time is then the artifact load time already paid by the
+    caller.
 
     ``score_mode="learned"`` serves layer 4 through the domain-lane
     model (requires ``model``); the brute-force parity contract holds in
@@ -146,15 +153,20 @@ def run_serve_bench(seed: int = 606, max_rank: int = 100_000, *,
 
     distinct = workload.pool_entries()
     parity_checked = 0
+    parity_verdicts: Dict[str, int] = {}
     if parity > 0:
-        for query in distinct[:parity]:
-            fast = engine.lookup(query).canonical_json()
+        stride = max(1, len(distinct) // parity)
+        for query in distinct[::stride][:parity]:
+            verdict = engine.lookup(query)
+            fast = verdict.canonical_json()
             slow = engine.lookup_bruteforce(query).canonical_json()
             if fast != slow:
                 raise ParityError(
                     f"verdict for {query!r} diverges from the "
                     f"brute-force scan:\n  index: {fast}\n  scan:  {slow}")
             parity_checked += 1
+            parity_verdicts[verdict.verdict] = parity_verdicts.get(
+                verdict.verdict, 0) + 1
 
     lookup = engine.lookup
     start = perf_counter()
@@ -195,7 +207,7 @@ def run_serve_bench(seed: int = 606, max_rank: int = 100_000, *,
         qps=throughput(len(queries), wall_seconds),
         p50_us=float(p50), p95_us=float(p95), p99_us=float(p99),
         max_us=float(latencies.max() * 1e6),
-        parity_checked=parity_checked,
+        parity_checked=parity_checked, parity_verdicts=parity_verdicts,
         verdict_counts=verdict_counts, action_counts=action_counts,
         engine_cache=engine.cache_stats())
 

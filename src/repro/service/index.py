@@ -29,8 +29,9 @@ lazy :class:`~repro.ecosystem.world.WorldModel`:
 Retrieval cost is set by the cold miss, a query the engine's verdict
 memo has not seen, not by the warm memo hit (well under a microsecond).
 In the ``serve`` benchmark (100k ranks, typo-heavy stream, a fresh
-index per unit) the median lookup is such a miss: it reports p50
-~0.11 ms and p99 ~0.7 ms (host-normalised, 2-core x86, CPython 3.11).
+index per unit) the median lookup is such a miss: it reports ~9.1k
+lookups/s, p50 ~94 us and p99 ~0.25 ms (host-normalised, 2-core x86,
+CPython 3.11).
 
 Both paths are *pure acceleration*: :meth:`TypoRiskIndex.candidate_ranks`
 is pinned equal to :meth:`brute_force_candidate_ranks` — a literal scan
@@ -38,13 +39,14 @@ of every materialized target — by the property suite, for arbitrary
 query strings (unicode and over-length inputs return empty, never
 raise).
 
-The index also derives, lazily and per rank, the set of typo labels the
-world actually *registered* (the ctypos), which the risk scorer uses to
-escalate live squats over merely-possible typos; churn deltas
-(:meth:`apply_delta`) invalidate only the ranks whose generation
-changed.  A built index persists as a ``repro-risk-index@1`` artifact
-through the same envelope as every other artifact, and ``repro doctor``
-validates it through the same loader.
+The index also answers whether the world actually *registered* a typo
+(a ctypo), which the risk scorer uses to escalate live squats over
+merely-possible typos, from the one grid slot that spells it
+(:meth:`WorldModel.registers_typo`), so it keeps no per-rank state and
+a churn delta (:meth:`apply_delta`) only re-keys the world.  A built
+index persists as a ``repro-risk-index@1`` artifact through the same
+envelope as every other artifact, and ``repro doctor`` validates it
+through the same loader.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.distances import damerau_levenshtein, within_one_edit
 from repro.core.targets import EMAIL_TARGETS
-from repro.core.typogen import apply_edit, split_domain
+from repro.core.typogen import split_domain
 from repro.ecosystem.delta import ChurnSchedule, _config_digest
 from repro.ecosystem.internet import InternetConfig
 from repro.ecosystem.world import _FILLER_CHUNK, WorldModel
@@ -94,32 +96,50 @@ def _digit_run_indices(digits: str, count: int) -> Set[int]:
     """Filler indices ``i < count`` whose ``str(i)`` is within one edit
     of ``digits`` over 0-9 (``digits`` itself included).
 
-    ``str`` prints no leading zero and no empty string, so variants of
-    either form name no index; variants wider than ``str(count - 1)``
-    are never generated.
+    Each edit is integer arithmetic on the run's value.  ``str`` prints
+    no leading zero and no empty string, so an ``m``-digit variant
+    names an index iff its value lies in ``[lo[m], count)`` with
+    ``lo[m] = 10**(m-1)`` (0 for one digit); variants wider than
+    ``str(count - 1)`` are never generated.
     """
     width = len(str(count - 1))
     length = len(digits)
     if length > width + 1:
         return set()
-    variants = {digits}
+    value = int(digits) if digits else 0
+    lo = [0, 0] + [10 ** m for m in range(1, length + 1)]
+    found = set()
+
+    def ten_digits(base: int, step: int, low: int) -> None:
+        """Add ``base + c*step`` for the digits c in 0-9 that land in
+        ``[low, count)``."""
+        first = max(0, (low - base + step - 1) // step)
+        last = min(9, (count - 1 - base) // step)
+        if first <= last:
+            found.update(range(base + first * step,
+                               base + last * step + 1, step))
+
+    if length and lo[length] <= value < count:
+        found.add(value)
     for k in range(length):
-        head, tail = digits[:k], digits[k + 1:]
-        variants.add(head + tail)
-        variants.update([head + digit + tail for digit in _DIGITS])
-        if tail:
-            variants.add(head + tail[0] + digits[k] + tail[1:])
-    if length < width:
+        place = 10 ** (length - 1 - k)
+        digit = value // place % 10
+        ten_digits(value - digit * place, place, lo[length])
+        if length > 1:                      # deletion of digit k
+            index = value // (10 * place) * place + value % place
+            if lo[length - 1] <= index < count:
+                found.add(index)
+        if k + 1 < length:                  # transposition of k, k+1
+            after = value // (place // 10) % 10
+            index = value + (after - digit) * (place - place // 10)
+            if lo[length] <= index < count:
+                found.add(index)
+    if length < width:                      # insertions
         for k in range(length + 1):
-            head, tail = digits[:k], digits[k:]
-            variants.update([head + digit + tail for digit in _DIGITS])
-    indices = set()
-    for variant in variants:
-        if variant and (variant[0] != "0" or len(variant) == 1):
-            index = int(variant)
-            if index < count:
-                indices.add(index)
-    return indices
+            place = 10 ** (length - k)
+            head, tail = divmod(value, place)
+            ten_digits(head * place * 10 + tail, place, lo[length + 1])
+    return found
 
 
 def normalize_query(query: str) -> str:
@@ -162,8 +182,6 @@ class TypoRiskIndex:
         #: monotone epoch, bumped by every applied delta so resident
         #: engines know to drop memoized verdicts
         self.epoch = 0
-        #: lazily derived per-rank registered typo labels (the ctypos)
-        self._registered_labels: Dict[int, FrozenSet[str]] = {}
 
         n_head = min(max_rank, len(EMAIL_TARGETS))
         buckets: Dict[Tuple[str, str], List[int]] = {}
@@ -246,21 +264,26 @@ class TypoRiskIndex:
         # edit of the query moves the query's digit run by at most one
         # edit over 0-9.  Only the indices printed by the digit run's
         # DL<=1 neighbours can hold a neighbour; each is read once from
-        # the world and confirmed exactly (about 45 per cold miss of the
-        # serve benchmark, ~0.1 ms for the whole lookup).  The length
-        # gate and the foreign-character prune skip queries no single
-        # edit can turn into a filler label (a filler has no character
-        # outside a-z0-9, and one edit removes at most one foreign
-        # character).
+        # the world and confirmed exactly (about 50 per cold miss of the
+        # serve benchmark, ~0.09 ms for the whole lookup).  Two strings
+        # within one edit share a character among their first two, an
+        # exact pre-test that rejects most candidates before the
+        # predicate.  The length gate and the foreign-character prune
+        # skip queries no single edit can turn into a filler label (a
+        # filler has no character outside a-z0-9, and one edit removes
+        # at most one foreign character).
         length = len(label)
         if (suffix == "com" and 4 <= length <= self._filler_len_max + 1
                 and sum(ch not in _FILLER_CHARS for ch in label) < 2):
             chunk_names = self.world._chunk
             first_rank = self._n_head + 1
+            lead = label[:2]
             digits = "".join(ch for ch in label if ch in _DIGITS)
             for index in _digit_run_indices(digits, self._n_fillers):
                 chunk, offset = divmod(index, _FILLER_CHUNK)
-                if within_one_edit(label, chunk_names(chunk)[0][offset][:-4]):
+                name = chunk_names(chunk)[offset]
+                if ((name[0] in lead or name[1] in lead)
+                        and within_one_edit(label, name[:-4])):
                     found.add(first_rank + index)
         return tuple(sorted(found))
 
@@ -296,26 +319,14 @@ class TypoRiskIndex:
 
     # -- registration ground truth ----------------------------------------
 
-    def registered_typo_labels(self, rank: int) -> FrozenSet[str]:
-        """The typo labels rank ``rank`` actually registered (its ctypos).
-
-        Derived once per rank from the world's registration grid and
-        cached; :meth:`apply_delta` drops exactly the churned entries.
-        """
-        cached = self._registered_labels.get(rank)
-        if cached is None:
-            grid = self.world.rank_grid(rank)
-            label = grid.label
-            decode = grid.decode
-            cached = frozenset(
-                apply_edit(label, *decode(int(flat)))
-                for flat in grid.registered.tolist())
-            self._registered_labels[rank] = cached
-        return cached
-
     def is_registered_typo(self, label: str, rank: int) -> bool:
-        """Is ``label`` (under the rank's suffix) a live ctypo of ``rank``?"""
-        return label in self.registered_typo_labels(rank)
+        """Is ``label`` (under the rank's suffix) a live ctypo of ``rank``?
+
+        One slot of the world's registration law at the rank's churn
+        generation (:meth:`WorldModel.registers_typo`), so the index
+        keeps no per-rank registration state.
+        """
+        return self.world.registers_typo(rank, label)
 
     # -- churn deltas ------------------------------------------------------
 
@@ -341,10 +352,10 @@ class TypoRiskIndex:
         """Evolve the index to churn day ``day``; returns ranks touched.
 
         Target *identities* never churn, so the candidate buckets and
-        the membership law are untouched; only the registered-ctypo
-        caches of ranks whose generation changed are invalidated, and
-        the world's per-rank streams re-key.  The delta tests pin the
-        result equal to a fresh index built over the evolved world.
+        the membership law are untouched; only the world's per-rank
+        streams re-key, which moves the registration answers of the
+        ranks whose generation changed.  The delta tests pin the result
+        equal to a fresh index built over the evolved world.
 
         An *empty* delta — no rank's generation moves (and so every
         memoized verdict is still valid) — is a no-op: the epoch does
@@ -355,8 +366,6 @@ class TypoRiskIndex:
         if not changed:
             self.day = day
             return 0
-        for rank in changed:
-            self._registered_labels.pop(rank, None)
         self.world = self.world.evolved(new_churn or None)
         self._churn = new_churn
         self.day = day
@@ -369,10 +378,9 @@ class TypoRiskIndex:
         side, leaving this index untouched and serving.
 
         Returns ``(new_index, changed)``.  The new index shares the
-        world's immutable chunk caches and every unchurned rank's warm
-        registered-ctypo cache, carries ``epoch = self.epoch + 1`` so a
-        publishing engine's epoch guard retires stale memos, and is
-        pinned byte-identical (``canonical_dict``) to a fresh build
+        world's immutable chunk caches, carries ``epoch = self.epoch +
+        1`` so a publishing engine's epoch guard retires stale memos, and
+        is pinned byte-identical (``canonical_dict``) to a fresh build
         over the evolved world.  When nothing churned the caller should
         skip the swap entirely — this method still returns a coherent
         generation for callers that want one.
@@ -381,14 +389,7 @@ class TypoRiskIndex:
         new_index = TypoRiskIndex(self.seed, self.max_rank,
                                   config=self.config,
                                   churn=new_churn, day=day)
-        # share the immutable world caches and the still-valid per-rank
-        # ctypo caches; only churned ranks re-derive lazily
         new_index.world = self.world.evolved(new_churn or None)
-        changed_set = set(changed)
-        new_index._registered_labels = {
-            rank: labels
-            for rank, labels in self._registered_labels.items()
-            if rank not in changed_set}
         new_index.epoch = self.epoch + 1
         return new_index, len(changed)
 

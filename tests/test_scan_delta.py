@@ -12,6 +12,8 @@ import shutil
 
 import pytest
 
+from repro.core import EMAIL_TARGETS
+from repro.core.typogen import enumerate_edit_ops
 from repro.ecosystem import (
     ChurnSchedule,
     ScanAggregates,
@@ -201,8 +203,16 @@ class TestFastPathsMatchReference:
             assert not world.is_target_domain(padded, 10_000)
 
     def test_filler_chunk_counts_match_generated_count(self):
-        """The closed-form per-name gtypo count equals the enumerator's."""
+        """The walk's gtypo tally over filler names (the closed form)
+        equals the enumerator's count, name by name."""
         world = WorldModel(SEED)
-        names, counts = world._chunk(0)
-        for name, count in list(zip(names, counts))[:64]:
-            assert count == _generated_count(name[:-4])
+        first = len(EMAIL_TARGETS) + 1
+        names = world._chunk(0)[:64]
+        for name in names:
+            assert _generated_count(name[:-4]) == len(
+                enumerate_edit_ops(name[:-4]))
+        tally = [0]
+        for _ in world._walk(first, first + len(names), 10**6, tally):
+            pass
+        assert tally[0] == sum(len(enumerate_edit_ops(name[:-4]))
+                               for name in names)

@@ -2,13 +2,14 @@
 
 Target identities never churn — only the per-rank registration streams
 re-key — so :meth:`TypoRiskIndex.apply_delta` must update the evolved
-world and drop exactly the churned ranks' ctypo caches, ending byte-
-identical to an index built fresh over the evolved world.  The engine
-layer must notice the epoch bump and refuse to serve stale verdicts.
+world, ending byte-identical to an index built fresh over the evolved
+world and answering registration like it.  The engine layer must
+notice the epoch bump and refuse to serve stale verdicts.
 """
 
 import pytest
 
+from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.ecosystem.delta import ChurnSchedule
 from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
 from repro.util.errors import ConfigError
@@ -19,6 +20,15 @@ DAY = 30
 
 # a rate high enough that 30 days churn a meaningful slice of 400 ranks
 SCHEDULE = ChurnSchedule(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
+
+
+def _registered(index, rank):
+    """The one-edit typos of the rank's target that ``index`` answers
+    as registered."""
+    label, _ = index.world.target_parts(rank)
+    return {typo for typo in (apply_edit(label, *op)
+                              for op in enumerate_edit_ops(label))
+            if index.is_registered_typo(typo, rank)}
 
 
 @pytest.fixture()
@@ -46,8 +56,30 @@ class TestDeltaParity:
         sample = sorted(churned)[:8] + [rank for rank in (1, 2, 3, 25, 40)
                                         if rank not in churned]
         for rank in sample:
-            assert index.registered_typo_labels(rank) == \
-                fresh.registered_typo_labels(rank), rank
+            assert _registered(index, rank) == _registered(fresh, rank), rank
+
+    def test_only_churned_caches_are_dropped(self, evolved_pair):
+        """The index keeps no per-rank registration cache, so a delta
+        must still leave nothing stale behind: an index that answered
+        for some ranks before the delta answers, after it, like a fresh
+        index — unchurned ranks exactly as before, and some churned
+        ranks differently."""
+        _, fresh, _ = evolved_pair
+        index = TypoRiskIndex(SEED, MAX_RANK)
+        churned = set(SCHEDULE.generations(DAY))
+        kept = [rank for rank in range(1, MAX_RANK + 1)
+                if rank not in churned][:4]
+        dropped = sorted(churned)[:4]
+        before = {rank: _registered(index, rank) for rank in kept + dropped}
+        index.apply_delta(SCHEDULE, DAY)
+        for rank in kept:
+            assert _registered(index, rank) == before[rank], rank
+        moved = 0
+        for rank in dropped:
+            after = _registered(index, rank)
+            assert after == _registered(fresh, rank), rank
+            moved += after != before[rank]
+        assert moved > 0
 
     def test_verdicts_match_fresh(self, evolved_pair):
         index, fresh, _ = evolved_pair
@@ -58,20 +90,6 @@ class TestDeltaParity:
         for query in workload.pool_entries():
             assert evolved_engine.lookup(query).canonical_json() == \
                 fresh_engine.lookup(query).canonical_json()
-
-    def test_only_churned_caches_are_dropped(self):
-        index = TypoRiskIndex(SEED, MAX_RANK)
-        churned = set(SCHEDULE.generations(DAY))
-        kept = [rank for rank in range(1, MAX_RANK + 1)
-                if rank not in churned][:4]
-        warm = {rank: index.registered_typo_labels(rank) for rank in kept}
-        for rank in sorted(churned)[:4]:
-            index.registered_typo_labels(rank)
-        index.apply_delta(SCHEDULE, DAY)
-        for rank in sorted(churned)[:4]:
-            assert rank not in index._registered_labels
-        for rank in kept:
-            assert index._registered_labels[rank] is warm[rank]
 
     def test_delta_is_idempotent(self, evolved_pair):
         index, _, _ = evolved_pair

@@ -17,6 +17,7 @@ from repro.service import (
     LookupWorkload,
     RiskEngine,
     TypoRiskIndex,
+    run_serve_bench,
 )
 from repro.service.workload import _EDGE_QUERIES
 from repro.util.errors import (
@@ -105,6 +106,15 @@ class TestBruteForceParity:
         for query in _EDGE_QUERIES:
             assert engine.lookup(query).canonical_json() == \
                 engine.lookup_bruteforce(query).canonical_json()
+
+    def test_serve_bench_parity_sample_spans_the_pools(self, engine):
+        """The parity sample strides across every pool, so a small one
+        already compares typo and unrelated verdicts, not only clean."""
+        result = run_serve_bench(lookups=200, pool_size=256, warmup=False,
+                                 parity=30, engine=engine)
+        assert result.parity_checked == 30
+        assert result.parity_verdicts.get("typo_risk", 0) > 0
+        assert result.parity_verdicts.get("unrelated", 0) > 0
 
 
 class TestVerdictMemo:

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.doctor import diagnose_file
 from repro.ecosystem.delta import ChurnSchedule
 from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
@@ -28,6 +29,15 @@ MAX_RANK = 400
 DAY = 30
 
 SCHEDULE = ChurnSchedule(seed=SEED, max_rank=MAX_RANK, daily_rate=0.02)
+
+
+def _registered(index, rank):
+    """The one-edit typos of the rank's target that ``index`` answers
+    as registered."""
+    label, _ = index.world.target_parts(rank)
+    return {typo for typo in (apply_edit(label, *op)
+                              for op in enumerate_edit_ops(label))
+            if index.is_registered_typo(typo, rank)}
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +65,24 @@ class TestGenerationBuild:
                               churn=SCHEDULE.generations(DAY), day=DAY)
         assert new.canonical_dict() == fresh.canonical_dict()
 
-    def test_unchurned_label_caches_carry_over(self):
+    def test_new_generation_answers_registration_like_a_fresh_index(self):
+        """Churned and unchurned ranks alike, while the old generation
+        keeps answering for the old day."""
         old = TypoRiskIndex(SEED, MAX_RANK)
         churned = set(SCHEDULE.generations(DAY))
         kept = [rank for rank in range(1, MAX_RANK + 1)
                 if rank not in churned][:4]
-        warm = {rank: old.registered_typo_labels(rank) for rank in kept}
-        for rank in sorted(churned)[:4]:
-            old.registered_typo_labels(rank)
+        sample = kept + sorted(churned)[:8]
+        before = {rank: _registered(old, rank) for rank in sample}
         new, _ = old.evolved_generation(SCHEDULE, DAY)
-        for rank in kept:
-            assert new._registered_labels[rank] is warm[rank]
-        for rank in sorted(churned)[:4]:
-            assert rank not in new._registered_labels
+        fresh = TypoRiskIndex(SEED, MAX_RANK,
+                              churn=SCHEDULE.generations(DAY), day=DAY)
+        for rank in sample:
+            assert _registered(new, rank) == _registered(fresh, rank)
+            assert _registered(old, rank) == before[rank]
+        assert all(_registered(new, rank) == before[rank] for rank in kept)
+        assert any(_registered(new, rank) != before[rank]
+                   for rank in sorted(churned)[:8])
 
 
 class TestHotSwap:

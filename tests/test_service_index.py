@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import EMAIL_TARGETS
 from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
 from repro.service import TypoRiskIndex, normalize_query
+from repro.service.index import _digit_run_indices
 from repro.service.workload import _EDGE_QUERIES, LookupWorkload, WorkloadMix
 from repro.util.errors import ConfigError
 from repro.util.rand import SeededRng
@@ -236,6 +237,51 @@ class TestFillerEdgeCases:
                                     f"é{stem}é{digits}"])
 
 
+def _digit_run_reference(digits, count):
+    """The digit-run neighbours spelled out: every string within one
+    edit of ``digits`` over 0-9, kept when ``str`` prints it for an
+    index below ``count`` (no leading zero, not empty)."""
+    width = len(str(count - 1))
+    length = len(digits)
+    if length > width + 1:
+        return set()
+    variants = {digits}
+    for k in range(length):
+        head, tail = digits[:k], digits[k + 1:]
+        variants.add(head + tail)
+        variants.update([head + digit + tail for digit in string.digits])
+        if tail:
+            variants.add(head + tail[0] + digits[k] + tail[1:])
+    if length < width:
+        for k in range(length + 1):
+            head, tail = digits[:k], digits[k:]
+            variants.update([head + digit + tail for digit in string.digits])
+    return {int(variant) for variant in variants
+            if variant and (variant[0] != "0" or len(variant) == 1)
+            and int(variant) < count}
+
+
+class TestDigitRunIndices:
+    COUNTS = (1, 5, 10, 11, 100, 99_979, 999_979)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(COUNTS), st.data())
+    def test_arithmetic_equals_the_spelled_variants(self, count, data):
+        """Runs of length 0 to width + 2, leading zeros included."""
+        width = len(str(count - 1))
+        digits = data.draw(st.text(string.digits, max_size=width + 2))
+        assert _digit_run_indices(digits, count) == \
+            _digit_run_reference(digits, count)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_short_runs_exhaustively(self, count):
+        for length in range(3):
+            for value in range(10 ** length):
+                digits = str(value).zfill(length) if length else ""
+                assert _digit_run_indices(digits, count) == \
+                    _digit_run_reference(digits, count), digits
+
+
 class TestNormalization:
     def test_normalize_query_strips_case_dot_and_address(self):
         assert normalize_query(" GMAIL.COM. ") == "gmail.com"
@@ -249,16 +295,18 @@ class TestNormalization:
 
 class TestRegisteredGroundTruth:
     def test_registered_labels_match_rank_states(self, index):
-        """The index's ctypo cache is the world's own ground truth."""
+        """The index's registration answers are the world's own ground
+        truth: exactly the rank's ctypos, out of every one-edit typo."""
         for rank in (1, 3, len(EMAIL_TARGETS) + 1, 40):
             states = index.world.rank_states(rank)
-            suffix = index.world.target_parts(rank)[1]
+            label, suffix = index.world.target_parts(rank)
             expected = {split_domain(state.domain)[0] for state in states}
-            assert index.registered_typo_labels(rank) == expected
-            for state in states:
-                label = split_domain(state.domain)[0]
-                assert state.domain.endswith("." + suffix)
-                assert index.is_registered_typo(label, rank)
+            assert all(state.domain.endswith("." + suffix)
+                       for state in states)
+            typos = {apply_edit(label, *op)
+                     for op in enumerate_edit_ops(label)}
+            assert {typo for typo in typos
+                    if index.is_registered_typo(typo, rank)} == expected
 
 
 class TestConstruction:
