@@ -48,6 +48,7 @@ scanned world and an eagerly built one agree on ground truth.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,7 +67,6 @@ from repro.core.typogen import (
 )
 from repro.core.distances import (
     char_visual_cost,
-    classify_edit,
     fat_finger_for_edit,
     visual_distance_for_edit,
 )
@@ -1135,16 +1135,35 @@ _FILLER_CHUNK = 1024
 #: the cache clears when full, so a 10x-scale universe stays bounded
 _STEM_CACHE_CAP = 4096
 
-_SYL_TABLE: Optional[List[str]] = None
+#: onset+vowel syllables, flat-indexed ``onset * n_vowels + vowel``
+_SYL_TABLE = [onset + vowel for onset in _PRONOUNCEABLE_ONSETS
+              for vowel in _PRONOUNCEABLE_VOWELS]
+_SYL_INDEX = {syl: i for i, syl in enumerate(_SYL_TABLE)}
+
+#: a 2-3 syllable stem, each syllable an onset then its one vowel; no
+#: onset holds a vowel, so a stem parses into syllables in one way only
+_STEM_RE = re.compile("({0})({0})({0})?".format("(?:{})[{}]".format(
+    "|".join(_PRONOUNCEABLE_ONSETS), "".join(_PRONOUNCEABLE_VOWELS))))
 
 
-def _syllable_table() -> List[str]:
-    """Onset+vowel syllables, flat-indexed ``onset * n_vowels + vowel``."""
-    global _SYL_TABLE
-    if _SYL_TABLE is None:
-        _SYL_TABLE = [onset + vowel for onset in _PRONOUNCEABLE_ONSETS
-                      for vowel in _PRONOUNCEABLE_VOWELS]
-    return _SYL_TABLE
+def _stem_code(stem: str) -> Optional[int]:
+    """The packed code of ``stem`` (as :func:`_stem_codes` packs it), or
+    ``None`` when no filler can have it as its stem."""
+    parsed = _STEM_RE.fullmatch(stem)
+    if parsed is None:
+        return None
+    first, second, third = (_SYL_INDEX.get(syl, -1) for syl in parsed.groups())
+    n = len(_SYL_TABLE)
+    return (first * n + second) * (n + 1) + third + 1
+
+
+def _stem_codes(syllables: Tuple[array, bytes]) -> np.ndarray:
+    """One chunk's packed stem codes, int32: ``(s1 * n + s2) * (n + 1)``
+    plus ``s3 + 1`` when there is a third syllable s3."""
+    picks = np.frombuffer(syllables[0], dtype=np.uint16).reshape(-1, 3)
+    n = len(_SYL_TABLE)
+    return ((picks[:, 0].astype(np.int32) * n + picks[:, 1]) * (n + 1)
+            + np.frombuffer(syllables[1], dtype=np.bool_) * (picks[:, 2] + 1))
 
 
 def _filler_syllables(seed: int, chunk: int) -> Tuple[array, bytes]:
@@ -1178,7 +1197,7 @@ def _filler_chunk(chunk: int, syllables: Tuple[array, bytes]) -> List[str]:
     ``(seed, index)``.
     """
     flat_i, third = syllables
-    syl = _syllable_table()
+    syl = _SYL_TABLE
     base = chunk * _FILLER_CHUNK
     return [f"{syl[flat_i[k]]}{syl[flat_i[k + 1]]}"
             f"{syl[flat_i[k + 2]] if has_third else ''}{base + j}.com"
@@ -1228,6 +1247,8 @@ class WorldModel:
         #: ``build_internet``'s list+frozenset materialization
         self._chunks: Dict[int, List[str]] = {}
         self._stems: Dict[int, Tuple[array, bytes]] = {}
+        #: filler count -> stem table (see :meth:`filler_indices`)
+        self._stem_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._target_set: FrozenSet[str] = frozenset()
         self._target_set_size = 0
         self._churn: Optional[Dict[int, int]] = dict(churn) if churn else None
@@ -1336,9 +1357,37 @@ class WorldModel:
                      + min(int(u[c + 1] * n_vowels), n_vowels - 1)
                      for c in (1, 3, 5)]
             has_third = u[0] >= 0.5
-        syl = _syllable_table()
+        syl = _SYL_TABLE
         stem = syl[picks[0]] + syl[picks[1]]
         return stem + syl[picks[2]] if has_third else stem
+
+    def filler_indices(self, stem: str, count: int) -> List[int]:
+        """The filler indices ``i < count`` whose stem is ``stem``,
+        ascending; a string that is not 2-3 syllables names none.
+
+        The table holds every filler's packed stem code, sorted, and the
+        indices in that order (int32 each), built from the cached
+        syllable draws on the first call for ``count``; never persisted.
+        """
+        code = _stem_code(stem)
+        if code is None or count < 1:
+            return []
+        table = self._stem_tables.get(count)
+        if table is None:
+            codes = np.concatenate([
+                _stem_codes(self._syllables(chunk))
+                for chunk in range(-(-count // _FILLER_CHUNK))])[:count]
+            # sorting (code, index) keys beats a stable argsort ~6x
+            keys = np.sort((codes.astype(np.int64) << 32)
+                           | np.arange(count, dtype=np.int64))
+            table = self._stem_tables[count] = (
+                (keys >> 32).astype(np.int32),
+                (keys & 0xFFFFFFFF).astype(np.int32))
+        codes, order = table
+        # int32 probes: wider ones would cast the whole table per call
+        lo, hi = codes.searchsorted(
+            np.array((code, code + 1), dtype=np.int32)).tolist()
+        return order[lo:hi].tolist()
 
     def target_domain(self, rank: int) -> str:
         """The rank-``rank`` domain of the simulated Alexa list."""
@@ -1427,8 +1476,8 @@ class WorldModel:
 
         Target *identities* never churn — only per-rank registration,
         wild-state, and probe streams are generation-keyed — so the
-        filler chunk and stem caches and any materialized target set
-        transfer to the new world unchanged.  This is what lets a
+        filler chunk, stem and stem-table caches and any materialized
+        target set transfer to the new world unchanged.  This is what lets a
         resident index apply a churn delta without re-deriving the
         target universe.  The walk memo stays behind: churn re-keys the
         streams it was drawn from.
@@ -1437,6 +1486,7 @@ class WorldModel:
                            probe_attempts=self.probe_attempts, churn=churn)
         world._chunks = self._chunks
         world._stems = self._stems
+        world._stem_tables = self._stem_tables
         world._target_set = self._target_set
         world._target_set_size = self._target_set_size
         return world
@@ -1449,12 +1499,18 @@ class WorldModel:
     # -- per-rank derivation ----------------------------------------------
 
     def target_parts(self, rank: int) -> Tuple[str, str]:
-        """(label, suffix) of the rank's target domain."""
+        """(label, suffix) of the rank's target domain; like
+        :meth:`target_rank`, it never builds a filler chunk."""
         head = self._head_parts
         if 1 <= rank <= len(head):
             return head[rank - 1]
-        name = self.target_domain(rank)
-        return name[:-4], "com"
+        index = rank - 1 - len(head)
+        if index < 0:
+            raise ValueError("ranks start at 1")
+        built = self._chunks.get(index // _FILLER_CHUNK)
+        if built is not None:
+            return built[index % _FILLER_CHUNK][:-4], "com"
+        return self._filler_stem(index) + str(index), "com"
 
     def rank_generation(self, rank: int) -> int:
         """The rank's churn generation (0 = the day-0 world)."""
@@ -1490,20 +1546,22 @@ class WorldModel:
                         registered=np.asarray(registered, dtype=np.int64),
                         section_sizes=_sections(len(label)))
 
-    def registers_typo(self, rank: int, typo: str) -> bool:
-        """Does rank ``rank`` register the typo label ``typo``?
+    def registers_typo(self, rank: int, typo: str,
+                       edit: Optional[Tuple[str, int]]) -> bool:
+        """Does rank ``rank`` register the typo label ``typo``, whose
+        ``edit`` the caller has classified (``classify_edit(label, typo)``
+        of the rank's label)?
 
         The point form of :meth:`rank_grid`: the one valid grid slot
-        that spells ``typo`` (the slot :func:`classify_edit` names) is
-        decided by its own uniform of the rank's "reg" stream and the
-        scalar law :func:`_confirm`, without drawing the rest of the
-        grid.  A typo no slot spells (not one edit away, or an edit
-        character outside the domain alphabet) is not registered.
+        that spells ``typo`` (the slot ``edit`` names) is decided by its
+        own uniform of the rank's "reg" stream and the scalar law
+        :func:`_confirm`, without drawing the rest of the grid.  A typo
+        no slot spells (no edit, or an edit character outside the
+        domain alphabet) is not registered.
         """
-        label, _ = self.target_parts(rank)
-        edit = classify_edit(label, typo)
         if edit is None:
             return False
+        label, _ = self.target_parts(rank)
         op, i = edit
         n_del, n_trans, n_sub, _ = _sections(len(label))
         if op == "deletion":

@@ -630,13 +630,13 @@ class RiskEngine:
             names.append(f"{t_label}.{t_suffix}")
             # retrieval guarantees DL exactly 1 here: distance 0 was
             # short-circuited by the exact layer
-            op, edit_index = classify_edit(t_label, label)
+            op, edit_index = edit = classify_edit(t_label, label)
             char = (label[edit_index]
                     if op in ("substitution", "addition") else "")
             fat_finger = fat_finger_for_edit(t_label, op, edit_index,
                                              char) == 1
             visual = visual_distance_for_edit(t_label, op, edit_index, char)
-            registered = index.is_registered_typo(label, rank)
+            registered = index.is_registered_typo(label, rank, edit)
             popularity = 1.0 / (1.0 + math.log10(rank))
             base = (_EDIT_PRIOR[op]
                     * (1.0 / (1.0 + visual))
@@ -699,35 +699,33 @@ class RiskEngine:
         for rank in ranks:
             t_label, t_suffix = parts(rank)
             names.append(f"{t_label}.{t_suffix}")
-            if not index.is_registered_typo(label, rank):
+            edit = classify_edit(t_label, label)
+            if not index.is_registered_typo(label, rank, edit):
                 continue
             state = self._rank_states(rank).get(label)
             if state is not None:
-                candidates.append((rank, f"{t_label}.{t_suffix}", state))
+                candidates.append((rank, t_label, t_suffix, edit, state))
         if not candidates:
             return None
         import numpy as np
 
-        rows = np.vstack([state_feature_row(state)
-                          for _, _, state in candidates])
+        rows = np.vstack([state_feature_row(candidate[-1])
+                          for candidate in candidates])
         scores = self.model.domain.scores(rows)
         best_pos = 0
         for pos in range(1, len(candidates)):
             if scores[pos] > scores[best_pos]:
                 best_pos = pos
-        rank, target, state = candidates[best_pos]
+        rank, t_label, t_suffix, (op, edit_index), _ = candidates[best_pos]
         best_score = float(scores[best_pos])
-        op, edit_index = classify_edit(split_domain(target)[0], label)
         char = (label[edit_index]
                 if op in ("substitution", "addition") else "")
-        fat_finger = fat_finger_for_edit(
-            split_domain(target)[0], op, edit_index, char) == 1
-        visual = visual_distance_for_edit(
-            split_domain(target)[0], op, edit_index, char)
+        fat_finger = fat_finger_for_edit(t_label, op, edit_index, char) == 1
+        visual = visual_distance_for_edit(t_label, op, edit_index, char)
         tier, action = self.policy.tier_for(best_score)
         return RiskVerdict(
             query=query, domain=domain, verdict="typo_risk", tier=tier,
-            action=action, source="scorer", target=target,
+            action=action, source="scorer", target=f"{t_label}.{t_suffix}",
             target_rank=rank, edit_type=op, fat_finger=fat_finger,
             visual=visual, registered=True, score=best_score,
             candidates=tuple(names))

@@ -14,23 +14,20 @@ lazy :class:`~repro.ecosystem.world.WorldModel`:
   the query label and each of its deletions (O(len) dict probes) and
   confirms survivors with the O(len) :func:`within_one_edit` predicate;
 * the **filler targets** obey the world's membership law: filler index
-  ``i`` is ``<stem><i>.com`` with a 4-9 letter stem, so the digits of a
-  filler label, in order, are exactly ``str(i)``.  One edit of the query
-  changes its digit subsequence by at most one edit over ``0-9`` (a
-  digit substitution is a substitution; a digit written over a letter,
-  or added, is an insertion; a digit overwritten by a non-digit, or
-  deleted, is a deletion; two swapped digits are a transposition; a
-  letter swapped with a digit leaves it unchanged).  So the only
-  indices that can hold a neighbour are the in-range, leading-zero-free
-  DL<=1 neighbours of the query's digit run — a few dozen.  Each
-  candidate's name is read once from the world's filler chunk and
-  confirmed with :func:`within_one_edit`.
+  ``i`` is ``<stem><i>.com`` with a 2-3 syllable stem.  With ``L`` the
+  query label's non-digits and ``D`` its digits, one edit of
+  ``stem + str(i)`` leaves ``i`` printed by ``D`` or by ``D[1:]``, or
+  the stem equal to ``L`` or to ``L[:-1]``.  So the candidates are two
+  direct indices and two probes of the world's sorted stem table
+  (:meth:`WorldModel.filler_indices`), each confirmed with
+  :func:`within_one_edit` against ``stem + str(i)``; no filler name is
+  materialized.
 
 Retrieval cost is set by the cold miss, a query the engine's verdict
 memo has not seen, not by the warm memo hit (well under a microsecond).
 In the ``serve`` benchmark (100k ranks, typo-heavy stream, a fresh
-index per unit) the median lookup is such a miss: it reports ~9.1k
-lookups/s, p50 ~94 us and p99 ~0.25 ms (host-normalised, 2-core x86,
+index per unit) the median lookup is such a miss: it reports ~15.4k
+lookups/s, p50 ~65 us and p99 ~0.15 ms (host-normalised, 2-core x86,
 CPython 3.11).
 
 Both paths are *pure acceleration*: :meth:`TypoRiskIndex.candidate_ranks`
@@ -51,6 +48,7 @@ through the same loader.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -61,7 +59,7 @@ from repro.core.targets import EMAIL_TARGETS
 from repro.core.typogen import split_domain
 from repro.ecosystem.delta import ChurnSchedule, _config_digest
 from repro.ecosystem.internet import InternetConfig
-from repro.ecosystem.world import _FILLER_CHUNK, WorldModel
+from repro.ecosystem.world import WorldModel
 from repro.util.artifact import (
     ArtifactFormat,
     json_digest,
@@ -90,56 +88,8 @@ _payload_digest = json_digest
 _DIGITS = "0123456789"
 #: every character a filler label can hold
 _FILLER_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz" + _DIGITS)
-
-
-def _digit_run_indices(digits: str, count: int) -> Set[int]:
-    """Filler indices ``i < count`` whose ``str(i)`` is within one edit
-    of ``digits`` over 0-9 (``digits`` itself included).
-
-    Each edit is integer arithmetic on the run's value.  ``str`` prints
-    no leading zero and no empty string, so an ``m``-digit variant
-    names an index iff its value lies in ``[lo[m], count)`` with
-    ``lo[m] = 10**(m-1)`` (0 for one digit); variants wider than
-    ``str(count - 1)`` are never generated.
-    """
-    width = len(str(count - 1))
-    length = len(digits)
-    if length > width + 1:
-        return set()
-    value = int(digits) if digits else 0
-    lo = [0, 0] + [10 ** m for m in range(1, length + 1)]
-    found = set()
-
-    def ten_digits(base: int, step: int, low: int) -> None:
-        """Add ``base + c*step`` for the digits c in 0-9 that land in
-        ``[low, count)``."""
-        first = max(0, (low - base + step - 1) // step)
-        last = min(9, (count - 1 - base) // step)
-        if first <= last:
-            found.update(range(base + first * step,
-                               base + last * step + 1, step))
-
-    if length and lo[length] <= value < count:
-        found.add(value)
-    for k in range(length):
-        place = 10 ** (length - 1 - k)
-        digit = value // place % 10
-        ten_digits(value - digit * place, place, lo[length])
-        if length > 1:                      # deletion of digit k
-            index = value // (10 * place) * place + value % place
-            if lo[length - 1] <= index < count:
-                found.add(index)
-        if k + 1 < length:                  # transposition of k, k+1
-            after = value // (place // 10) % 10
-            index = value + (after - digit) * (place - place // 10)
-            if lo[length] <= index < count:
-                found.add(index)
-    if length < width:                      # insertions
-        for k in range(length + 1):
-            place = 10 ** (length - k)
-            head, tail = divmod(value, place)
-            ten_digits(head * place * 10 + tail, place, lo[length + 1])
-    return found
+_NO_DIGITS = str.maketrans("", "", _DIGITS)
+_NON_DIGITS = re.compile("[^0-9]")
 
 
 def normalize_query(query: str) -> str:
@@ -259,31 +209,33 @@ class TypoRiskIndex:
                     if rank not in found and within_one_edit(
                             label, world_parts(rank)[0]):
                         found.add(rank)
-        # filler targets: a filler label is a 4-9 letter stem then
-        # str(index), so its digits in order *are* str(index), and one
-        # edit of the query moves the query's digit run by at most one
-        # edit over 0-9.  Only the indices printed by the digit run's
-        # DL<=1 neighbours can hold a neighbour; each is read once from
-        # the world and confirmed exactly (about 50 per cold miss of the
-        # serve benchmark, ~0.09 ms for the whole lookup).  Two strings
-        # within one edit share a character among their first two, an
-        # exact pre-test that rejects most candidates before the
-        # predicate.  The length gate and the foreign-character prune
-        # skip queries no single edit can turn into a filler label (a
-        # filler has no character outside a-z0-9, and one edit removes
-        # at most one foreign character).
+        # filler targets: a filler label is a stem S then str(i).  With
+        # L the query's non-digits and D its digits (each in order), one
+        # edit of S + str(i) leaves the digit run alone (i = int(D)),
+        # writes a digit ahead of str(i) (i = int(D[1:])), stays in the
+        # digits or swaps across the boundary (S = L), or puts a
+        # non-digit after every stem letter (S = L[:-1]).  Those are two
+        # direct indices and two stem-table probes, each confirmed
+        # exactly against S + str(i).  The length gate and the
+        # foreign-character prune skip queries no single edit can turn
+        # into a filler label (a filler has no character outside a-z0-9,
+        # and one edit removes at most one foreign character).
         length = len(label)
         if (suffix == "com" and 4 <= length <= self._filler_len_max + 1
                 and sum(ch not in _FILLER_CHARS for ch in label) < 2):
-            chunk_names = self.world._chunk
+            world = self.world
+            count = self._n_fillers
+            letters = label.translate(_NO_DIGITS)
+            digits = _NON_DIGITS.sub("", label)
+            stems = {index: stem for stem in (letters, letters[:-1])
+                     for index in world.filler_indices(stem, count)}
+            for run in (digits, digits[1:]):
+                index = int(run) if run else count
+                if index < count and index not in stems:
+                    stems[index] = world._filler_stem(index)
             first_rank = self._n_head + 1
-            lead = label[:2]
-            digits = "".join(ch for ch in label if ch in _DIGITS)
-            for index in _digit_run_indices(digits, self._n_fillers):
-                chunk, offset = divmod(index, _FILLER_CHUNK)
-                name = chunk_names(chunk)[offset]
-                if ((name[0] in lead or name[1] in lead)
-                        and within_one_edit(label, name[:-4])):
+            for index, stem in stems.items():
+                if within_one_edit(label, stem + str(index)):
                     found.add(first_rank + index)
         return tuple(sorted(found))
 
@@ -292,22 +244,29 @@ class TypoRiskIndex:
 
         The oracle the parity suite compares :meth:`candidate_ranks`
         against — O(max_rank) targets, each decided by the DL kernel,
-        exact by definition.  Two lower bounds of the distance skip the
-        kernel for pairs that provably sit more than one edit apart:
-        the length gap, and the bag distance (every edit moves at most
-        one character into and one out of the label's multiset).
+        exact by definition.  Three lower bounds of the distance skip
+        the kernel for pairs that provably sit more than one edit apart:
+        the length gap; the lead (two labels of two or more characters
+        within one edit share a character among their first two); and
+        the bag distance (every edit moves at most one character into
+        and one out of the label's multiset).
         """
         try:
             label, suffix = split_domain(normalize_query(domain))
         except ValueError:
             return ()
         out = []
-        parts = self.world.target_parts
+        name_of = self.world.target_domain
         length = len(label)
+        lead = label[:2] if length > 1 else ""
         chars = Counter(label)
         for rank in range(1, self.max_rank + 1):
-            t_label, t_suffix = parts(rank)
+            # a target's label is its name's first dot-separated part
+            t_label, _, t_suffix = name_of(rank).partition(".")
             if t_suffix != suffix or abs(len(t_label) - length) > 1:
+                continue
+            if (lead and len(t_label) > 1 and t_label[0] not in lead
+                    and t_label[1] not in lead):
                 continue
             t_chars = Counter(t_label)
             if (sum((chars - t_chars).values()) > 1
@@ -319,14 +278,16 @@ class TypoRiskIndex:
 
     # -- registration ground truth ----------------------------------------
 
-    def is_registered_typo(self, label: str, rank: int) -> bool:
+    def is_registered_typo(self, label: str, rank: int,
+                           edit: Optional[Tuple[str, int]]) -> bool:
         """Is ``label`` (under the rank's suffix) a live ctypo of ``rank``?
 
+        ``edit`` is ``classify_edit`` of the rank's label and ``label``.
         One slot of the world's registration law at the rank's churn
         generation (:meth:`WorldModel.registers_typo`), so the index
         keeps no per-rank registration state.
         """
-        return self.world.registers_typo(rank, label)
+        return self.world.registers_typo(rank, label, edit)
 
     # -- churn deltas ------------------------------------------------------
 

@@ -5,8 +5,10 @@ every lookup pool (clean, generated typo, registered typo, junk) plus
 the pathological edge queries, the indexed ``lookup``, the brute-force
 ``lookup_bruteforce``, an index moved to churn day ``DAY`` by
 ``apply_delta``, a fresh index built at that day, and the generation
-``hot_swap`` publishes (``evolved_generation``) all give the same
-verdict digest as the indexed lookup of a fresh index of that day.
+``hot_swap`` publishes (``evolved_generation``), ``batch_lookup`` in
+process and fanned out over worker processes, and a ``ResilientServer``
+under the empty fault plan all give the same verdict digest as the
+indexed lookup of a fresh index of that day.
 """
 
 import hashlib
@@ -14,7 +16,13 @@ import hashlib
 import pytest
 
 from repro.ecosystem.delta import ChurnSchedule
-from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
+from repro.faultsim.plan import FaultPlan
+from repro.service import (
+    LookupWorkload,
+    ResilientServer,
+    RiskEngine,
+    TypoRiskIndex,
+)
 from repro.service.workload import _EDGE_QUERIES
 
 pytestmark = pytest.mark.chaos
@@ -49,12 +57,16 @@ def _fresh(day):
                          day=day)
 
 
-def _digest(answer, queries):
+def _stream_digest(verdicts):
     digest = hashlib.sha256()
-    for query in queries:
-        digest.update(answer(query).canonical_json().encode())
+    for verdict in verdicts:
+        digest.update(verdict.canonical_json().encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def _digest(answer, queries):
+    return _stream_digest(answer(query) for query in queries)
 
 
 def test_sample_spans_every_verdict(queries):
@@ -84,3 +96,19 @@ def test_churn_day_modes(queries):
     assert swapped.hot_swap(SCHEDULE, DAY) > 0
     assert _digest(swapped.lookup, queries) == DIGEST_DAY
     assert DIGEST_DAY != DIGEST
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_modes(queries, jobs):
+    for day, expected in ((0, DIGEST), (DAY, DIGEST_DAY)):
+        engine = RiskEngine(_fresh(day))
+        assert _stream_digest(
+            engine.batch_lookup(queries, jobs=jobs)) == expected
+
+
+def test_resilient_server_empty_plan(queries):
+    for day, expected in ((0, DIGEST), (DAY, DIGEST_DAY)):
+        server = ResilientServer(RiskEngine(_fresh(day)), FaultPlan.empty())
+        assert _digest(server.lookup, queries) == expected
+        assert _stream_digest(
+            server.batch_lookup(queries, jobs=2)) == expected

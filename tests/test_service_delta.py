@@ -9,6 +9,7 @@ notice the epoch bump and refuse to serve stale verdicts.
 
 import pytest
 
+from repro.core.distances import classify_edit
 from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.ecosystem.delta import ChurnSchedule
 from repro.service import LookupWorkload, RiskEngine, TypoRiskIndex
@@ -28,7 +29,8 @@ def _registered(index, rank):
     label, _ = index.world.target_parts(rank)
     return {typo for typo in (apply_edit(label, *op)
                               for op in enumerate_edit_ops(label))
-            if index.is_registered_typo(typo, rank)}
+            if index.is_registered_typo(typo, rank,
+                                         classify_edit(label, typo))}
 
 
 @pytest.fixture()

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core.distances import classify_edit
 from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.doctor import diagnose_file
 from repro.ecosystem.delta import ChurnSchedule
@@ -37,7 +38,8 @@ def _registered(index, rank):
     label, _ = index.world.target_parts(rank)
     return {typo for typo in (apply_edit(label, *op)
                               for op in enumerate_edit_ops(label))
-            if index.is_registered_typo(typo, rank)}
+            if index.is_registered_typo(typo, rank,
+                                         classify_edit(label, typo))}
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EMAIL_TARGETS
+from repro.core.distances import classify_edit
 from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
-from repro.service import TypoRiskIndex, normalize_query
-from repro.service.index import _digit_run_indices
+from repro.ecosystem.delta import ChurnSchedule
+from repro.service import RiskEngine, TypoRiskIndex, normalize_query
 from repro.service.workload import _EDGE_QUERIES, LookupWorkload, WorkloadMix
 from repro.util.errors import ConfigError
 from repro.util.rand import SeededRng
@@ -56,7 +57,7 @@ def filler_shaped(draw, index):
     """Traffic-shaped text: 3-10 letters, then 0-7 digits, then at most
     one random edit.  The letters and digits are either random or a real
     filler's stem and index, so the query often sits within an edit or
-    two of a filler — the regime the digit-run retrieval serves."""
+    two of a filler — the regime the filler retrieval serves."""
     stem, digits = _filler_parts(
         index, draw(st.integers(0, MAX_RANK - FIRST_FILLER + 1)))
     letters = draw(st.one_of(
@@ -237,49 +238,100 @@ class TestFillerEdgeCases:
                                     f"é{stem}é{digits}"])
 
 
-def _digit_run_reference(digits, count):
-    """The digit-run neighbours spelled out: every string within one
-    edit of ``digits`` over 0-9, kept when ``str`` prints it for an
-    index below ``count`` (no leading zero, not empty)."""
-    width = len(str(count - 1))
-    length = len(digits)
-    if length > width + 1:
-        return set()
-    variants = {digits}
-    for k in range(length):
-        head, tail = digits[:k], digits[k + 1:]
-        variants.add(head + tail)
-        variants.update([head + digit + tail for digit in string.digits])
+#: a universe where 2-syllable stems repeat (80**2 of them over ~10k
+#: two-syllable fillers), so one stem probe returns several fillers
+STEM_RANKS = 20_000
+
+
+@pytest.fixture(scope="module")
+def stem_index():
+    return TypoRiskIndex(SEED, STEM_RANKS)
+
+
+def _filler_edits(stem, digits):
+    """One edit of each class of the filler ``stem + digits``: a digit
+    substituted, inserted, deleted or swapped at every position, the
+    last letter swapped with the first digit, a letter over a digit and
+    a foreign character over a digit at every digit position, and a
+    digit over a letter at every stem position."""
+    label = stem + digits
+    n = len(stem)
+    edits = [stem[:-1] + digits[0] + stem[-1] + digits[1:]]
+    for k, digit in enumerate(digits):
+        head, tail = stem + digits[:k], digits[k + 1:]
+        edits += [head + other + tail
+                  for other in {str((int(digit) + 1) % 10), "0"} - {digit}]
+        edits += [head + tail, head + "7" + digit + tail,
+                  head + "q" + tail, head + "é" + tail]
         if tail:
-            variants.add(head + tail[0] + digits[k] + tail[1:])
-    if length < width:
-        for k in range(length + 1):
-            head, tail = digits[:k], digits[k:]
-            variants.update([head + digit + tail for digit in string.digits])
-    return {int(variant) for variant in variants
-            if variant and (variant[0] != "0" or len(variant) == 1)
-            and int(variant) < count}
+            edits.append(head + tail[0] + digit + tail[1:])
+    edits.append(label + "7")
+    edits += [label[:k] + "5" + label[k + 1:] for k in range(n)]
+    return edits
 
 
-class TestDigitRunIndices:
-    COUNTS = (1, 5, 10, 11, 100, 99_979, 999_979)
+class TestStemRetrieval:
+    """Every edit class against brute force, for fillers whose stem
+    other fillers share, so the stem probes return several indices."""
 
-    @settings(max_examples=600, deadline=None)
-    @given(st.sampled_from(COUNTS), st.data())
-    def test_arithmetic_equals_the_spelled_variants(self, count, data):
-        """Runs of length 0 to width + 2, leading zeros included."""
-        width = len(str(count - 1))
-        digits = data.draw(st.text(string.digits, max_size=width + 2))
-        assert _digit_run_indices(digits, count) == \
-            _digit_run_reference(digits, count)
+    def test_edits_of_fillers_with_shared_stems(self, stem_index):
+        count = STEM_RANKS - FIRST_FILLER + 1
+        by_stem = {}
+        for filler in range(count):
+            stem, digits = _filler_parts(stem_index, filler)
+            by_stem.setdefault(stem, []).append(filler)
+        shared = [fillers for fillers in by_stem.values()
+                  if len(fillers) >= 3]
+        assert len(shared) > 100
+        for fillers in shared[:3]:
+            filler = fillers[-1]
+            stem, digits = _filler_parts(stem_index, filler)
+            assert stem_index.world.filler_indices(stem, count) == fillers
+            TestFillerEdgeCases._assert_parity(
+                stem_index, _filler_edits(stem, digits),
+                FIRST_FILLER + filler)
 
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_short_runs_exhaustively(self, count):
-        for length in range(3):
-            for value in range(10 ** length):
-                digits = str(value).zfill(length) if length else ""
-                assert _digit_run_indices(digits, count) == \
-                    _digit_run_reference(digits, count), digits
+    def test_bare_stem_last_filler_and_one_past(self, stem_index):
+        stem, digits = _filler_parts(stem_index, 4)
+        TestFillerEdgeCases._assert_parity(stem_index, [stem],
+                                           FIRST_FILLER + 4)
+        last = STEM_RANKS - FIRST_FILLER
+        stem, digits = _filler_parts(stem_index, last)
+        TestFillerEdgeCases._assert_parity(
+            stem_index, [stem + digits, stem + digits[:-1] + "9"],
+            STEM_RANKS)
+        stem, digits = _filler_parts(stem_index, last + 1)
+        TestFillerEdgeCases._assert_parity(
+            stem_index, [stem + digits, stem + digits[1:]])
+        assert STEM_RANKS + 1 not in stem_index.candidate_ranks(
+            stem + digits + ".com")
+
+
+class TestServingBuildsNoChunk:
+    """Serving reads filler names from the stem draws, never from a
+    built 1,024-name chunk: a chunk built on the hot path is a ~0.5 ms
+    stall inside one lookup."""
+
+    def test_pool_and_hot_swap_build_no_chunk(self):
+        mix = WorkloadMix(clean=0.10, gtypo=0.50, ctypo=0.30, junk=0.10)
+        pool = LookupWorkload(SEED, 5_000, pool_size=256,
+                              mix=mix).pool_entries()
+        engine = RiskEngine(TypoRiskIndex(SEED, 5_000))
+        schedule = ChurnSchedule(SEED, 5_000)
+        filler_targets = 0
+        for day in (0, 1):
+            if day:
+                assert engine.hot_swap(schedule, day) > 0
+            for query in pool:
+                verdict = engine.lookup(query)
+                filler_targets += (verdict.target_rank or 0) > FIRST_FILLER
+                assert not engine.index.world._chunks, query
+        assert filler_targets > 100
+
+    def test_brute_force_reads_materialized_names(self):
+        index = TypoRiskIndex(SEED, 3_000)
+        index.brute_force_candidate_ranks("abcd12.com")
+        assert sorted(index.world._chunks) == [0, 1, 2]
 
 
 class TestNormalization:
@@ -306,7 +358,8 @@ class TestRegisteredGroundTruth:
             typos = {apply_edit(label, *op)
                      for op in enumerate_edit_ops(label)}
             assert {typo for typo in typos
-                    if index.is_registered_typo(typo, rank)} == expected
+                    if index.is_registered_typo(
+                        typo, rank, classify_edit(label, typo))} == expected
 
 
 class TestConstruction:

@@ -1,6 +1,6 @@
 """The one-slot registration law against the rank's whole grid.
 
-``WorldModel.registers_typo(rank, typo)`` decides one grid slot with
+``WorldModel.registers_typo(rank, typo, edit)`` decides one grid slot with
 its own uniform; ``rank_grid`` draws every slot of the rank.  This suite
 pins the point law equal to membership in the set of typo labels the
 grid registers: for every valid slot of the head ranks and of every
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.distances import classify_edit
 from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.ecosystem.delta import ChurnSchedule
 from repro.ecosystem.world import _QUALITY_MAX, WorldModel
@@ -25,6 +26,12 @@ HEAD_N = 21
 #: the last rank whose registration probability can reach the 0.95 cap
 DENSE_LAST = 161
 SPARSE_SAMPLE = (162, 163, 400, 1_000, 5_021, 20_000, 99_999, 1_000_000)
+
+
+def _registers(world: WorldModel, rank: int, typo: str) -> bool:
+    """The point law, given the edit the caller classifies once."""
+    label, _ = world.target_parts(rank)
+    return world.registers_typo(rank, typo, classify_edit(label, typo))
 
 
 def _registered(world: WorldModel, rank: int):
@@ -40,7 +47,7 @@ def _assert_point_law(world: WorldModel, rank: int) -> int:
     label, _ = world.target_parts(rank)
     registered = _registered(world, rank)
     typos = [apply_edit(label, *op) for op in enumerate_edit_ops(label)]
-    answers = {typo for typo in typos if world.registers_typo(rank, typo)}
+    answers = {typo for typo in typos if _registers(world, rank, typo)}
     assert answers == registered, rank
     return len(registered)
 
@@ -97,10 +104,10 @@ def test_foreign_characters_are_never_registered(rank):
     for char in FOREIGN:
         for i in range(len(label) + 1):
             added = label[:i] + char + label[i:]
-            assert world.registers_typo(rank, added) is False
+            assert _registers(world, rank, added) is False
             if i < len(label):
                 swapped = label[:i] + char + label[i + 1:]
-                assert world.registers_typo(rank, swapped) is False
+                assert _registers(world, rank, swapped) is False
 
 
 @st.composite
@@ -130,5 +137,5 @@ WORLD = WorldModel(SEED)
 @given(near_typos())
 def test_arbitrary_labels_match_the_grid(case):
     rank, typo = case
-    assert WORLD.registers_typo(rank, typo) is (
+    assert _registers(WORLD, rank, typo) is (
         typo in _registered(WORLD, rank))
