@@ -461,25 +461,6 @@ def _materialize_dark_mx(rng: SeededRng, registry: DomainRegistry,
     return hosts
 
 
-_EDIT_TYPE_QUALITY = {
-    # squatters know deletion/transposition typos are the frequent ones
-    # (Figure 9) and register essentially all of them for big targets
-    "deletion": 6.0,
-    "transposition": 5.0,
-    "substitution": 1.0,
-    "addition": 0.45,
-}
-
-
-def _typo_quality(candidate: TypoCandidate) -> float:
-    """Squatters prefer frequent-mistake, invisible, fat-finger typos."""
-    quality = _EDIT_TYPE_QUALITY.get(candidate.edit_type, 1.0)
-    if candidate.is_fat_finger:
-        quality *= 1.6
-    quality *= max(0.2, 1.5 - candidate.normalized_visual * 3.0)
-    return quality
-
-
 def _reject_unknown_policy(recipient: str) -> Tuple[bool, str]:
     """A mail server without catch-all: every probe recipient is unknown."""
     return False, "user unknown"

@@ -28,10 +28,11 @@ the rows (:meth:`WorldModel._probe_block`) and folds them with
 feature words.  A world keeps the walk of the last window it walked
 (its blocks: a word and a visual cost per row, a few integers per
 rank), so the second consumer of one window reads it instead of walking
-again.  The one-rank entry points keep the scalar law the kernels
-vectorise (:func:`_confirm`, :meth:`WorldModel._wild_words`):
-:meth:`WorldModel.rank_grid` draws one grid, and
-:meth:`WorldModel.iter_rank_states` maps its words to strings, the
+again.  One rank at a time, the scalar laws the kernels vectorise run
+instead: :meth:`WorldModel.registered_slots` settles the rank's
+preselected slots with :func:`_confirm`, the one registration rule at
+every rank, and :meth:`WorldModel.rank_states` adds the wild-state law
+(:meth:`WorldModel._wild_words`) and maps the words to strings, the
 :class:`DomainState` form ``build_internet`` and the query service read.
 
 Every stream is a pure function of ``(seed, purpose, rank)``: uniforms
@@ -62,6 +63,7 @@ from repro.core.targets import EMAIL_TARGETS
 from repro.core.typogen import (
     DOMAIN_ALPHABET,
     TypoCandidate,
+    enumerate_edit_ops,
     registrable_domain,
     split_domain,
 )
@@ -243,20 +245,19 @@ class _RankKeyedStream:
         self._bitgen.state = self._state
 
 
-# -- vectorised registration grid ---------------------------------------------
+# -- the registration grid ----------------------------------------------------
 #
 # The raw DL-1 grid of a label of length L is laid out flat as
 #   [ deletions: L ][ transpositions: L-1 ][ substitutions: L*A ][ additions: (L+1)*A ]
 # position-major with the alphabet innermost — exactly the order
-# ``enumerate_edit_ops`` walks.  Validity/dedup masks reproduce its skip
-# rules, so ``valid.sum()`` equals the generator's candidate count, and a
-# flat index decodes back to ``(op, index, char)`` arithmetically.  The
-# registration uniforms are drawn over the *raw* grid (invalid slots
-# included), which makes the stream independent of the masks' consumers.
+# ``enumerate_edit_ops`` walks.  The registration law (``_confirm``, and
+# ``_confirm_block`` over many ranks) reproduces its validity/dedup skip
+# rules slot by slot and decodes a flat index to ``(op, index, char)``
+# arithmetically.  The registration uniforms are drawn over the *raw*
+# grid (invalid slots included), which makes the stream independent of
+# who reads it.
 
 _ALPHA_SIZE = len(DOMAIN_ALPHABET)
-_ALPHA_CODES = np.frombuffer(DOMAIN_ALPHABET.encode("ascii"), dtype=np.uint8)
-_HYPHEN = ord("-")
 _HYPHEN_IDX = DOMAIN_ALPHABET.index("-")
 
 #: the quality law's per-section maxima: base * fat-finger * qf <= base*1.6*1.5
@@ -488,190 +489,21 @@ def _section_upper(length: int) -> np.ndarray:
     return upper
 
 
-@dataclass(frozen=True)
-class RankGrid:
-    """The registration draw of one rank's raw DL-1 edit grid."""
-
-    label: str
-    generated: int               # valid (deduped) gtypos in the grid
-    registered: np.ndarray       # flat raw-grid indices that registered
-    section_sizes: Tuple[int, int, int, int]
-
-    def decode(self, flat: int) -> Tuple[str, int, str]:
-        """Flat raw-grid index -> ``(op, index, char)``."""
-        n_del, n_trans, n_sub, _ = self.section_sizes
-        if flat < n_del:
-            return "deletion", flat, ""
-        flat -= n_del
-        if flat < n_trans:
-            return "transposition", flat, ""
-        flat -= n_trans
-        if flat < n_sub:
-            return ("substitution", flat // _ALPHA_SIZE,
-                    DOMAIN_ALPHABET[flat % _ALPHA_SIZE])
-        flat -= n_sub
-        return ("addition", flat // _ALPHA_SIZE,
-                DOMAIN_ALPHABET[flat % _ALPHA_SIZE])
-
-    def slot_words(self) -> List[int]:
-        """Each registered slot as a slot word (op, index and char at
-        their walk-word offsets, no fat-finger bit): what
-        :func:`_spell` and ``WorldModel._state`` read."""
-        _, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
-        return [_OP_NAMES.index(op) | index << index_sh
-                | (_CODE2IDX_LIST[ord(char)] << char_sh if char else 0)
-                for op, index, char in map(self.decode,
-                                           self.registered.tolist())]
-
-
-def _grid_masks(label: str) -> Tuple[np.ndarray, np.ndarray,
-                                     Tuple[int, int, int, int]]:
-    """(valid mask, quality, section sizes) over the raw DL-1 grid.
-
-    ``valid`` reproduces :func:`enumerate_edit_ops`' dedup/validity rules
-    slot for slot (a property the parity tests pin down); ``quality`` is
-    the squatter preference law of ``internet._typo_quality`` evaluated
-    for every slot.
-    """
-    codes = np.frombuffer(label.encode("ascii"), dtype=np.uint8)
-    idx = _CODE2IDX[codes]
-    if np.any(idx < 0):
-        raise ValueError(f"label {label!r} has characters outside the "
-                         "domain alphabet")
-    length = len(label)
-    adj, cost = _char_tables()
-    posw = _position_weights(length)
-    inv_len = 3.0 / max(1, length)
-
-    def quality_factor(vis: np.ndarray) -> np.ndarray:
-        return np.maximum(0.2, 1.5 - vis * inv_len)
-
-    # deletions --------------------------------------------------------------
-    del_valid = np.zeros(length, dtype=bool)
-    if 2 <= length <= 64:
-        del_valid[:] = True
-        del_valid[1:] = codes[1:] != codes[:-1]
-        if codes[1] == _HYPHEN:
-            del_valid[0] = False
-        if codes[length - 2] == _HYPHEN:
-            del_valid[length - 1] = False
-    doubled = np.zeros(length, dtype=bool)
-    doubled[:-1] |= codes[:-1] == codes[1:]
-    doubled[1:] |= codes[1:] == codes[:-1]
-    del_vis = np.where(doubled, 0.3, 0.9) * posw[:length]
-    del_q = 6.0 * 1.6 * quality_factor(del_vis)
-
-    # transpositions ---------------------------------------------------------
-    n_trans = max(0, length - 1)
-    trans_valid = np.zeros(n_trans, dtype=bool)
-    if n_trans and length <= 63:
-        trans_valid[:] = codes[:-1] != codes[1:]
-        if codes[1] == _HYPHEN:
-            trans_valid[0] = False
-        if codes[length - 2] == _HYPHEN:
-            trans_valid[n_trans - 1] = False
-    trans_q = 5.0 * 1.6 * quality_factor(0.5 * posw[:n_trans])
-
-    # substitutions (position-major, alphabet innermost) ---------------------
-    same_char = _ALPHA_CODES[None, :] == codes[:, None]        # (L, A)
-    sub_valid = ~same_char
-    if length > 63:
-        sub_valid[:] = False
-    else:
-        hyphen_col = _ALPHA_CODES == _HYPHEN
-        sub_valid[0, hyphen_col] = False
-        sub_valid[length - 1, hyphen_col] = False
-    sub_adj = adj[idx]                                          # (L, A)
-    sub_vis = cost[idx] * posw[:length, None]
-    sub_q = np.where(sub_adj, 1.6, 1.0) * quality_factor(sub_vis)
-
-    # additions --------------------------------------------------------------
-    prev_eq = np.zeros((length + 1, _ALPHA_SIZE), dtype=bool)
-    prev_eq[1:] = same_char
-    next_eq = np.zeros((length + 1, _ALPHA_SIZE), dtype=bool)
-    next_eq[:length] = same_char
-    prev_adj = np.zeros((length + 1, _ALPHA_SIZE), dtype=bool)
-    prev_adj[1:] = sub_adj
-    next_adj = np.zeros((length + 1, _ALPHA_SIZE), dtype=bool)
-    next_adj[:length] = sub_adj
-    add_ff1 = prev_eq | prev_adj | next_eq | next_adj
-    add_doubles = prev_eq | next_eq
-    add_valid = ~prev_eq                       # run dedup: same as earlier slot
-    if length + 1 > 63:
-        add_valid[:] = False
-    else:
-        hyphen_col = _ALPHA_CODES == _HYPHEN
-        add_valid[0, hyphen_col] = False
-        add_valid[length, hyphen_col] = False
-    add_vis = np.where(add_doubles, 0.3, 1.0) * posw[:, None]
-    add_q = (0.45 * np.where(add_ff1, 1.6, 1.0) * quality_factor(add_vis))
-
-    quality = np.concatenate([del_q, trans_q, sub_q.ravel(), add_q.ravel()])
-    valid = np.concatenate([del_valid, trans_valid, sub_valid.ravel(),
-                            add_valid.ravel()])
-    return valid, quality, _sections(length)
-
-
 def _generated_count(label: str) -> int:
-    """``len(enumerate_edit_ops(label))`` in O(L), no grid materialized.
-
-    Mirrors the generator's validity/dedup rules section by section; the
-    parity tests pin it against the enumerator and against
-    ``_grid_masks(label)[0].sum()``.
-    """
+    """``len(enumerate_edit_ops(label))``, in closed form for the labels
+    a world's targets have (hyphen-free, 2-62 characters): only the
+    adjacent-duplicate dedup bites, once in the deletion section and
+    once in transpositions.  Any other label is enumerated."""
     length = len(label)
-    c = label
-    if 2 <= length <= 62 and "-" not in c:
-        # hyphen-free closed form: only the adjacent-duplicate dedup
-        # bites, once in the deletion section and once in transpositions
+    if 2 <= length <= 62 and "-" not in label:
         dups = 0
-        prev = c[0]
-        for ch in c[1:]:
+        prev = label[0]
+        for ch in label[1:]:
             if ch == prev:
                 dups += 1
             prev = ch
         return 74 * length + 32 - 2 * dups
-    total = 0
-    if 2 <= length <= 64:                       # deletions
-        for i in range(length):
-            if i > 0 and c[i] == c[i - 1]:
-                continue
-            if i == 0 and c[1] == "-":
-                continue
-            if i == length - 1 and c[length - 2] == "-":
-                continue
-            total += 1
-    if 2 <= length <= 63:                       # transpositions
-        n_trans = length - 1
-        for i in range(n_trans):
-            if c[i] == c[i + 1]:
-                continue
-            if i == 0 and c[1] == "-":
-                continue
-            if i == n_trans - 1 and c[length - 2] == "-":
-                continue
-            total += 1
-    if length <= 63:                            # substitutions
-        for i in range(length):
-            slots = _ALPHA_SIZE - 1             # minus the original char
-            if (i == 0 or i == length - 1) and c[i] != "-":
-                slots -= 1                      # boundary hyphen
-            total += slots
-    if length + 1 <= 63:                        # additions
-        for i in range(length + 1):
-            slots = _ALPHA_SIZE
-            if i >= 1:
-                slots -= 1                      # run dedup vs previous char
-            if i == 0:
-                slots -= 1                      # leading hyphen
-            elif i == length and c[length - 1] != "-":
-                slots -= 1                      # trailing hyphen
-            total += slots
-    return total
-
-
-#: per-length (threshold, hit-mask) scratch pair for the sparse preselect
-_PRESELECT_SCRATCH: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    return len(enumerate_edit_ops(label))
 
 
 def _label_indices(label: str) -> List[int]:
@@ -683,62 +515,22 @@ def _label_indices(label: str) -> List[int]:
     return lidx
 
 
-def _grid_draw(label: str, reg_p: float,
-               uniforms: np.ndarray) -> Tuple[int, List[int]]:
-    """(generated count, registered flat indices) of one rank's raw grid."""
-    flats, uvals = _candidates(label, reg_p, uniforms)
-    if uvals is not None:
-        flats = [slot[0] for slot in
-                 _confirm(_label_indices(label), reg_p, flats, uvals)]
-    return _generated_count(label), flats
-
-
-def _candidates(label: str, reg_p: float, uniforms: np.ndarray
-                ) -> Tuple[List[int], Optional[List[float]]]:
-    """One rank's registration candidates as ``(flats, uniforms)``.
-
-    Dense regime (the 0.95 probability cap can bind): evaluate the full
-    validity/quality masks; the flats are the registrations and the
-    uniforms ``None``, nothing being left to test.  Sparse regime (every
-    slot's probability is below the cap): preselect ``u < reg_p *
-    section_max`` — a strict superset of the registrations — for
-    :func:`_confirm` to settle with the scalar law.  Both paths register
-    the identical set; the parity tests pin that.
-    """
-    if reg_p * _QUALITY_MAX >= 0.95:
-        valid, quality, _ = _grid_masks(label)
-        probability = np.minimum(0.95, reg_p * quality)
-        return np.nonzero(valid & (uniforms < probability))[0].tolist(), None
-
-    length = len(label)
-    scratch = _PRESELECT_SCRATCH.get(length)
-    if scratch is None:
-        total = _grid_total(length)
-        scratch = (np.empty(total), np.empty(total, dtype=bool))
-        _PRESELECT_SCRATCH[length] = scratch
-    thresh, hits = scratch
-    np.multiply(_section_upper(length), reg_p, out=thresh)
-    np.less(uniforms, thresh, out=hits)
-    cand_arr = hits.nonzero()[0]
-    return cand_arr.tolist(), uniforms[cand_arr].tolist()
-
-
 def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
-             uvals: Optional[List[float]]) -> List[tuple]:
-    """Confirm raw-grid slots with the scalar validity + quality law.
+             uvals: List[float]) -> List[tuple]:
+    """The registration law on candidate raw-grid slots, one rank.
 
-    ``cand_flats`` must be a superset of the registrations produced by
-    any bound of the form ``u < reg_p * upper`` with per-section
-    ``upper >= quality``; the scalar law, ``u < min(0.95, reg_p *
-    quality)``, then keeps exactly the slots the dense path would (the
-    cap binds only in the dense regime).  ``uvals is None`` skips the
-    uniform test, for slots the dense path already drew.  Each kept
-    slot comes back as ``(flat, slot word, visual cost)``: the slot word
-    holds the op, index, char and fat-finger bit at their walk-word
-    offsets (op codes 0 deletion, 1 transposition, 2 substitution, 3
-    addition; the char an alphabet index, 0 where the op inserts none).
-    The visual cost and fat-finger bit are the quality law's own terms,
-    so no consumer re-derives them.
+    Slot ``cand_flats[k]`` with uniform ``uvals[k]`` registers iff it is
+    valid (the skip rules of ``enumerate_edit_ops``) and ``u < min(0.95,
+    reg_p * quality)``.  ``cand_flats`` need only be a superset of the
+    registrations, such as the preselect ``u < reg_p * upper`` with
+    per-section ``upper >= quality`` (:func:`_section_upper`), which
+    holds whether or not the cap binds.  Each kept slot comes back as
+    ``(flat, slot word, visual cost)``: the slot word holds the op,
+    index, char and fat-finger bit at their walk-word offsets (op codes
+    0 deletion, 1 transposition, 2 substitution, 3 addition; the char an
+    alphabet index, 0 where the op inserts none).  The visual cost and
+    fat-finger bit are the quality law's own terms, so no consumer
+    re-derives them.
     """
     kept: List[tuple] = []
     op_sh, _, index_sh, _, char_sh, _ = _SLOT_FIELDS
@@ -755,7 +547,6 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
     sub_base = n_del + n_trans
     add_base = sub_base + length * _ALPHA_SIZE
     hyphen = _HYPHEN_IDX
-    check = uvals is not None
     for k, flat in enumerate(cand_flats):
         if flat < n_del:
             i = flat
@@ -812,7 +603,7 @@ def _confirm(lidx: List[int], reg_p: float, cand_flats: List[int],
             vis = (0.3 if next_eq else 1.0) * posw[i]
             q = 0.45 * (1.6 if ff else 1.0) * max(0.2, 1.5 - vis * inv_len)
             op = 3
-        if check and uvals[k] >= min(0.95, reg_p * q):
+        if uvals[k] >= min(0.95, reg_p * q):
             continue
         slot = (op << op_sh) | (i << index_sh) | (a << char_sh)
         kept.append((flat, slot | adjacent if ff else slot, vis))
@@ -843,18 +634,6 @@ def _spell(label: str, word: int) -> str:
     return label[:i] + char + label[i:]
 
 
-def _registration_grid(label: str, seed: int, rank: int,
-                       config: InternetConfig) -> RankGrid:
-    """The registration draw for one rank's whole candidate grid."""
-    reg_p = (config.peak_registration_probability
-             / (rank ** config.rank_decay))
-    uniforms = _rank_uniforms(seed, "reg", rank, _grid_total(len(label)))
-    generated, registered = _grid_draw(label, reg_p, uniforms)
-    return RankGrid(label=label, generated=generated,
-                    registered=np.asarray(registered, dtype=np.int64),
-                    section_sizes=_sections(len(label)))
-
-
 # -- the columnar kernels ------------------------------------------------------
 #
 # The walk evaluates the registration confirm, the wild-state law and the
@@ -862,9 +641,9 @@ def _registration_grid(label: str, seed: int, rank: int,
 # law (``_confirm``, ``WorldModel._wild_words``, the probe attempts)
 # written over arrays in the scalar code's operation order, so every
 # float compares bit for bit; the property suite pins kernel == scalar.
-# One-rank calls (``rank_grid``, ``iter_rank_states``) keep the scalar
-# law: a kernel call costs tens of numpy dispatches, five to thirty
-# times one rank's scalar work.
+# One-rank calls (``registered_slots``, ``rank_states``) run the scalar
+# law itself: a kernel call costs tens of numpy dispatches, five to
+# thirty times one rank's scalar work.
 
 #: label alphabet indices are padded with this code, which matches no
 #: character; the kernels' tables carry an empty row and column for it
@@ -946,10 +725,10 @@ def _confirm_block(codes: np.ndarray, lengths: np.ndarray,
     ``reg_p`` per rank (``reg_p`` from the scalar ``peak / r ** decay``);
     ``row``, ``flat`` and ``u`` per candidate: its rank's row, raw-grid
     index and registration uniform.  A slot registers iff it is valid
-    and ``u < min(0.95, reg_p * quality)``: the dense path's cap, which
-    cannot bind in the sparse regime (there ``reg_p * quality <= reg_p
-    * _QUALITY_MAX < 0.95``), so one rule serves both.  Returns ``(kept,
-    slot words, visual costs)``, the last two for kept slots only.
+    and ``u < min(0.95, reg_p * quality)``, the rule of the scalar law;
+    the cap binds only at dense ranks (``reg_p * _QUALITY_MAX >= 0.95``).
+    Returns ``(kept, slot words, visual costs)``, the last two for kept
+    slots only.
     """
     A = _ALPHA_SIZE
     hyphen = _HYPHEN_IDX
@@ -1535,16 +1314,24 @@ class WorldModel:
         for r, stream, start, size in zip(ranks, streams, starts, sizes):
             stream.uniforms_into(r, out[start:start + size])
 
-    def rank_grid(self, rank: int) -> RankGrid:
+    def registered_slots(self, rank: int) -> List[tuple]:
+        """Every grid slot the rank registers, in grid order, as
+        ``(flat, slot word, visual cost)`` (see :func:`_confirm`).
+
+        Draws the rank's "reg" stream (at its churn generation) over the
+        raw grid, preselects ``u < reg_p * section upper`` (a superset of
+        the registrations at every rank) and settles the candidates with
+        :func:`_confirm`.
+        """
         label, _ = self.target_parts(rank)
+        length = len(label)
         reg_p = (self.config.peak_registration_probability
                  / (rank ** self.config.rank_decay))
         uniforms = self._stream(self._rank_purpose("reg", rank)).uniforms(
-            rank, _grid_total(len(label)))
-        generated, registered = _grid_draw(label, reg_p, uniforms)
-        return RankGrid(label=label, generated=generated,
-                        registered=np.asarray(registered, dtype=np.int64),
-                        section_sizes=_sections(len(label)))
+            rank, _grid_total(length))
+        cand = np.flatnonzero(uniforms < reg_p * _section_upper(length))
+        return _confirm(_label_indices(label), reg_p, cand.tolist(),
+                        uniforms[cand].tolist())
 
     def registers_typo(self, rank: int, typo: str,
                        edit: Optional[Tuple[str, int]]) -> bool:
@@ -1552,7 +1339,7 @@ class WorldModel:
         ``edit`` the caller has classified (``classify_edit(label, typo)``
         of the rank's label)?
 
-        The point form of :meth:`rank_grid`: the one valid grid slot
+        The point form of :meth:`registered_slots`: the one valid grid slot
         that spells ``typo`` (the slot ``edit`` names) is decided by its
         own uniform of the rank's "reg" stream and the scalar law
         :func:`_confirm`, without drawing the rest of the grid.  A typo
@@ -1583,18 +1370,17 @@ class WorldModel:
                              u.tolist()))
 
     def rank_states(self, rank: int) -> List[DomainState]:
-        """Ground truth of every ctypo this rank registers, in grid order."""
-        return list(self.iter_rank_states(rank, self.rank_grid(rank)))
+        """Ground truth of every ctypo this rank registers, in grid order.
 
-    def iter_rank_states(self, rank: int,
-                         grid: RankGrid) -> Iterable[DomainState]:
-        """Stream the rank's registered-domain states (never a list)."""
-        target = self.target_domain(rank)
-        label = grid.label
-        dot_suffix = target[len(label):]
-        for word in self._wild_words(rank, grid.slot_words()):
-            yield self._state(rank, target, _spell(label, word) + dot_suffix,
-                              word)
+        The target name comes from :meth:`target_parts`, so no filler
+        chunk is built."""
+        label, suffix = self.target_parts(rank)
+        target = f"{label}.{suffix}"
+        dot_suffix = "." + suffix
+        slots = [word for _, word, _ in self.registered_slots(rank)]
+        return [self._state(rank, target, _spell(label, word) + dot_suffix,
+                            word)
+                for word in self._wild_words(rank, slots)]
 
     # -- the world walk ----------------------------------------------------
     #
@@ -1605,8 +1391,8 @@ class WorldModel:
     # collision rule, and returns the batch as one _WalkBlock of numpy
     # columns.  The walk keeps its blocks as a memo keyed by (start_rank,
     # stop_rank, max_rank), so a sweep that scans and then featurizes a
-    # window walks it once.  iter_rank_states maps the same words to
-    # strings through _state.
+    # window walks it once.  rank_states maps the same words to strings
+    # through _state.
 
     def _walk(self, start_rank: int, stop_rank: int, max_rank: int,
               tally: List[int],

@@ -673,10 +673,8 @@ class RiskEngine:
         if states is None:
             if len(self._state_cache) >= 4096:
                 self._state_cache = {}
-            world = self.index.world
-            grid = world.rank_grid(rank)
             states = {split_domain(state.domain)[0]: state
-                      for state in world.iter_rank_states(rank, grid)}
+                      for state in self.index.world.rank_states(rank)}
             self._state_cache[rank] = states
         return states
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.ecosystem.internet import InternetConfig
-from repro.ecosystem.world import WorldModel
+from repro.ecosystem.world import WorldModel, _spell
 from repro.util.rand import SeededRng, derive_seed
 
 __all__ = ["WorkloadMix", "LookupWorkload"]
@@ -131,12 +131,9 @@ class LookupWorkload:
                 rank = self._zipfish_rank(rng)
                 domains = registered_cache.get(rank)
                 if domains is None:
-                    grid = world.rank_grid(rank)
                     label, suffix = world.target_parts(rank)
-                    domains = [
-                        f"{apply_edit(label, *grid.decode(int(flat)))}"
-                        f".{suffix}"
-                        for flat in grid.registered.tolist()]
+                    domains = [f"{_spell(label, word)}.{suffix}" for _, word, _
+                               in world.registered_slots(rank)]
                     registered_cache[rank] = domains
                 if domains:
                     domain = rng.choice(domains)

@@ -205,8 +205,7 @@ class TestDomainWindowParity:
         ref_squat = []
         ref_ranks = []
         for rank in range(start, stop):
-            for state in world.iter_rank_states(rank,
-                                                world.rank_grid(rank)):
+            for state in world.rank_states(rank):
                 ref_rows.append(state_feature_row(state))
                 ref_squat.append(
                     1.0 if "squatter" in state.owner_type.value else 0.0)

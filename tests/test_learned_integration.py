@@ -164,8 +164,7 @@ class TestEngineLearnedScorer:
 
         world = WorldModel(TINY_SEED)
         for rank in range(1, 50):
-            for state in world.iter_rank_states(rank,
-                                                world.rank_grid(rank)):
+            for state in world.rank_states(rank):
                 return state.domain
         raise AssertionError("no registered typo in the first 50 ranks")
 

@@ -1,4 +1,4 @@
-"""Repository-wide quality gates: docs and API hygiene."""
+"""Repository-wide quality gates: docs, API hygiene and dead helpers."""
 
 import ast
 import importlib
@@ -157,6 +157,64 @@ class TestBenchRecorder:
             'open(BENCH_PATH, mode="a").write("{}")',
         ])
         assert _bench_file_writes(source) == [1, 2, 3, 7]
+
+
+def _unreferenced_private_defs(sources):
+    """``path:line name`` of each private function, class or method that
+    ``sources`` (``(path, source)`` pairs) define but never reference.
+
+    A reference is a ``Name``, an ``Attribute``, an import alias or a
+    string that is an identifier (a handler table of method names, a
+    ``getattr``); dunder names are not private helpers."""
+    defined = {}
+    referenced = set()
+    for where, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.setdefault(name, f"{where}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                referenced.add(node.value)
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in referenced)
+
+
+class TestPrivateHelpers:
+    def test_no_private_helper_is_test_only(self):
+        """Every private helper in ``src/repro`` has a caller there: one
+        that only tests call is a reference implementation, and belongs
+        next to those tests."""
+        src = Path(repro.__file__).parent
+        sources = [(str(path.relative_to(src)),
+                    path.read_text(encoding="utf-8"))
+                   for path in sorted(src.rglob("*.py"))]
+        assert not _unreferenced_private_defs(sources)
+
+    def test_the_scan_catches_an_unreferenced_helper(self):
+        source = "\n".join([
+            "def _used(): pass",
+            "def _orphan(): pass",
+            "class _Kept:",
+            "    def _method(self): pass",
+            "    def _dispatched(self): pass",
+            "    def __init__(self): pass",
+            "TABLE = {'x': '_dispatched'}",
+            "_used(); _Kept()._method()",
+        ])
+        other = "from mod import _Imported as alias"
+        assert _unreferenced_private_defs(
+            [("mod.py", source + "\nclass _Imported: pass"),
+             ("user.py", other)]) == ["mod.py:2 _orphan"]
 
 
 class TestExamplesCompile:

@@ -11,21 +11,31 @@ import tracemalloc
 
 import pytest
 
-from repro.core.typogen import apply_edit, enumerate_edit_ops, split_domain
+from grid_reference import decode
+from grid_reference import grid_masks as _grid_masks
+from repro.core.typogen import (
+    DOMAIN_ALPHABET,
+    TypoCandidate,
+    apply_edit,
+    enumerate_edit_ops,
+    split_domain,
+)
 from repro.ecosystem import (
     InternetConfig,
     ScanAggregates,
     WorldModel,
     build_internet,
 )
-from repro.ecosystem.internet import _typo_quality
 from repro.ecosystem.world import (
+    _OP_NAMES,
+    _SLOT_FIELDS,
+    _confirm,
     _generated_count,
-    _grid_draw,
-    _grid_masks,
+    _grid_total,
+    _label_indices,
     _rank_uniforms,
     _RankKeyedStream,
-    _registration_grid,
+    _spell,
 )
 from repro.ecosystem.delta import _width_ranges
 from repro.experiment import run_sharded_scan
@@ -36,56 +46,98 @@ GRID_LABELS = ["gmail", "hotmail", "aa", "abba", "zz-top", "a-b-c", "q",
                "bra5", "10minutemail", "mmm"]
 
 
+#: the squatter preference law the registration rule restates: squatters
+#: know deletion/transposition typos are the frequent ones (Figure 9) and
+#: register essentially all of them for big targets
+_EDIT_TYPE_QUALITY = {
+    "deletion": 6.0,
+    "transposition": 5.0,
+    "substitution": 1.0,
+    "addition": 0.45,
+}
+
+
+def _typo_quality(candidate: TypoCandidate) -> float:
+    """Squatters prefer frequent-mistake, invisible, fat-finger typos."""
+    quality = _EDIT_TYPE_QUALITY.get(candidate.edit_type, 1.0)
+    if candidate.is_fat_finger:
+        quality *= 1.6
+    quality *= max(0.2, 1.5 - candidate.normalized_visual * 3.0)
+    return quality
+
+
+def _slot_op(word: int):
+    """``(op, index, char)`` of a slot word."""
+    op_sh, op_m, index_sh, index_m, char_sh, char_m = _SLOT_FIELDS
+    op = (word >> op_sh) & op_m
+    char = (word >> char_sh) & char_m
+    return (_OP_NAMES[op], (word >> index_sh) & index_m,
+            DOMAIN_ALPHABET[char] if op >= 2 else "")
+
+
+def _every_slot(label: str, reg_p: float, uniform: float):
+    """``_confirm`` over every raw-grid slot of ``label``, each with the
+    same uniform."""
+    total = _grid_total(len(label))
+    return _confirm(_label_indices(label), reg_p, list(range(total)),
+                    [uniform] * total)
+
+
 class TestRegistrationGrid:
     @pytest.mark.parametrize("label", GRID_LABELS)
     def test_valid_mask_matches_enumerator(self, label):
-        """Decoding every valid slot reproduces enumerate_edit_ops exactly."""
-        valid, _, sections = _grid_masks(label)
-        grid = _registration_grid(label, seed=1, rank=1,
-                                  config=InternetConfig())
-        decoded = [grid.decode(flat) for flat in range(valid.shape[0])
-                   if valid[flat]]
-        assert decoded == list(enumerate_edit_ops(label))
-        assert grid.generated == len(enumerate_edit_ops(label))
-        assert sum(sections) == valid.shape[0]
+        """A uniform of 0 registers every valid slot: decoded, they are
+        enumerate_edit_ops exactly, slot words and flats alike."""
+        kept = _every_slot(label, 0.5, 0.0)
+        ops = list(enumerate_edit_ops(label))
+        assert [_slot_op(word) for _, word, _ in kept] == ops
+        assert [decode(label, flat) for flat, _, _ in kept] == ops
+        assert [_spell(label, word) for _, word, _ in kept] == [
+            apply_edit(label, *op) for op in ops]
+        assert _generated_count(label) == len(ops)
 
     @pytest.mark.parametrize("label", ["gmail", "hotmail", "zz-top", "bra5"])
     def test_quality_matches_scalar_law(self, label):
-        """The vectorised quality equals internet._typo_quality per slot."""
+        """Each slot's threshold is ``reg_p * _typo_quality``: a uniform
+        just under it registers, one just over it does not, and the
+        fat-finger bit and visual cost are the candidate's own."""
         from repro.core.distances import (
             fat_finger_for_edit,
             visual_distance_for_edit,
         )
-        from repro.core.typogen import TypoCandidate
+        from repro.ecosystem.world import _ADJACENT_BIT
 
-        valid, quality, _ = _grid_masks(label)
-        grid = _registration_grid(label, seed=1, rank=1,
-                                  config=InternetConfig())
-        for flat in range(valid.shape[0]):
-            if not valid[flat]:
-                continue
-            op, index, char = grid.decode(flat)
+        reg_p = 0.05                    # below the cap at every slot
+        lidx = _label_indices(label)
+        for flat, word, vis in _every_slot(label, reg_p, 0.0):
+            op, index, char = _slot_op(word)
             candidate = TypoCandidate(
                 domain=f"{apply_edit(label, op, index, char)}.com",
                 target=f"{label}.com", edit_type=op, edit_index=index,
                 fat_finger=fat_finger_for_edit(label, op, index, char),
                 visual=visual_distance_for_edit(label, op, index, char))
-            assert quality[flat] == pytest.approx(
-                _typo_quality(candidate), abs=1e-12)
+            threshold = reg_p * _typo_quality(candidate)
+            assert threshold < 0.95
+            assert _confirm(lidx, reg_p, [flat], [threshold * (1 - 1e-9)])
+            assert not _confirm(lidx, reg_p, [flat],
+                                [threshold * (1 + 1e-9)])
+            assert bool(word & _ADJACENT_BIT) == candidate.is_fat_finger
+            assert vis == pytest.approx(candidate.visual, abs=1e-12)
 
-    def test_registration_draw_is_rank_keyed(self):
-        a = _registration_grid("gmail", seed=5, rank=1,
-                               config=InternetConfig())
-        b = _registration_grid("gmail", seed=5, rank=1,
-                               config=InternetConfig())
-        c = _registration_grid("gmail", seed=5, rank=9,
-                               config=InternetConfig())
-        assert list(a.registered) == list(b.registered)
-        assert list(a.registered) != list(c.registered)
+    def test_registration_draw_is_rank_keyed(self, monkeypatch):
+        """Two ranks with one label draw different sets; one rank draws
+        the same set twice."""
+        world = WorldModel(5)
+        monkeypatch.setattr(world, "target_parts",
+                            lambda rank: ("gmail", "com"))
+        a = world.registered_slots(1)
+        assert a == world.registered_slots(1)
+        assert a != world.registered_slots(9)
 
 
 class TestGridFastPaths:
-    """The closed-form count and the sparse draw agree with the dense law."""
+    """The closed-form count and the one-rank draw agree with the dense
+    reference law (``grid_reference``)."""
 
     COUNT_LABELS = GRID_LABELS + ["aabbcc", "x9-9x", "ooo-ooo", "ab"]
 
@@ -95,23 +147,44 @@ class TestGridFastPaths:
         assert _generated_count(label) == len(enumerate_edit_ops(label))
         assert _generated_count(label) == int(valid.sum())
 
-    @pytest.mark.parametrize("rank", [200, 1_000, 17_500, 90_000])
-    @pytest.mark.parametrize("label", ["gmail", "zz-top", "10minutemail"])
-    def test_sparse_draw_matches_dense_law(self, label, rank):
-        """Above the dense cutoff the preselect+confirm path must still
-        pick exactly the slots the full-mask law would."""
+    @staticmethod
+    def _assert_draw_matches_dense_law(label, rank, monkeypatch):
+        """The preselect + ``_confirm`` draw of one rank picks exactly the
+        slots the full-mask law would; returns the slot probabilities."""
         import numpy as np
 
-        config = InternetConfig()
+        world = WorldModel(606)
+        monkeypatch.setattr(world, "target_parts",
+                            lambda rank: (label, "com"))
+        config = world.config
         reg_p = (config.peak_registration_probability
                  / (rank ** config.rank_decay))
         valid, quality, _ = _grid_masks(label)
         uniforms = _rank_uniforms(606, "reg", rank, valid.shape[0])
         probability = np.minimum(0.95, reg_p * quality)
         expected = np.nonzero(valid & (uniforms < probability))[0].tolist()
-        generated, registered = _grid_draw(label, reg_p, uniforms)
+        registered = [flat for flat, _, _ in world.registered_slots(rank)]
         assert registered == expected
-        assert generated == len(enumerate_edit_ops(label))
+        return probability[valid]
+
+    @pytest.mark.parametrize("rank", [200, 1_000, 17_500, 90_000])
+    @pytest.mark.parametrize("label", ["gmail", "zz-top", "10minutemail"])
+    def test_sparse_draw_matches_dense_law(self, label, rank, monkeypatch):
+        """Above the dense cutoff the preselect+confirm path must still
+        pick exactly the slots the full-mask law would."""
+        probability = self._assert_draw_matches_dense_law(label, rank,
+                                                          monkeypatch)
+        assert (probability < 0.95).all()
+
+    @pytest.mark.parametrize("rank", [1, 60, 161])
+    @pytest.mark.parametrize("label", ["gmail", "zz-top", "10minutemail"])
+    def test_dense_draw_matches_dense_law(self, label, rank, monkeypatch):
+        """At dense ranks (ranks <= 161, where the 0.95 cap can bind) the
+        same draw settles every slot, the capped ones included."""
+        probability = self._assert_draw_matches_dense_law(label, rank,
+                                                          monkeypatch)
+        if rank <= 60:
+            assert (probability == 0.95).any()
 
     def test_repositioned_stream_matches_fresh_generator(self):
         """Reused-bitgen seeking is byte-identical to fresh construction,

@@ -328,6 +328,24 @@ class TestServingBuildsNoChunk:
                 assert not engine.index.world._chunks, query
         assert filler_targets > 100
 
+    def test_learned_scorer_builds_no_chunk(self):
+        """The learned scorer reads each cold rank's registered states,
+        target name included, from the stem draws too."""
+        from repro.learned import train_typo_model
+
+        model, _ = train_typo_model(707, ranks=300, dataset_size=40)
+        max_rank = 20_000
+        pool = LookupWorkload(707, max_rank, pool_size=512).pool_entries()
+        engine = RiskEngine(TypoRiskIndex(707, max_rank), scorer="learned",
+                            model=model)
+        scored = 0
+        for query in pool:
+            verdict = engine.lookup(query)
+            scored += (verdict.source == "scorer"
+                       and (verdict.target_rank or 0) > FIRST_FILLER)
+        assert not engine.index.world._chunks
+        assert scored > 50
+
     def test_brute_force_reads_materialized_names(self):
         index = TypoRiskIndex(SEED, 3_000)
         index.brute_force_candidate_ranks("abcd12.com")

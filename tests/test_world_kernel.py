@@ -2,9 +2,9 @@
 
 ``WorldModel``'s walk evaluates the registration confirm, the wild-state
 law and the probe over blocks of ranks as numpy columns, while the
-one-rank entry points (``rank_grid``, ``iter_rank_states``) keep the
-scalar law (``_candidates`` + ``_confirm``, ``_wild_words``).  This
-suite pins kernel == scalar:
+one-rank entry points (``registered_slots``, ``rank_states``) run the
+scalar law (``_confirm``, ``_wild_words``).  This suite pins kernel ==
+scalar:
 
 * registration: seeded random labels (lengths 1-63, with hyphens, digits
   and repeated letters) in dense, sparse and mixed batches, plain and
@@ -28,14 +28,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from grid_reference import grid_masks
 from repro.core.typogen import DOMAIN_ALPHABET, apply_edit, enumerate_edit_ops
 from repro.ecosystem.world import (
     _FILLER_CHUNK,
     WorldModel,
-    _candidates,
     _confirm,
     _filler_syllables,
-    _grid_masks,
     _grid_total,
     _label_codes,
     _label_indices,
@@ -74,10 +73,11 @@ def _reg_p(world: WorldModel, rank: int) -> float:
 
 
 def _scalar_slots(label: str, reg_p: float, uniforms: np.ndarray):
-    """The scalar registration law: ``(slot word, visual cost)`` per
-    registered slot, in grid order."""
+    """The scalar registration law over every raw-grid slot: ``(slot
+    word, visual cost)`` per registered slot, in grid order."""
     return [(word, vis) for _, word, vis in _confirm(
-        _label_indices(label), reg_p, *_candidates(label, reg_p, uniforms))]
+        _label_indices(label), reg_p, list(range(uniforms.shape[0])),
+        uniforms.tolist())]
 
 
 def _kernel_slots(world: WorldModel, rb0: int, labels):
@@ -123,7 +123,7 @@ class TestRegistrationKernel:
         drawn = {}
         for p, label in enumerate(labels):
             rank = rb0 + p
-            valid, quality, _ = _grid_masks(label)
+            valid, quality, _ = grid_masks(label)
             threshold = np.minimum(0.95, _reg_p(world, rank) * quality)
             uniforms = rng.random(valid.shape[0])
             on = np.flatnonzero(valid)
@@ -268,15 +268,13 @@ def _scalar_walk(world: WorldModel, start: int, stop: int, max_rank: int):
     from the one-rank scalar law, ``rows`` as ``(word, visual cost)``."""
     out = []
     for rank in range(start, stop):
-        grid = world.rank_grid(rank)
-        slots = _confirm(_label_indices(grid.label), 0.0,
-                         grid.registered.tolist(), None)
+        slots = world.registered_slots(rank)
         if not slots:
             continue
-        suffix = world.target_domain(rank)[len(grid.label):]
+        label, suffix = world.target_parts(rank)
         rows = [(word, vis) for word, (_, _, vis)
                 in zip(world._wild_words(rank, [w for _, w, _ in slots]), slots)
-                if world.target_rank(_spell(grid.label, word) + suffix,
+                if world.target_rank(f"{_spell(label, word)}.{suffix}",
                                      max_rank) is None]
         out.append((rank, len(slots), len(slots) - len(rows), rows))
     return out

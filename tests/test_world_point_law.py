@@ -1,17 +1,19 @@
 """The one-slot registration law against the rank's whole grid.
 
 ``WorldModel.registers_typo(rank, typo, edit)`` decides one grid slot with
-its own uniform; ``rank_grid`` draws every slot of the rank.  This suite
-pins the point law equal to membership in the set of typo labels the
-grid registers: for every valid slot of the head ranks and of every
-dense rank (where the 0.95 cap can bind), for sampled sparse ranks, for
-churned generations, and for arbitrary text, including labels with
-characters outside the domain alphabet, which are never registered and
-never raise.
+its own uniform and the scalar law ``_confirm``; the walk's columnar
+kernel (``WorldModel._registered``, its own implementation of the law)
+draws every slot of the rank.  This suite pins the point law equal to
+membership in the set of typo labels the kernel registers: for every
+valid slot of the head ranks and of every dense rank (where the 0.95
+cap can bind), for sampled sparse ranks, for churned generations, and
+for arbitrary text, including labels with characters outside the
+domain alphabet, which are never registered and never raise.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,12 @@ from hypothesis import strategies as st
 from repro.core.distances import classify_edit
 from repro.core.typogen import apply_edit, enumerate_edit_ops
 from repro.ecosystem.delta import ChurnSchedule
-from repro.ecosystem.world import _QUALITY_MAX, WorldModel
+from repro.ecosystem.world import (
+    _QUALITY_MAX,
+    WorldModel,
+    _label_codes,
+    _spell,
+)
 
 SEED = 606
 HEAD_N = 21
@@ -35,10 +42,12 @@ def _registers(world: WorldModel, rank: int, typo: str) -> bool:
 
 
 def _registered(world: WorldModel, rank: int):
-    """The reference: every typo label the rank's grid registers."""
-    grid = world.rank_grid(rank)
-    return {apply_edit(grid.label, *grid.decode(flat))
-            for flat in grid.registered.tolist()}
+    """The reference: every typo label the columnar kernel registers
+    over the rank's whole grid."""
+    label, _ = world.target_parts(rank)
+    _, words, _ = world._registered(rank, _label_codes([label]),
+                                    np.array([len(label)]))
+    return {_spell(label, word) for word in words.tolist()}
 
 
 def _assert_point_law(world: WorldModel, rank: int) -> int:

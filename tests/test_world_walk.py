@@ -1,7 +1,7 @@
 """The one world walk behind the scan, the feature sweep and the states.
 
 ``WorldModel.scan_ranks``, ``WorldModel.featurize_ranks`` and
-``WorldModel.iter_rank_states`` consume one registration draw, one
+``WorldModel.rank_states`` consume one registration draw, one
 wild-state law and one membership oracle.  This suite pins them from
 outside:
 
