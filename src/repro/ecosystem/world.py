@@ -945,15 +945,15 @@ def _stem_codes(syllables: Tuple[array, bytes]) -> np.ndarray:
             + np.frombuffer(syllables[1], dtype=np.bool_) * (picks[:, 2] + 1))
 
 
-def _filler_syllables(seed: int, chunk: int) -> Tuple[array, bytes]:
+def _filler_syllables(uniforms: np.ndarray) -> Tuple[array, bytes]:
     """(flat syllable indices, third-syllable flags) of one filler chunk.
 
-    The stem half of the filler name law, drawn in numpy (~0.1 ms a
-    chunk) and kept compact (7 KB): filler ``chunk*N + j`` has the stem
-    ``syl[s[3j]] + syl[s[3j+1]]``, plus ``syl[s[3j+2]]`` where flag
-    ``j`` is set.
+    The stem half of the filler name law, from the chunk's first
+    ``7 * N`` uniforms of the ``"fillers"`` stream (keyed by chunk as
+    :func:`_rank_uniforms` keys a rank) and kept compact (7 KB): filler
+    ``chunk*N + j`` has the stem ``syl[s[3j]] + syl[s[3j+1]]``, plus
+    ``syl[s[3j+2]]`` where flag ``j`` is set.
     """
-    uniforms = _rank_uniforms(seed, "fillers", chunk, _FILLER_CHUNK * 7)
     u = uniforms.reshape(_FILLER_CHUNK, 7)
     n_onsets = len(_PRONOUNCEABLE_ONSETS)
     n_vowels = len(_PRONOUNCEABLE_VOWELS)
@@ -971,8 +971,8 @@ def _filler_syllables(seed: int, chunk: int) -> Tuple[array, bytes]:
 def _filler_chunk(chunk: int, syllables: Tuple[array, bytes]) -> List[str]:
     """The names of filler indices [chunk*N, (chunk+1)*N).
 
-    Chunked so a 100k-target universe costs ~100 stream constructions
-    instead of one per domain; each name stays a pure function of
+    Chunked so a 100k-target universe costs ~100 stream draws instead
+    of one per domain; each name stays a pure function of
     ``(seed, index)``.
     """
     flat_i, third = syllables
@@ -1111,7 +1111,8 @@ class WorldModel:
         if drawn is None:
             if len(self._stems) >= _STEM_CACHE_CAP:
                 self._stems.clear()
-            drawn = _filler_syllables(self.seed, chunk)
+            drawn = _filler_syllables(self._stream("fillers").uniforms(
+                chunk, _FILLER_CHUNK * 7))
             self._stems[chunk] = drawn
         return drawn
 

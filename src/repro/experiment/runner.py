@@ -41,7 +41,7 @@ from repro.smtpsim.retryqueue import RetryQueue
 from repro.spamfilter.funnel import Verdict
 from repro.util.errors import CheckpointMismatchError, ConfigError
 from repro.util.journal import Appended
-from repro.util.perf import PerfRegistry, throughput
+from repro.util.perf import PerfRegistry, paused_gc, throughput
 from repro.util.rand import SeededRng
 from repro.util.simtime import SECONDS_PER_DAY, CollectionWindow, paper_window
 from repro.util.textcache import memo_totals
@@ -164,7 +164,9 @@ class StudyRunner:
             raise ValueError("record_sink requires streaming_classify=True")
         perf = PerfRegistry()
         cache_hits0, cache_misses0 = memo_totals()
-        with perf.timer("run"):
+        # the run's objects are acyclic (refcounting frees every dead
+        # one), so collections would only rescan its growing live set
+        with paused_gc(), perf.timer("run"):
             with perf.timer("provision"):
                 corpus = build_study_corpus()
                 registry = DomainRegistry()

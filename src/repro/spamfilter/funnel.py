@@ -773,7 +773,9 @@ def _header_to_domain(email: TokenizedEmail) -> Optional[str]:
 def _content_hash(body: str) -> str:
     digest = _CONTENT_HASH_MEMO.table.get(body)
     if digest is None:
-        normalised = re.sub(r"\s+", " ", body.strip().lower())
+        # trim and collapse whitespace runs; str.split() and re's \s
+        # share one Unicode whitespace set
+        normalised = " ".join(body.lower().split())
         digest = hashlib.sha1(normalised.encode("utf-8")).hexdigest()
         _CONTENT_HASH_MEMO.put(body, digest)
     else:

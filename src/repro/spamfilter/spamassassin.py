@@ -18,7 +18,9 @@ text — into dict hits.  This replaces the old module-level one-slot
 ``_LAST_TEXT`` memo, whose global mutable state was shared across all
 scorer instances and broke under interleaved funnels; the only remaining
 per-email memo is a one-slot cache *on each scorer instance* (see
-:class:`SpamAssassinScorer`).
+:class:`SpamAssassinScorer`).  On a miss, the money regex, whose
+alternatives both need a digit, runs only on bodies that hold one (about
+one unique body in eight in a study); the other bodies skip its search.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ _URL_RE = re.compile(r"https?://[^\s]+", re.IGNORECASE)
 _MONEY_RE = re.compile(r"[$€£]\s?\d[\d,]*(?:\.\d{2})?|\b\d+ ?(?:million|billion) (?:dollars|usd)\b",
                        re.IGNORECASE)
 _SHOUTY_RE = re.compile(r"[A-Z]{4,}")
+#: both alternatives of _MONEY_RE need a digit, and most bodies hold
+#: none: this C-speed scan skips the money search for them
+_DIGIT_RE = re.compile(r"\d")
 
 #: Phrases harvested from classic SA rule sets; the workload generators
 #: plant a configurable subset of these in synthetic spam.
@@ -104,7 +109,8 @@ class _BodyFeatures:
         self.many_urls = len(_URL_RE.findall(body)) >= 3
         self.url_shortener = any(
             host in lowered for host in ("bit.ly/", "tinyurl.com/", "goo.gl/"))
-        self.money_talk = bool(_MONEY_RE.search(body))
+        self.money_talk = (_DIGIT_RE.search(body) is not None
+                           and _MONEY_RE.search(body) is not None)
         if len(body) < 40:
             self.html_heavy = False
         else:

@@ -126,6 +126,13 @@ def paused_gc() -> Iterator[None]:
     tokenised emails are all acyclic, so refcounting already frees every
     dead object).  Pausing collection for the phase removes that rescan
     tax — measured ~35% of classify wall-clock at 10x study scale.
+
+    ``StudyRunner.run`` holds it over the whole study (generate,
+    deliver, classify, checkpoint saves), which is sound only while the
+    run builds no reference cycles: a cycle made under the pause lives
+    until the next collection after it.  ``tests/test_study_gc.py``
+    runs the batch, sink-and-checkpoint and fault-plan modes with the
+    collector off and requires a collection afterwards to find nothing.
     Re-enables only if the collector was enabled on entry, so nesting and
     caller-level ``gc.disable()`` are both safe.
     """

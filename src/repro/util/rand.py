@@ -41,9 +41,24 @@ class SeededRng:
         self.seed = seed
         self.name = name
         self._random = random.Random(seed)
+        #: the stream's bound ``getrandbits``, kept for the inlined
+        #: :meth:`choice`/:meth:`token` draws (not pickled: see
+        #: :meth:`__getstate__`)
+        self._getrandbits = self._random.getrandbits
         #: children in creation order — the spine the durability layer
         #: walks to capture/restore a whole simulation's stream positions
         self._children: List["SeededRng"] = []
+
+    def __getstate__(self) -> Dict:
+        # a bound builtin method deep-copies as itself, so a copy would
+        # draw from the original's stream: rebind on restore instead
+        state = dict(self.__dict__)
+        del state["_getrandbits"]
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._getrandbits = self._random.getrandbits
 
     def child(self, name: str) -> "SeededRng":
         """Return an independent child generator labelled ``name``.
@@ -154,8 +169,21 @@ class SeededRng:
     # -- collection draws -------------------------------------------------
 
     def choice(self, seq: Sequence[T]) -> T:
-        """One uniformly-drawn element of seq."""
-        return self._random.choice(seq)
+        """One uniformly-drawn element of seq.
+
+        Stream-identical to ``random.Random.choice``: its
+        ``_randbelow_with_getrandbits`` rule (draw ``n.bit_length()``
+        bits, redraw while the value is ``>= n``), inlined to skip two
+        Python-level calls per draw.
+        """
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return seq[r]
 
     def choices(self, seq: Sequence[T], weights: Optional[Sequence[float]] = None,
                 k: int = 1) -> List[T]:
@@ -194,9 +222,24 @@ class SeededRng:
     _ALNUM = "abcdefghijklmnopqrstuvwxyz0123456789"
 
     def token(self, length: int = 12, alphabet: str = _ALNUM) -> str:
-        """A random lowercase-alphanumeric token (usernames, ids, ...)."""
-        choice = self._random.choice
-        return "".join([choice(alphabet) for _ in range(length)])
+        """A random lowercase-alphanumeric token (usernames, ids, ...).
+
+        ``length`` :meth:`choice` draws from ``alphabet``, inlined.
+        """
+        if length <= 0:
+            return ""
+        n = len(alphabet)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        out = []
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(alphabet[r])
+        return "".join(out)
 
     def numpy_rng(self):
         """A numpy Generator seeded from this source (lazy import)."""

@@ -29,8 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
+from repro.core.distances import fat_finger_for_edit
 from repro.core.targets import TargetDomain
-from repro.core.typogen import TypoCandidate, TypoGenerator
+from repro.core.typogen import (
+    TypoCandidate,
+    TypoGenerator,
+    enumerate_edit_ops,
+    split_domain,
+)
 
 __all__ = ["TypoModelConfig", "TypingMistakeModel", "calibrate_global_volume"]
 
@@ -75,18 +81,29 @@ class TypingMistakeModel:
 
     # -- raw weights -----------------------------------------------------------
 
-    def _raw_weight(self, candidate: TypoCandidate) -> float:
-        weight = self.config.edit_type_weights.get(candidate.edit_type, 1.0)
-        if candidate.edit_type in ("substitution", "addition") \
-                and candidate.is_fat_finger:
+    def _edit_weight(self, edit_type: str, fat_finger: bool) -> float:
+        weight = self.config.edit_type_weights.get(edit_type, 1.0)
+        if edit_type in ("substitution", "addition") and fat_finger:
             weight *= self.config.fat_finger_multiplier
         return weight
 
+    def _raw_weight(self, candidate: TypoCandidate) -> float:
+        return self._edit_weight(candidate.edit_type, candidate.is_fat_finger)
+
     def _total_weight(self, target: str) -> float:
+        """Sum of :meth:`_raw_weight` over ``target``'s candidates, in
+        generation order, from the edit ops alone (no candidate, and so
+        no visual distance, is built)."""
         cached = self._weight_totals.get(target)
         if cached is not None:
             return cached
-        total = sum(self._raw_weight(c) for c in self._generator.generate(target))
+        generator = self._generator
+        label, _ = split_domain(target)
+        total = 0
+        for op, index, ch in enumerate_edit_ops(label, generator.alphabet,
+                                                generator.fat_finger_only):
+            total += self._edit_weight(
+                op, fat_finger_for_edit(label, op, index, ch) == 1)
         self._weight_totals[target] = total
         return total
 

@@ -1,5 +1,9 @@
 """Tests for repro.util.rand — deterministic randomness."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
 from repro.util import SeededRng, derive_seed
@@ -103,3 +107,63 @@ class TestSeededRng:
         a = SeededRng(21).numpy_rng().random(4)
         b = SeededRng(21).numpy_rng().random(4)
         assert list(a) == list(b)
+
+
+#: sequence lengths where the bit-length redraw rule changes shape:
+#: every length up to 300, and powers of two and their neighbours to 2^20
+_CHOICE_LENGTHS = sorted(set(range(1, 301)) | {
+    n for k in range(1, 21) for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)})
+
+
+@pytest.mark.perfsmoke
+class TestStreamIdentity:
+    """``choice`` and ``token`` inline ``random.Random.choice``'s draw:
+    the values and the generator state that follows must be the stdlib's."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2016])
+    def test_choice_matches_random_choice(self, seed):
+        rng = SeededRng(seed)
+        ref = random.Random(seed)
+        for n in _CHOICE_LENGTHS:
+            seq = range(n)
+            drawn = [rng.choice(seq) for _ in range(7)]
+            assert drawn == [ref.choice(seq) for _ in range(7)], n
+            assert rng._random.getstate() == ref.getstate(), n
+
+    @pytest.mark.parametrize("alphabet", [
+        SeededRng._ALNUM, "a", "ab", "abc", "0123456789abcdef",
+        "0123456789abcdefg", "αβγδε", "$€£٣"])
+    def test_token_matches_joined_choices(self, alphabet):
+        rng = SeededRng(23)
+        ref = random.Random(23)
+        for length in range(41):
+            token = rng.token(length, alphabet)
+            assert token == "".join(ref.choice(alphabet)
+                                    for _ in range(length)), length
+            assert rng._random.getstate() == ref.getstate(), length
+
+    def test_default_token_matches(self):
+        ref = random.Random(7)
+        expected = "".join(ref.choice(SeededRng._ALNUM) for _ in range(12))
+        assert SeededRng(7).token() == expected
+
+    def test_empty_sequence_raises(self):
+        rng = SeededRng(1)
+        with pytest.raises(IndexError):
+            rng.choice([])
+        with pytest.raises(IndexError):
+            rng.choice("")
+        with pytest.raises(IndexError):
+            rng.token(3, "")
+        assert rng.token(0, "") == ""
+        assert rng._random.getstate() == random.Random(1).getstate()
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))],
+        ids=["deepcopy", "pickle"])
+    def test_a_copy_draws_from_its_own_stream(self, clone):
+        rng = SeededRng(9)
+        rng.token(5)
+        twin = clone(rng)
+        assert twin.token(20) == rng.token(20)
+        assert twin.choice(range(1000)) == rng.choice(range(1000))

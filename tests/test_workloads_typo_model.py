@@ -110,3 +110,29 @@ class TestCalibration:
         candidates = generator.generate("gmail.com")
         total = sum(model.mistype_probability(c) for c in candidates)
         assert total == pytest.approx(0.1)
+
+
+@pytest.mark.perfsmoke
+class TestTotalWeight:
+    """``_total_weight`` sums the raw weights from the edit ops alone;
+    it must equal the sum over the built candidates exactly."""
+
+    @pytest.mark.parametrize("fat_finger_only", [False, True])
+    def test_equals_the_candidate_sum(self, fat_finger_only):
+        generator = TypoGenerator(fat_finger_only=fat_finger_only)
+        model = TypingMistakeModel(generator=generator)
+        for target in EMAIL_TARGETS:
+            expected = sum(model._raw_weight(c)
+                           for c in generator.generate(target.name))
+            assert model._total_weight(target.name) == expected, target.name
+
+    def test_custom_weights_and_multiplier(self):
+        config = TypoModelConfig(
+            edit_type_weights={"deletion": 1.25, "addition": 0.1},
+            fat_finger_multiplier=7.5)
+        generator = TypoGenerator()
+        model = TypingMistakeModel(config, generator)
+        for target in EMAIL_TARGETS:
+            expected = sum(model._raw_weight(c)
+                           for c in generator.generate(target.name))
+            assert model._total_weight(target.name) == expected, target.name

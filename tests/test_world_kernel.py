@@ -317,7 +317,8 @@ class TestWalk:
 class TestSeekedStem:
     @pytest.mark.parametrize("chunk", [0, 3, 977])
     def test_equals_the_drawn_chunk(self, chunk):
-        flat_i, third = _filler_syllables(17, chunk)
+        flat_i, third = _filler_syllables(
+            _rank_uniforms(17, "fillers", chunk, _FILLER_CHUNK * 7))
         drawn = WorldModel(17)
         drawn._stems[chunk] = (flat_i, third)
         offsets = [0, 1, 2, 3, 4, 5, 6, 7, 514, 1021, 1022, _FILLER_CHUNK - 1]

@@ -7,7 +7,10 @@
   a trailing consonant, 1 or 4 syllables, a digit or a non-ASCII
   character) parse to nothing and name no filler;
 * at several universe sizes the table's indices for each stem equal a
-  scan of the materialized names.
+  scan of the materialized names;
+* a world's syllable draws, through its reused ``"fillers"`` stream,
+  equal the one-shot ``_rank_uniforms`` reference at any chunk, in any
+  order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.ecosystem.world import (
     _FILLER_CHUNK,
     _SYL_TABLE,
     WorldModel,
+    _filler_syllables,
+    _rank_uniforms,
     _stem_code,
     _stem_codes,
 )
@@ -91,3 +96,18 @@ def test_evolved_worlds_share_the_table():
     assert evolved._stem_tables is world._stem_tables
     assert evolved.filler_indices(stem, 2_000) == world.filler_indices(
         stem, 2_000)
+
+
+@pytest.mark.parametrize("seed", [5, 2016])
+def test_syllables_equal_the_one_shot_reference(seed):
+    chunks = [976, 0, 97, 1, 0]
+    world = WorldModel(seed)
+    for chunk in chunks:
+        # a seeked one-filler draw from the same stream (no chunk is
+        # cached) must not shift the next chunk's draw
+        world._stems.clear()
+        world._filler_stem((chunk + 3) * _FILLER_CHUNK + 5)
+        flat_i, third = world._syllables(chunk)
+        ref_i, ref_third = _filler_syllables(
+            _rank_uniforms(seed, "fillers", chunk, _FILLER_CHUNK * 7))
+        assert flat_i == ref_i and third == ref_third, chunk
